@@ -440,9 +440,7 @@ void DeserializeFaultPlan(WireReader* r, FaultPlan* plan) {
 void SerializeEngineConfig(const EngineConfig& ec, WireWriter* w) {
   w->F64(ec.epoch_seconds);
   w->F64(ec.carrefour_period_seconds);
-  w->I32(ec.fixed_point_iterations);
   w->F64(ec.utilization_damping);
-  w->F64(ec.fixed_point_tolerance);
   w->Bool(ec.incremental_placement);
   w->F64(ec.max_sim_seconds);
   w->U64(ec.seed);
@@ -463,9 +461,7 @@ void SerializeEngineConfig(const EngineConfig& ec, WireWriter* w) {
 void DeserializeEngineConfig(WireReader* r, EngineConfig* ec) {
   ec->epoch_seconds = r->F64();
   ec->carrefour_period_seconds = r->F64();
-  ec->fixed_point_iterations = r->I32();
   ec->utilization_damping = r->F64();
-  ec->fixed_point_tolerance = r->F64();
   ec->incremental_placement = r->Bool();
   ec->max_sim_seconds = r->F64();
   ec->seed = r->U64();

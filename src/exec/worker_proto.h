@@ -33,8 +33,11 @@
 namespace xnuma {
 
 inline constexpr uint32_t kWireMagic = 0x584e5750;  // "XNWP"
-// v2: PolicyConfig.vnuma + StackConfig.vnuma (the vNUMA interface, PR 8).
-inline constexpr uint16_t kWireVersion = 3;
+// v2: PolicyConfig.vnuma + StackConfig.vnuma (the vNUMA interface).
+// v3: replication, walk-orchestrator and walk-pricing fields.
+// v4: EngineConfig drops the solver's iteration count and tolerance (both
+//     are constants in src/sim/engine.h now).
+inline constexpr uint16_t kWireVersion = 4;
 // Guards against garbage length fields; real payloads are a few KiB.
 inline constexpr uint32_t kMaxWirePayload = 1u << 20;
 // Longest string any message may carry (labels, app names, error texts).

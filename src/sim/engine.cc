@@ -305,6 +305,13 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
         "engine.solver.iterations", "iterations",
         "Picard iterations per fixed-point solve",
         {1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64});
+    solver_residual_ = m.RegisterHistogram(
+        "engine.solver.residual", "utilization",
+        "Largest utilization change in the last iteration of a fixed-point solve",
+        {1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1});
+    solver_unconverged_ = m.RegisterCounter(
+        "engine.solver.unconverged", "solves",
+        "Fixed-point solves stopped by the iteration cap above the tolerance");
     refresh_seconds_ = m.RegisterHistogram(
         "engine.placement.refresh_seconds", "s",
         "Wall-clock cost of one epoch's placement refresh phase");
@@ -822,15 +829,15 @@ double Engine::ThreadOverheadFraction(const JobState& job) const {
   return overhead;
 }
 
-void Engine::SolveUtilizationFixedPoint(double dt) {
-  (void)dt;
+void Engine::SolveUtilizationFixedPoint() {
   const Topology& topo = hv_->topology();
   const int nodes = topo.num_nodes();
   const LatencyParams& lp = latency_->params();
 
   ComputeCpuSharers();
-  last_fixed_point_iterations_ = 0;
-  for (int iter = 0; iter < config_.fixed_point_iterations; ++iter) {
+  int iterations = 0;
+  double max_delta = 0.0;
+  do {
     // Rates from current utilizations. AccessCycles is a pure function of
     // the (source node, target node) pair while the utilizations are frozen
     // for the iteration, and threads pinned to one node share its rows, so
@@ -958,7 +965,7 @@ void Engine::SolveUtilizationFixedPoint(double dt) {
     }
 
     const double damp = config_.utilization_damping;
-    double max_delta = 0.0;
+    max_delta = 0.0;
     for (NodeId n = 0; n < nodes; ++n) {
       const double updated = (1.0 - damp) * mc_util_[n] + damp * mc_new[n];
       max_delta = std::max(max_delta, std::fabs(updated - mc_util_[n]));
@@ -969,12 +976,11 @@ void Engine::SolveUtilizationFixedPoint(double dt) {
       max_delta = std::max(max_delta, std::fabs(updated - link_util_[l]));
       link_util_[l] = updated;
     }
-    last_fixed_point_iterations_ = iter + 1;
-    if (config_.fixed_point_tolerance > 0.0 && max_delta <= config_.fixed_point_tolerance) {
-      break;  // converged: further iterations would change nothing material
-    }
-  }
-  fixed_point_iterations_total_ += last_fixed_point_iterations_;
+    ++iterations;
+  } while (max_delta > kFixedPointTolerance && iterations < kFixedPointMaxIterations);
+  last_fixed_point_iterations_ = iterations;
+  last_fixed_point_residual_ = max_delta;
+  fixed_point_iterations_total_ += iterations;
 }
 
 void Engine::AdvanceProgress(JobState& job, double dt, double now) {
@@ -1263,85 +1269,105 @@ void Engine::TickCarrefour(double now) {
   }
 }
 
-void Engine::AccumulatePageRates(const JobState& job,
-                                 std::vector<PageAccessSample>* out) const {
-  const int nodes = hv_->topology().num_nodes();
-
-  for (const RegionState& region : job.regions) {
-    const double share = region.spec->access_share;
-    if (share <= 0.0 || region.total_mass <= 0.0) {
-      continue;
-    }
-    const double aff = region.spec->owner_affinity;
-
-    // Uniform component: per source node, the total rate into this region.
-    std::vector<double> uniform_by_node(nodes, 0.0);
-    // Affinity component per slice (attributed to the owner thread's node).
-    std::vector<double> slice_rate(job.spec.threads, 0.0);
-    std::vector<NodeId> slice_node(job.spec.threads, kInvalidNode);
-    for (int t = 0; t < job.spec.threads; ++t) {
-      const ThreadState& th = job.threads[t];
-      if (th.done) {
-        continue;
-      }
-      uniform_by_node[th.node] += th.rate * share * (1.0 - aff);
-      slice_rate[t] = th.rate * share * aff;
-      slice_node[t] = th.node;
-    }
-
-    for (int64_t idx = 0; idx < region.pages; ++idx) {
-      const PagePlacement& page = region.page_cache[idx];
-      if (page.pfn == kInvalidPfn || page.replicated) {
-        continue;  // replicated pages are already local everywhere
-      }
-      const double w = region.Weight(idx);
-      const int64_t slice = region.SliceOf(idx, job.spec.threads);
-      PageAccessSample sample;
-      sample.domain = job.spec.domain;
-      sample.pfn = page.pfn;
-      sample.rate_by_node.assign(nodes, 0.0);
-      for (NodeId n = 0; n < nodes; ++n) {
-        sample.rate_by_node[n] = uniform_by_node[n] * w / region.total_mass;
-      }
-      if (region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode) {
-        sample.rate_by_node[slice_node[slice]] +=
-            slice_rate[slice] * w / region.slice_total[slice];
-      }
-      sample.written = region.spec->write_fraction > 0.0;
-      out->push_back(std::move(sample));
-    }
-  }
-}
-
 void Engine::SampleHotPages(DomainId domain, int max_pages,
                             std::vector<PageAccessSample>* out) {
   // Carrefour samples mid-epoch, after churn/migrations may have moved
   // pages; bring the placement cache up to the live state first.
   DrainPlacementEvents();
-  std::vector<PageAccessSample>& candidates = sample_scratch_;
-  candidates.clear();
+  const int nodes = hv_->topology().num_nodes();
+  // Reserve a row for every page up front: a rate buffer grown row by row
+  // holds two copies of itself while it reallocates and leaves the old one
+  // behind as a heap hole, which showed up in peak RSS.
+  size_t max_candidates = 0;
   for (const auto& jptr : jobs_) {
     if (jptr->spec.domain == domain && !jptr->finished) {
-      RefreshPlacementTables(*jptr);
-      AccumulatePageRates(*jptr, &candidates);
+      for (const RegionState& region : jptr->regions) {
+        max_candidates += static_cast<size_t>(region.pages);
+      }
     }
   }
-  // IBS-style sampling noise.
-  for (PageAccessSample& s : candidates) {
-    for (double& r : s.rate_by_node) {
-      r = std::max(0.0, r * (1.0 + config_.sampling_noise * rng_.NextGaussian()));
+  sample_pages_.clear();
+  sample_pages_.reserve(max_candidates);
+  sample_rates_.clear();
+  sample_rates_.reserve(max_candidates * nodes);
+  std::vector<double> uniform_by_node;
+  std::vector<double> slice_rate;
+  std::vector<NodeId> slice_node;
+  for (auto& jptr : jobs_) {
+    JobState& job = *jptr;
+    if (job.spec.domain != domain || job.finished) {
+      continue;
+    }
+    RefreshPlacementTables(job);
+    for (const RegionState& region : job.regions) {
+      const double share = region.spec->access_share;
+      if (share <= 0.0 || region.total_mass <= 0.0) {
+        continue;
+      }
+      const double aff = region.spec->owner_affinity;
+      // Uniform component: per source node, the total rate into this region.
+      uniform_by_node.assign(nodes, 0.0);
+      // Affinity component per slice (attributed to the owner thread's node).
+      slice_rate.assign(job.spec.threads, 0.0);
+      slice_node.assign(job.spec.threads, kInvalidNode);
+      for (int t = 0; t < job.spec.threads; ++t) {
+        const ThreadState& th = job.threads[t];
+        if (th.done) {
+          continue;
+        }
+        uniform_by_node[th.node] += th.rate * share * (1.0 - aff);
+        slice_rate[t] = th.rate * share * aff;
+        slice_node[t] = th.node;
+      }
+      const bool written = region.spec->write_fraction > 0.0;
+      for (int64_t idx = 0; idx < region.pages; ++idx) {
+        const PagePlacement& page = region.page_cache[idx];
+        if (page.pfn == kInvalidPfn || page.replicated) {
+          continue;  // replicated pages are already local everywhere
+        }
+        const double w = region.Weight(idx);
+        const int64_t slice = region.SliceOf(idx, job.spec.threads);
+        const size_t row = sample_rates_.size();
+        sample_rates_.resize(row + nodes);
+        double* rates = &sample_rates_[row];
+        for (NodeId n = 0; n < nodes; ++n) {
+          rates[n] = uniform_by_node[n] * w / region.total_mass;
+        }
+        if (region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode) {
+          rates[slice_node[slice]] += slice_rate[slice] * w / region.slice_total[slice];
+        }
+        sample_pages_.push_back({page.pfn, written});
+      }
     }
   }
-  const int keep = std::min<int>(max_pages, static_cast<int>(candidates.size()));
-  std::partial_sort(candidates.begin(), candidates.begin() + keep, candidates.end(),
-                    [](const PageAccessSample& a, const PageAccessSample& b) {
-                      return a.TotalRate() > b.TotalRate();
+  // IBS-style sampling noise, page by page and node by node; each page's
+  // noisy total is its sort key.
+  const int candidates = static_cast<int>(sample_pages_.size());
+  sample_order_.resize(candidates);
+  for (int i = 0; i < candidates; ++i) {
+    double* rates = &sample_rates_[static_cast<size_t>(i) * nodes];
+    double total = 0.0;
+    for (NodeId n = 0; n < nodes; ++n) {
+      rates[n] = std::max(0.0, rates[n] * (1.0 + config_.sampling_noise * rng_.NextGaussian()));
+      total += rates[n];
+    }
+    sample_order_[i] = {total, i};
+  }
+  const int keep = std::min(max_pages, candidates);
+  std::partial_sort(sample_order_.begin(), sample_order_.begin() + keep, sample_order_.end(),
+                    [](const std::pair<double, int>& a, const std::pair<double, int>& b) {
+                      return a.first > b.first;
                     });
-  candidates.resize(keep);
-  for (PageAccessSample& s : candidates) {
-    out->push_back(std::move(s));
+  for (int k = 0; k < keep; ++k) {
+    const int i = sample_order_[k].second;
+    const double* rates = &sample_rates_[static_cast<size_t>(i) * nodes];
+    PageAccessSample sample;
+    sample.domain = domain;
+    sample.pfn = sample_pages_[i].pfn;
+    sample.rate_by_node.assign(rates, rates + nodes);
+    sample.written = sample_pages_[i].written;
+    out->push_back(std::move(sample));
   }
-  candidates.clear();
 }
 
 void Engine::TickScheduler(double now) {
@@ -1507,12 +1533,16 @@ RunResult Engine::Run() {
 
     {
       XNUMA_TRACE_SCOPE(obs_, "solver_fixed_point", "engine", solver_seconds_);
-      SolveUtilizationFixedPoint(dt);
+      SolveUtilizationFixedPoint();
     }
     ++epochs_run_;
     if (obs_ != nullptr) {
       epoch_count_->Increment();
       solver_iterations_->Observe(static_cast<double>(last_fixed_point_iterations_));
+      solver_residual_->Observe(last_fixed_point_residual_);
+      if (last_fixed_point_residual_ > kFixedPointTolerance) {
+        solver_unconverged_->Increment();
+      }
     }
 
     // Commit the hardware counters for this epoch.

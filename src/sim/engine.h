@@ -49,18 +49,20 @@
 
 namespace xnuma {
 
+// The epoch's damped Picard iteration stops once the largest per-iteration
+// change of any controller or link utilization is at most the tolerance.
+// Saturated controllers make the iteration oscillate instead of settling;
+// such solves stop at the cap and keep its last iterate (docs/MODEL.md §3).
+inline constexpr double kFixedPointTolerance = 1e-7;
+inline constexpr int kFixedPointMaxIterations = 24;
+
 struct EngineConfig {
   double epoch_seconds = 0.05;
   double carrefour_period_seconds = 0.10;
   // The rate/latency fixed point has steep negative slope in the overload
   // region (|d'| up to ~8 with the default overload_slope), so the damped
   // Picard iteration needs damping < 2/(1+|d'|) to contract.
-  int fixed_point_iterations = 24;
   double utilization_damping = 0.15;
-  // Early exit for the Picard iteration: stop once the largest per-iteration
-  // utilization change (controllers and links) drops below this tolerance.
-  // 0 keeps the fixed iteration count — bit-identical legacy behavior.
-  double fixed_point_tolerance = 0.0;
   // Event-driven placement refresh (the default): the engine keeps per-page
   // placement and mass aggregates incrementally from the backend/guest dirty
   // sets. When false it rescans every page of every region each epoch — the
@@ -232,7 +234,7 @@ class Engine : public PageAccessSource {
   Observability* observability() const { return obs_; }
 
   // Picard iterations consumed by the most recent fixed-point solve, and the
-  // running total / epoch count over the whole run (early-exit telemetry).
+  // running total / epoch count over the whole run (convergence telemetry).
   int last_fixed_point_iterations() const { return last_fixed_point_iterations_; }
   int64_t fixed_point_iterations_total() const { return fixed_point_iterations_total_; }
   int64_t epochs_run() const { return epochs_run_; }
@@ -266,7 +268,7 @@ class Engine : public PageAccessSource {
                                   bool sequential = true) const;
   void ComputeAccessDistributions(JobState& job);
   void ComputeCpuSharers();
-  void SolveUtilizationFixedPoint(double dt);
+  void SolveUtilizationFixedPoint();
   double PathLinkUtil(NodeId src, NodeId dst) const;
   void AdvanceProgress(JobState& job, double dt, double now);
   void RunAllocatorChurn(JobState& job, double dt, double now);
@@ -282,9 +284,6 @@ class Engine : public PageAccessSource {
   // totals stay in the CSV, see trace.h).
   void EmitEpochObservability(double now);
   void TickScheduler(double now);
-  // Per-page access rates by source node for sampling; appends candidates.
-  // Reads the per-page placement cache (refresh the job first).
-  void AccumulatePageRates(const JobState& job, std::vector<PageAccessSample>* out) const;
 
   Hypervisor* hv_;
   const LatencyModel* latency_;
@@ -349,6 +348,8 @@ class Engine : public PageAccessSource {
   // rescan that CpuShare used to do per thread per iteration).
   std::vector<int> cpu_sharers_;
   int last_fixed_point_iterations_ = 0;
+  // Largest utilization change of the most recent solve's last iteration.
+  double last_fixed_point_residual_ = 0.0;
   int64_t fixed_point_iterations_total_ = 0;
   int64_t epochs_run_ = 0;
 
@@ -357,7 +358,16 @@ class Engine : public PageAccessSource {
   std::map<std::pair<const GuestOs*, int>, int> job_by_guest_pid_;
   std::vector<GuestOs::VpageEvent> vpage_event_scratch_;
   std::vector<Pfn> pfn_event_scratch_;
-  std::vector<PageAccessSample> sample_scratch_;
+  // Hot-page sampling scratch, reused across SampleHotPages scans: one
+  // candidate per sampled page, its per-source-node rates as one row of
+  // sample_rates_, and the (noisy total rate, candidate) sort keys.
+  struct SampleCandidate {
+    Pfn pfn = kInvalidPfn;
+    bool written = false;
+  };
+  std::vector<SampleCandidate> sample_pages_;
+  std::vector<double> sample_rates_;  // [candidates][nodes]
+  std::vector<std::pair<double, int>> sample_order_;
   // XNUMA_VERIFY_PLACEMENT_CACHE=N cross-checks the incremental aggregates
   // against a full rescan every N refreshes of each job (0 = off).
   int verify_cache_period_ = 0;
@@ -369,6 +379,8 @@ class Engine : public PageAccessSource {
   Counter* dirty_event_count_ = nullptr;
   Histogram* solver_seconds_ = nullptr;
   Histogram* solver_iterations_ = nullptr;
+  Histogram* solver_residual_ = nullptr;
+  Counter* solver_unconverged_ = nullptr;
   Histogram* refresh_seconds_ = nullptr;
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/core/experiment.h"
 #include "src/numa/topology.h"
 
@@ -202,6 +204,79 @@ TEST(EngineTest, SamplerReturnsHottestFirst) {
   for (size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GE(samples[i - 1].TotalRate(), samples[i].TotalRate());
   }
+}
+
+uint64_t MixDigest(uint64_t digest, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (value >> (8 * i)) & 0xFF;
+    digest *= 0x100000001b3ull;  // FNV-1a prime
+  }
+  return digest;
+}
+
+// Pins the hot-page sampler bit for bit: which pages consecutive scans
+// return, in which order, with which noisy rates. The scans share the
+// engine's sampling rng, and Carrefour scans and replicates pages during the
+// simulated half second, so the draw order is pinned along with the per-page
+// rates, the skipped replicated pages and the top-k selection.
+TEST(EngineTest, SamplerOutputIsPinnedBitForBit) {
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  const LatencyModel latency;
+  EngineConfig ec;
+  ec.seed = 11;
+  ec.max_sim_seconds = 0.5;
+  ec.carrefour.enable_replication = true;
+  Engine engine(hv, latency, ec);
+
+  AppProfile app = MasterSlaveApp(/*shared_affinity=*/0.3);
+  app.nominal_seconds = 30.0;  // still running when the scans below sample it
+  app.regions[0].footprint_mb = 2048;
+  app.regions[0].write_fraction = 0.0;
+  app.regions[1].footprint_mb = 1024;
+  DomainConfig dc;
+  dc.num_vcpus = 24;
+  dc.memory_pages = SimPagesForApp(app, hv.frames().bytes_per_frame(), 96) + 64;
+  for (int i = 0; i < dc.num_vcpus; ++i) {
+    dc.pinned_cpus.push_back(i);
+  }
+  dc.policy = {StaticPolicy::kFirstTouch, true};
+  const DomainId dom = hv.CreateDomain(dc);
+  GuestOs guest(hv, dom);
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = dc.num_vcpus;
+  engine.AddJob(spec);
+  ASSERT_FALSE(engine.Run().jobs.back().finished);
+  // Every solve of this short run still stops at the iteration cap, so the
+  // sampled state does not depend on how early the solver converges.
+  ASSERT_EQ(engine.fixed_point_iterations_total(),
+            engine.epochs_run() * kFixedPointMaxIterations);
+
+  uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  size_t sampled = 0;
+  for (const int max_pages : {64, 1, 64, 1 << 20}) {
+    std::vector<PageAccessSample> samples;
+    engine.SampleHotPages(dom, max_pages, &samples);
+    sampled += samples.size();
+    digest = MixDigest(digest, samples.size());
+    for (const PageAccessSample& s : samples) {
+      EXPECT_EQ(s.domain, dom);
+      EXPECT_EQ(s.current_node, kInvalidNode);
+      digest = MixDigest(digest, s.pfn);
+      digest = MixDigest(digest, s.written ? 1 : 0);
+      digest = MixDigest(digest, s.rate_by_node.size());
+      for (double r : s.rate_by_node) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &r, sizeof(bits));
+        digest = MixDigest(digest, bits);
+      }
+    }
+  }
+  EXPECT_GT(sampled, 64u + 1 + 64 + 64);
+  EXPECT_EQ(digest, 0xd49997250f11657dull) << std::hex << digest;
 }
 
 TEST(EngineTest, ReleaseChurnExercisesPvQueue) {

@@ -1,15 +1,17 @@
-// Tests for the fixed-point solver's early-exit tolerance and iteration
-// telemetry.
+// Tests for the fixed-point solver's convergence rule, its iteration cap and
+// its convergence telemetry.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 #include "src/workload/app_profile.h"
 
@@ -44,7 +46,9 @@ struct FpMachine {
   std::unique_ptr<GuestOs> guest;
   std::unique_ptr<Engine> engine;
 
-  FpMachine(const EngineConfig& ec, const AppProfile& app, int threads = 12) {
+  FpMachine(const EngineConfig& ec, const AppProfile& app, int threads = 12,
+            Observability* obs = nullptr) {
+    hv.set_observability(obs);
     DomainConfig dc;
     dc.name = "dom";
     dc.num_vcpus = threads;
@@ -65,62 +69,65 @@ struct FpMachine {
   }
 };
 
-TEST(FixedPointTest, ZeroToleranceRunsEveryIteration) {
-  const AppProfile app = SmallApp();
-  EngineConfig ec;
-  ec.seed = 5;
-  ec.fixed_point_tolerance = 0.0;  // legacy behavior: fixed iteration count
-  FpMachine m(ec, app);
-  RunResult r = m.engine->Run();
-  ASSERT_TRUE(r.jobs.back().finished);
-  ASSERT_GT(m.engine->epochs_run(), 0);
-  EXPECT_EQ(m.engine->fixed_point_iterations_total(),
-            m.engine->epochs_run() * ec.fixed_point_iterations);
+MetricSnapshot FindMetric(const Observability& obs, const std::string& name) {
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == name) {
+      return m;
+    }
+  }
+  ADD_FAILURE() << "metric " << name << " not registered";
+  return {};
 }
 
 TEST(FixedPointTest, EarlyExitSavesIterationsAndMatchesWithinTolerance) {
+  // The same run with every solve taking all 24 iterations, as the solver
+  // did before it stopped at convergence.
+  constexpr double kCappedCompletionSeconds = 0.53069480430183436;
+  constexpr double kCappedAvgLatencyCycles = 262.41183727419883;
   const AppProfile app = SmallApp();
-  JobResult results[2];
-  int64_t totals[2];
-  int64_t epochs[2];
-  for (int i = 0; i < 2; ++i) {
-    EngineConfig ec;
-    ec.seed = 5;
-    ec.fixed_point_tolerance = i == 0 ? 0.0 : 1e-7;
-    FpMachine m(ec, app);
-    RunResult r = m.engine->Run();
-    ASSERT_TRUE(r.jobs.back().finished);
-    results[i] = r.jobs.back();
-    totals[i] = m.engine->fixed_point_iterations_total();
-    epochs[i] = m.engine->epochs_run();
-  }
+  EngineConfig ec;
+  ec.seed = 5;
+  Observability obs;
+  FpMachine m(ec, app, /*threads=*/12, &obs);
+  RunResult r = m.engine->Run();
+  ASSERT_TRUE(r.jobs.back().finished);
   // The converged steady state makes most epochs exit after a handful of
   // iterations.
-  EXPECT_LT(totals[1], totals[0]);
-  EXPECT_LT(totals[1], epochs[1] * EngineConfig{}.fixed_point_iterations);
-  // Results agree within a tolerance-scale relative error.
-  EXPECT_NEAR(results[1].completion_seconds, results[0].completion_seconds,
-              1e-4 * results[0].completion_seconds);
-  EXPECT_NEAR(results[1].avg_latency_cycles, results[0].avg_latency_cycles,
-              1e-4 * results[0].avg_latency_cycles);
+  const int64_t epochs = m.engine->epochs_run();
+  ASSERT_GT(epochs, 0);
+  EXPECT_LT(m.engine->fixed_point_iterations_total(), epochs * kFixedPointMaxIterations);
+  EXPECT_EQ(FindMetric(obs, "engine.solver.residual").count, epochs);
+  EXPECT_LT(FindMetric(obs, "engine.solver.unconverged").count, epochs);
+  // Results agree with the capped run within a tolerance-scale relative
+  // error.
+  const JobResult& result = r.jobs.back();
+  EXPECT_NEAR(result.completion_seconds, kCappedCompletionSeconds,
+              1e-4 * kCappedCompletionSeconds);
+  EXPECT_NEAR(result.avg_latency_cycles, kCappedAvgLatencyCycles,
+              1e-4 * kCappedAvgLatencyCycles);
 }
 
 TEST(FixedPointTest, OverloadStillTerminatesAtIterationCap) {
   // A bandwidth-hungry app (few CPU cycles per access, all 48 threads) that
   // drives the controllers into the overload region, where the iteration
-  // oscillates and never meets a tiny tolerance.
+  // oscillates and never meets the tolerance.
   const AppProfile app = SmallApp(/*cycles_per_access=*/20.0);
   EngineConfig ec;
   ec.seed = 5;
-  ec.fixed_point_tolerance = 1e-13;
   ec.max_sim_seconds = 30.0;
-  FpMachine m(ec, app, /*threads=*/48);
+  Observability obs;
+  FpMachine m(ec, app, /*threads=*/48, &obs);
   RunResult r = m.engine->Run();
   ASSERT_TRUE(r.jobs.back().finished);
-  EXPECT_LE(m.engine->last_fixed_point_iterations(), ec.fixed_point_iterations);
+  EXPECT_LE(m.engine->last_fixed_point_iterations(), kFixedPointMaxIterations);
   EXPECT_LE(m.engine->fixed_point_iterations_total(),
-            m.engine->epochs_run() * ec.fixed_point_iterations);
-  EXPECT_GT(m.engine->fixed_point_iterations_total(), 0);
+            m.engine->epochs_run() * kFixedPointMaxIterations);
+  EXPECT_EQ(FindMetric(obs, "engine.solver.iterations").max, kFixedPointMaxIterations);
+  const MetricSnapshot unconverged = FindMetric(obs, "engine.solver.unconverged");
+  EXPECT_GT(unconverged.count, 0);
+  EXPECT_LE(unconverged.count, m.engine->epochs_run());
+  // A solve stopped by the cap reports a residual above the tolerance.
+  EXPECT_GT(FindMetric(obs, "engine.solver.residual").max, kFixedPointTolerance);
 }
 
 }  // namespace

@@ -252,6 +252,10 @@ TEST(WorkerProtoTest, CorruptFramesLatchCleanErrors) {
   std::string error;
   const std::vector<uint8_t> good = EncodeWork(work, &error);
   ASSERT_FALSE(good.empty()) << error;
+  // v4 frames: EngineConfig no longer carries the solver's iteration count
+  // and tolerance.
+  ASSERT_EQ(kWireVersion, 4);
+  EXPECT_EQ(good[4] | (good[5] << 8), kWireVersion);  // version u16 LE at offset 4
 
   {  // flipped payload byte -> checksum mismatch
     std::vector<uint8_t> bad = good;
@@ -282,6 +286,17 @@ TEST(WorkerProtoTest, CorruptFramesLatchCleanErrors) {
     const std::string want = "wire version " + std::to_string(kWireVersion + 1) +
                              " (this build speaks " + std::to_string(kWireVersion) + ")";
     EXPECT_NE(decoder.error().find(want), std::string::npos) << decoder.error();
+  }
+  {  // version skew: a frame from a v3 build, whose EngineConfig still
+     // carries the solver fields this build no longer reads
+    std::vector<uint8_t> bad = good;
+    bad[4] = 3;
+    FrameDecoder decoder;
+    decoder.Append(bad.data(), bad.size());
+    WireFrame frame;
+    EXPECT_FALSE(decoder.Next(&frame));
+    EXPECT_NE(decoder.error().find("wire version 3 (this build speaks 4)"), std::string::npos)
+        << decoder.error();
   }
   {  // unknown frame type
     std::vector<uint8_t> bad = good;
