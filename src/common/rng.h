@@ -8,13 +8,60 @@
 #ifndef XENNUMA_SRC_COMMON_RNG_H_
 #define XENNUMA_SRC_COMMON_RNG_H_
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace xnuma {
 
+// The two uniforms behind one Box-Muller pair of standard normals: the
+// radius is sqrt(-2 ln u1) and the angle 2*pi*u2; the first normal is
+// radius*cos(angle), the second radius*sin(angle).
+struct BoxMullerPair {
+  double u1 = 1.0;
+  double u2 = 0.0;
+
+  // Clamps u1 to at least 1e-300, so the radius stays finite.
+  static BoxMullerPair FromUniforms(double u1, double u2) {
+    return {std::max(u1, 1e-300), u2};
+  }
+
+  // Both normals: the cosine one first.
+  void Normals(double out[2]) const;
+
+  // Bounds on |normal| with no transcendental call: |normal| is at most
+  // RadiusBound(RadiusTier()) * AngleBound(AngleSector(), half).
+  //
+  // The radius falls as u1 rises, so a lower bound on u1 bounds it.
+  // RadiusTier() buckets u1 by half binary orders of magnitude, from 0 for
+  // u1 above 0.75 up to kClampedTier, which no unclamped u1 (at least
+  // 2^-53) reaches; RadiusBound(tier) bounds the radius of every u1 in it.
+  static constexpr int kClampedTier = 107;
+  int RadiusTier() const {
+    const uint64_t below_one = 0x3ff0000000000000ull - std::bit_cast<uint64_t>(u1);
+    return static_cast<int>(std::min<uint64_t>(below_one >> 51, kClampedTier));
+  }
+  static double RadiusBound(int tier);
+  // AngleSector() is the 64th of the turn u2 falls in; AngleBound(sector,
+  // half) bounds |cos| (half 0) or |sin| (half 1) over it.
+  static constexpr int kSectors = 64;
+  int AngleSector() const { return std::clamp(static_cast<int>(u2 * kSectors), 0, kSectors - 1); }
+  static double AngleBound(int sector, int half);
+};
+
+class GaussianBlock;
+
 class Rng {
  public:
+  using State = std::array<uint64_t, 4>;
+
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
+  // A generator resumed from a raw xoshiro256** state (not all zero), with
+  // no carried Gaussian.
+  static Rng FromState(const State& state);
 
   // Uniform 64-bit value. Inline: the per-page hot paths (placement jitter,
   // release selection) draw millions of values per simulated second.
@@ -44,19 +91,78 @@ class Rng {
   // True with probability `p` (clamped to [0, 1]).
   bool NextBool(double p);
 
-  // Normal(0, 1) via Box-Muller; deterministic for a given seed.
+  // Normal(0, 1) via Box-Muller; deterministic for a given seed. Each pair
+  // of uniforms yields two values; the second is carried to the next call.
   double NextGaussian();
+
+  // Draws the uniforms behind the next `n` NextGaussian() values into
+  // `block` (its storage is reused). The generator ends in the state n
+  // NextGaussian() calls would have left, carried half included.
+  void DrawGaussians(size_t n, GaussianBlock* block);
 
   // Derives an independent child generator; useful to give each simulated
   // component its own stream without cross-coupling.
   Rng Fork();
 
  private:
+  friend class GaussianBlock;
+
+  explicit Rng(const State& state) : s_(state) {}
+
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  uint64_t s_[4];
-  bool has_gaussian_ = false;
-  double pending_gaussian_ = 0.0;
+  BoxMullerPair NextPair() {
+    const double u1 = NextDouble();
+    const double u2 = NextDouble();
+    return BoxMullerPair::FromUniforms(u1, u2);
+  }
+
+  // Whether a pair's sine half waits for the next NextGaussian().
+  bool HasPending() const { return pending_.u1 > 0.0; }
+
+  State s_;
+  // The pair whose sine half the next NextGaussian() returns; u1 = 0 (which
+  // no draw yields, as drawn u1 are clamped) when none waits.
+  BoxMullerPair pending_{0.0, 0.0};
+};
+
+// The next n NextGaussian() values of a generator, drawn by
+// Rng::DrawGaussians and transformed only on demand: value i is bit-equal
+// to the i-th NextGaussian() the generator would have returned instead. The
+// block keeps each pair's radius tier and angle sector, and the generator's
+// state every kPairsPerState pairs to replay the uniforms of the pairs it
+// transforms.
+class GaussianBlock {
+ public:
+  size_t size() const { return size_; }
+
+  // Writes values [first, first + count) to `out`, transforming each pair
+  // the range overlaps once. Ranges visited in ascending order replay the
+  // fewest uniforms.
+  void Values(size_t first, size_t count, double* out);
+  // An upper bound on the sum of |weights[k] * value (first + k)| over
+  // k < count, from each pair's radius tier and angle sector alone.
+  double WeightedBound(size_t first, size_t count, const double* weights) const;
+
+ private:
+  friend class Rng;
+
+  static constexpr size_t kPairsPerState = 16;
+
+  // Value i is half (i + offset_) % 2 of pair (i + offset_) / 2. When
+  // offset_ is 1, pair 0 is carried_, whose cosine half went to an earlier
+  // NextGaussian(). Pair p of the others is fresh pair q = p - offset_,
+  // drawn from states_[q / kPairsPerState] after q % kPairsPerState pairs.
+  size_t size_ = 0;
+  size_t offset_ = 0;
+  BoxMullerPair carried_;
+  std::vector<Rng::State> states_;
+  std::vector<uint8_t> tiers_;    // per pair p: RadiusTier()
+  std::vector<uint8_t> sectors_;  // per pair p: AngleSector()
+  // The generator right before fresh pair cursor_q_, where the last
+  // Values() call stopped replaying.
+  Rng cursor_;
+  size_t cursor_q_ = SIZE_MAX;
 };
 
 }  // namespace xnuma

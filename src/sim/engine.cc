@@ -323,6 +323,11 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
         "Hottest interconnect-link utilization at the last epoch (instantaneous)");
     sim_seconds_gauge_ =
         m.RegisterGauge("engine.sim_seconds", "s", "Simulated time at the last epoch");
+    sampler_candidates_ = m.RegisterCounter(
+        "engine.sampler.candidates", "pages", "Candidate pages considered by hot-page scans");
+    sampler_scored_ = m.RegisterCounter(
+        "engine.sampler.scored", "pages",
+        "Candidate pages whose sampling noise a hot-page scan transformed");
   }
 }
 
@@ -1291,6 +1296,8 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   sample_rates_.clear();
   sample_rates_.reserve(max_candidates * nodes);
   std::vector<double> uniform_by_node;
+  std::vector<double> hot_rates;
+  std::vector<double> cold_rates;
   std::vector<double> slice_rate;
   std::vector<NodeId> slice_node;
   for (auto& jptr : jobs_) {
@@ -1320,46 +1327,40 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
         slice_node[t] = th.node;
       }
       const bool written = region.spec->write_fraction > 0.0;
-      for (int64_t idx = 0; idx < region.pages; ++idx) {
-        const PagePlacement& page = region.page_cache[idx];
-        if (page.pfn == kInvalidPfn || page.replicated) {
-          continue;  // replicated pages are already local everywhere
+      // A page weighs w_hot or w_cold, so its uniform rates are one of two
+      // rows; its owner's affinity rate depends on its slice alone.
+      hot_rates.resize(nodes);
+      cold_rates.resize(nodes);
+      for (NodeId n = 0; n < nodes; ++n) {
+        hot_rates[n] = uniform_by_node[n] * region.w_hot / region.total_mass;
+        cold_rates[n] = uniform_by_node[n] * region.w_cold / region.total_mass;
+      }
+      for (int slice = 0; slice < job.spec.threads; ++slice) {
+        const bool owned = region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode;
+        const int64_t end = region.SliceEnd(slice, job.spec.threads);
+        for (int64_t idx = region.SliceBegin(slice, job.spec.threads); idx < end; ++idx) {
+          const PagePlacement& page = region.page_cache[idx];
+          if (page.pfn == kInvalidPfn || page.replicated) {
+            continue;  // replicated pages are already local everywhere
+          }
+          const bool hot = region.IsHot(idx);
+          const std::vector<double>& uniform = hot ? hot_rates : cold_rates;
+          sample_rates_.insert(sample_rates_.end(), uniform.begin(), uniform.end());
+          if (owned) {
+            const double w = hot ? region.w_hot : region.w_cold;
+            sample_rates_[sample_rates_.size() - nodes + slice_node[slice]] +=
+                slice_rate[slice] * w / region.slice_total[slice];
+          }
+          sample_pages_.push_back({page.pfn, written});
         }
-        const double w = region.Weight(idx);
-        const int64_t slice = region.SliceOf(idx, job.spec.threads);
-        const size_t row = sample_rates_.size();
-        sample_rates_.resize(row + nodes);
-        double* rates = &sample_rates_[row];
-        for (NodeId n = 0; n < nodes; ++n) {
-          rates[n] = uniform_by_node[n] * w / region.total_mass;
-        }
-        if (region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode) {
-          rates[slice_node[slice]] += slice_rate[slice] * w / region.slice_total[slice];
-        }
-        sample_pages_.push_back({page.pfn, written});
       }
     }
   }
-  // IBS-style sampling noise, page by page and node by node; each page's
-  // noisy total is its sort key.
-  const int candidates = static_cast<int>(sample_pages_.size());
-  sample_order_.resize(candidates);
-  for (int i = 0; i < candidates; ++i) {
-    double* rates = &sample_rates_[static_cast<size_t>(i) * nodes];
-    double total = 0.0;
-    for (NodeId n = 0; n < nodes; ++n) {
-      rates[n] = std::max(0.0, rates[n] * (1.0 + config_.sampling_noise * rng_.NextGaussian()));
-      total += rates[n];
-    }
-    sample_order_[i] = {total, i};
-  }
-  const int keep = std::min(max_pages, candidates);
-  std::partial_sort(sample_order_.begin(), sample_order_.begin() + keep, sample_order_.end(),
-                    [](const std::pair<double, int>& a, const std::pair<double, int>& b) {
-                      return a.first > b.first;
-                    });
+  // IBS-style sampling noise; the noisy totals rank the pages.
+  const int keep =
+      top_k_.Select(sample_rates_, nodes, max_pages, config_.sampling_noise, rng_);
   for (int k = 0; k < keep; ++k) {
-    const int i = sample_order_[k].second;
+    const int i = top_k_.kept(k);
     const double* rates = &sample_rates_[static_cast<size_t>(i) * nodes];
     PageAccessSample sample;
     sample.domain = domain;
@@ -1367,6 +1368,10 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
     sample.rate_by_node.assign(rates, rates + nodes);
     sample.written = sample_pages_[i].written;
     out->push_back(std::move(sample));
+  }
+  if (obs_ != nullptr) {
+    sampler_candidates_->Increment(static_cast<int64_t>(sample_pages_.size()));
+    sampler_scored_->Increment(top_k_.scored());
   }
 }
 

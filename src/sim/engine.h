@@ -44,6 +44,7 @@
 #include "src/numa/latency_model.h"
 #include "src/numa/perf_counters.h"
 #include "src/obs/obs.h"
+#include "src/sim/noisy_top_k.h"
 #include "src/sim/trace.h"
 #include "src/workload/app_profile.h"
 
@@ -360,14 +361,14 @@ class Engine : public PageAccessSource {
   std::vector<Pfn> pfn_event_scratch_;
   // Hot-page sampling scratch, reused across SampleHotPages scans: one
   // candidate per sampled page, its per-source-node rates as one row of
-  // sample_rates_, and the (noisy total rate, candidate) sort keys.
+  // sample_rates_, and the noisy top-k selection over the rows.
   struct SampleCandidate {
     Pfn pfn = kInvalidPfn;
     bool written = false;
   };
   std::vector<SampleCandidate> sample_pages_;
   std::vector<double> sample_rates_;  // [candidates][nodes]
-  std::vector<std::pair<double, int>> sample_order_;
+  NoisyTopK top_k_;
   // XNUMA_VERIFY_PLACEMENT_CACHE=N cross-checks the incremental aggregates
   // against a full rescan every N refreshes of each job (0 = off).
   int verify_cache_period_ = 0;
@@ -385,6 +386,8 @@ class Engine : public PageAccessSource {
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;
   Gauge* sim_seconds_gauge_ = nullptr;
+  Counter* sampler_candidates_ = nullptr;
+  Counter* sampler_scored_ = nullptr;
   // Previous cumulative fault totals, for the per-epoch deltas in the trace.
   int64_t prev_faults_injected_ = 0;
   int64_t prev_faults_recovered_ = 0;

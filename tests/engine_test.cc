@@ -214,56 +214,71 @@ uint64_t MixDigest(uint64_t digest, uint64_t value) {
   return digest;
 }
 
+// A master-slave job still running after half a simulated second on the
+// 48-core machine, with Carrefour scanning and replicating pages: the state
+// the sampler tests below scan.
+struct SamplerMachine {
+  Topology topo = Topology::Amd48();
+  Hypervisor hv{topo};
+  LatencyModel latency;
+  std::unique_ptr<Engine> engine;
+  AppProfile app = MasterSlaveApp(/*shared_affinity=*/0.3);
+  std::unique_ptr<GuestOs> guest;
+  DomainId dom = kInvalidDomain;
+  RunResult run;
+
+  SamplerMachine() {
+    EngineConfig ec;
+    ec.seed = 11;
+    ec.max_sim_seconds = 0.5;
+    ec.carrefour.enable_replication = true;
+    engine = std::make_unique<Engine>(hv, latency, ec);
+
+    app.nominal_seconds = 30.0;  // still running when the scans sample it
+    app.regions[0].footprint_mb = 2048;
+    app.regions[0].write_fraction = 0.0;
+    app.regions[1].footprint_mb = 1024;
+    DomainConfig dc;
+    dc.num_vcpus = 24;
+    dc.memory_pages = SimPagesForApp(app, hv.frames().bytes_per_frame(), 96) + 64;
+    for (int i = 0; i < dc.num_vcpus; ++i) {
+      dc.pinned_cpus.push_back(i);
+    }
+    dc.policy = {StaticPolicy::kFirstTouch, true};
+    dom = hv.CreateDomain(dc);
+    guest = std::make_unique<GuestOs>(hv, dom);
+    JobSpec spec;
+    spec.app = &app;
+    spec.domain = dom;
+    spec.guest = guest.get();
+    spec.threads = dc.num_vcpus;
+    engine->AddJob(spec);
+    run = engine->Run();
+  }
+};
+
 // Pins the hot-page sampler bit for bit: which pages consecutive scans
 // return, in which order, with which noisy rates. The scans share the
 // engine's sampling rng, and Carrefour scans and replicates pages during the
 // simulated half second, so the draw order is pinned along with the per-page
 // rates, the skipped replicated pages and the top-k selection.
 TEST(EngineTest, SamplerOutputIsPinnedBitForBit) {
-  const Topology topo = Topology::Amd48();
-  Hypervisor hv(topo);
-  const LatencyModel latency;
-  EngineConfig ec;
-  ec.seed = 11;
-  ec.max_sim_seconds = 0.5;
-  ec.carrefour.enable_replication = true;
-  Engine engine(hv, latency, ec);
-
-  AppProfile app = MasterSlaveApp(/*shared_affinity=*/0.3);
-  app.nominal_seconds = 30.0;  // still running when the scans below sample it
-  app.regions[0].footprint_mb = 2048;
-  app.regions[0].write_fraction = 0.0;
-  app.regions[1].footprint_mb = 1024;
-  DomainConfig dc;
-  dc.num_vcpus = 24;
-  dc.memory_pages = SimPagesForApp(app, hv.frames().bytes_per_frame(), 96) + 64;
-  for (int i = 0; i < dc.num_vcpus; ++i) {
-    dc.pinned_cpus.push_back(i);
-  }
-  dc.policy = {StaticPolicy::kFirstTouch, true};
-  const DomainId dom = hv.CreateDomain(dc);
-  GuestOs guest(hv, dom);
-  JobSpec spec;
-  spec.app = &app;
-  spec.domain = dom;
-  spec.guest = &guest;
-  spec.threads = dc.num_vcpus;
-  engine.AddJob(spec);
-  ASSERT_FALSE(engine.Run().jobs.back().finished);
+  SamplerMachine m;
+  ASSERT_FALSE(m.run.jobs.back().finished);
   // Every solve of this short run still stops at the iteration cap, so the
   // sampled state does not depend on how early the solver converges.
-  ASSERT_EQ(engine.fixed_point_iterations_total(),
-            engine.epochs_run() * kFixedPointMaxIterations);
+  ASSERT_EQ(m.engine->fixed_point_iterations_total(),
+            m.engine->epochs_run() * kFixedPointMaxIterations);
 
   uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   size_t sampled = 0;
   for (const int max_pages : {64, 1, 64, 1 << 20}) {
     std::vector<PageAccessSample> samples;
-    engine.SampleHotPages(dom, max_pages, &samples);
+    m.engine->SampleHotPages(m.dom, max_pages, &samples);
     sampled += samples.size();
     digest = MixDigest(digest, samples.size());
     for (const PageAccessSample& s : samples) {
-      EXPECT_EQ(s.domain, dom);
+      EXPECT_EQ(s.domain, m.dom);
       EXPECT_EQ(s.current_node, kInvalidNode);
       digest = MixDigest(digest, s.pfn);
       digest = MixDigest(digest, s.written ? 1 : 0);
@@ -277,6 +292,31 @@ TEST(EngineTest, SamplerOutputIsPinnedBitForBit) {
   }
   EXPECT_GT(sampled, 64u + 1 + 64 + 64);
   EXPECT_EQ(digest, 0xd49997250f11657dull) << std::hex << digest;
+}
+
+// A negative page budget returns no samples and draws the scan's noise just
+// as a budget of 0 does, so the next scan sees the same random stream.
+TEST(EngineTest, SamplerTreatsNegativeBudgetAsZero) {
+  SamplerMachine negative;
+  SamplerMachine zero;
+  std::vector<PageAccessSample> none;
+  negative.engine->SampleHotPages(negative.dom, -1, &none);
+  zero.engine->SampleHotPages(zero.dom, 0, &none);
+  EXPECT_TRUE(none.empty());
+
+  std::vector<PageAccessSample> after_negative;
+  std::vector<PageAccessSample> after_zero;
+  negative.engine->SampleHotPages(negative.dom, 64, &after_negative);
+  zero.engine->SampleHotPages(zero.dom, 64, &after_zero);
+  ASSERT_EQ(after_negative.size(), 64u);
+  ASSERT_EQ(after_zero.size(), after_negative.size());
+  for (size_t i = 0; i < after_zero.size(); ++i) {
+    EXPECT_EQ(after_negative[i].pfn, after_zero[i].pfn);
+    ASSERT_EQ(after_negative[i].rate_by_node.size(), after_zero[i].rate_by_node.size());
+    EXPECT_EQ(std::memcmp(after_negative[i].rate_by_node.data(), after_zero[i].rate_by_node.data(),
+                          sizeof(double) * after_zero[i].rate_by_node.size()),
+              0);
+  }
 }
 
 TEST(EngineTest, ReleaseChurnExercisesPvQueue) {

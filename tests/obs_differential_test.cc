@@ -116,16 +116,23 @@ TEST_P(ObsDifferentialTest, AttachedObservabilityIsBitIdentical) {
   // And the attached layer must actually have recorded the run: epochs
   // advanced, page faults counted consistently with the sim's own numbers.
   std::vector<MetricSnapshot> snap = obs.metrics().Snapshot();
-  int64_t epochs = 0, hv_faults = 0;
+  int64_t epochs = 0, hv_faults = 0, sampled = 0, scored = 0;
   for (const MetricSnapshot& m : snap) {
     if (m.name == "engine.epochs") {
       epochs = m.count;
     } else if (m.name == "hv.page_faults") {
       hv_faults = m.count;
+    } else if (m.name == "engine.sampler.candidates") {
+      sampled = m.count;
+    } else if (m.name == "engine.sampler.scored") {
+      scored = m.count;
     }
   }
   EXPECT_GT(epochs, 0);
   EXPECT_EQ(hv_faults, on.hv_page_faults);
+  // Only Carrefour scans hot pages; a scan scores at most its candidates.
+  EXPECT_EQ(sampled > 0, pc.carrefour);
+  EXPECT_LE(scored, sampled);
   EXPECT_GT(obs.tracer().size(), 0u);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace xnuma {
 namespace {
@@ -105,6 +107,159 @@ TEST(RngTest, UniformityAcrossBuckets) {
   for (int c : counts) {
     EXPECT_NEAR(c, n / buckets, 0.15 * n / buckets);
   }
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+// Checks every value of `block` against `expected` in a scattered order that
+// moves the replay cursor forward, backward and across saved states.
+void ExpectBlockValues(GaussianBlock& block, const std::vector<double>& expected, Rng& order) {
+  ASSERT_EQ(block.size(), expected.size());
+  const size_t n = expected.size();
+  for (int round = 0; round < 3 && n > 0; ++round) {
+    const size_t first = static_cast<size_t>(order.NextInt(static_cast<int64_t>(n)));
+    const size_t count = 1 + static_cast<size_t>(order.NextInt(static_cast<int64_t>(n - first)));
+    std::vector<double> got(count);
+    block.Values(first, count, got.data());
+    for (size_t k = 0; k < count; ++k) {
+      EXPECT_TRUE(SameBits(got[k], expected[first + k])) << "value " << first + k;
+    }
+  }
+  std::vector<double> all(n);
+  block.Values(0, n, all.data());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(SameBits(all[i], expected[i])) << "value " << i;
+  }
+}
+
+TEST(RngTest, GaussianBlockMatchesNextGaussianBitForBit) {
+  Rng schedule(29);
+  Rng reference(31);
+  Rng drawn(31);
+  GaussianBlock block;  // reused across draws, as the sampler does
+  for (int step = 0; step < 400; ++step) {
+    switch (schedule.NextInt(4)) {
+      case 0: {
+        const size_t n = static_cast<size_t>(schedule.NextInt(70));
+        std::vector<double> expected(n);
+        for (double& g : expected) {
+          g = reference.NextGaussian();
+        }
+        drawn.DrawGaussians(n, &block);
+        ExpectBlockValues(block, expected, schedule);
+        break;
+      }
+      case 1:
+        EXPECT_TRUE(SameBits(drawn.NextGaussian(), reference.NextGaussian()));
+        break;
+      case 2:
+        EXPECT_EQ(drawn.NextU64(), reference.NextU64());
+        break;
+      default: {
+        Rng drawn_child = drawn.Fork();
+        Rng reference_child = reference.Fork();
+        EXPECT_EQ(drawn_child.NextU64(), reference_child.NextU64());
+        break;
+      }
+    }
+  }
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(SameBits(drawn.NextGaussian(), reference.NextGaussian()));
+    EXPECT_EQ(drawn.NextU64(), reference.NextU64());
+  }
+}
+
+TEST(RngTest, WeightedBoundCoversEveryDrawnGaussian) {
+  Rng rng(37);
+  Rng pick(41);
+  GaussianBlock block;
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + static_cast<size_t>(pick.NextInt(200));
+    rng.DrawGaussians(n, &block);
+    std::vector<double> values(n);
+    block.Values(0, n, values.data());
+    for (size_t i = 0; i < n; ++i) {
+      const double one = 1.0;
+      EXPECT_GE(block.WeightedBound(i, 1, &one), std::abs(values[i]));
+    }
+    const size_t first = static_cast<size_t>(pick.NextInt(static_cast<int64_t>(n)));
+    const size_t count = 1 + static_cast<size_t>(pick.NextInt(static_cast<int64_t>(n - first)));
+    std::vector<double> weights(count);
+    double exact = 0.0;
+    for (size_t k = 0; k < count; ++k) {
+      weights[k] = pick.NextBool(0.2) ? 0.0 : (pick.NextDouble() - 0.3) * 8.0;
+      exact += std::abs(weights[k] * values[first + k]);
+    }
+    EXPECT_GE(block.WeightedBound(first, count, weights.data()), exact);
+  }
+}
+
+// |normal| of a pair must stay within its radius bound and within the
+// product of its radius and angle bounds.
+void ExpectPairBounded(const BoxMullerPair& pair) {
+  double normals[2] = {};
+  pair.Normals(normals);
+  const double radius = BoxMullerPair::RadiusBound(pair.RadiusTier());
+  EXPECT_GE(radius, std::sqrt(-2.0 * std::log(pair.u1))) << pair.u1;
+  for (int half = 0; half < 2; ++half) {
+    EXPECT_GE(radius * BoxMullerPair::AngleBound(pair.AngleSector(), half),
+              std::abs(normals[half]))
+        << "u1 " << pair.u1 << " u2 " << pair.u2 << " half " << half;
+  }
+}
+
+TEST(RngTest, PairBoundsCoverBothNormals) {
+  Rng rng(43);
+  for (int i = 0; i < 20000; ++i) {
+    // Spread u1 over every binary order of magnitude a draw can reach.
+    const double u1 = std::ldexp(0.5 + 0.5 * rng.NextDouble(), -static_cast<int>(rng.NextInt(54)));
+    ExpectPairBounded(BoxMullerPair::FromUniforms(u1, rng.NextDouble()));
+  }
+  // Angles at and next to every sector edge, where |cos| or |sin| peaks.
+  for (int edge = 0; edge <= BoxMullerPair::kSectors; ++edge) {
+    const double u2 = static_cast<double>(edge) / BoxMullerPair::kSectors;
+    for (const double near : {std::nextafter(u2, 0.0), u2, std::nextafter(u2, 1.0)}) {
+      if (near >= 0.0 && near < 1.0) {
+        ExpectPairBounded(BoxMullerPair::FromUniforms(0.3, near));
+      }
+    }
+  }
+  for (int tier = 1; tier <= BoxMullerPair::kClampedTier; ++tier) {
+    EXPECT_GT(BoxMullerPair::RadiusBound(tier), BoxMullerPair::RadiusBound(tier - 1));
+  }
+  // The smallest unclamped draw, 2^-53, has a radius of 8.5717.
+  EXPECT_LT(BoxMullerPair::RadiusBound(BoxMullerPair::FromUniforms(0x1p-53, 0.0).RadiusTier()),
+            8.62);
+}
+
+TEST(RngTest, ClampedUniformIsBoundedInBlocksAndPairs) {
+  // Explicit uniforms: u1 = 0 is clamped to 1e-300 (radius 37.17).
+  for (const double u2 : {0.0, 0.1, 0.25, 0.6, 0.999}) {
+    const BoxMullerPair pair = BoxMullerPair::FromUniforms(0.0, u2);
+    EXPECT_EQ(pair.u1, 1e-300);
+    EXPECT_EQ(pair.RadiusTier(), BoxMullerPair::kClampedTier);
+    double normals[2] = {};
+    pair.Normals(normals);
+    EXPECT_TRUE(std::isfinite(normals[0]) && std::isfinite(normals[1]));
+    ExpectPairBounded(pair);
+  }
+  // A generator whose next NextU64() is 0 (xoshiro256** outputs 0 when its
+  // second state word is 0), so its first Box-Muller u1 is clamped.
+  const Rng::State state = {1, 0, 0, 0};
+  Rng reference = Rng::FromState(state);
+  Rng drawn = Rng::FromState(state);
+  GaussianBlock block;
+  drawn.DrawGaussians(3, &block);
+  std::vector<double> values(3);
+  block.Values(0, 3, values.data());
+  EXPECT_GT(std::abs(values[0]), 37.0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_TRUE(SameBits(values[i], reference.NextGaussian()));
+    const double one = 1.0;
+    EXPECT_GE(block.WeightedBound(i, 1, &one), std::abs(values[i]));
+  }
+  EXPECT_TRUE(SameBits(drawn.NextGaussian(), reference.NextGaussian()));
+  EXPECT_EQ(drawn.NextU64(), reference.NextU64());
 }
 
 }  // namespace
