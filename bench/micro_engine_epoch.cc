@@ -29,7 +29,6 @@
 #include "src/exec/worker_proto.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
-#include "src/hv/p2m.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/topology.h"
 #include "src/obs/obs.h"
@@ -130,120 +129,6 @@ RunStats RunOnce(const AppProfile& app, bool incremental, int epochs,
   stats.wall_s = std::chrono::duration<double>(end - start).count();
   stats.epochs = engine.epochs_run();
   return stats;
-}
-
-// P2M memory footprint: the live mapping store vs a flat 8-byte-per-page
-// array, per placement policy. Round-1G places whole regions through
-// MapRange, the representation's compression case (handfuls of extents);
-// first-touch under 12 interleaved touching threads is the adversarial
-// case — chunks fragment past the pack threshold and converge on the flat
-// array's cost plus chunk headers, the designed floor. Measured right
-// after placement (1 epoch) and after sustained allocator churn (50
-// epochs). tools/run_bench.sh gates the round-1G post-init ratio.
-struct P2mMemory {
-  int64_t pages_per_job = 0;
-  int64_t flat_bytes_per_job = 0;
-  int64_t table_bytes_per_job = 0;  // averaged over the kJobs domains
-  int64_t tlb_bytes_per_job = 0;    // fixed per domain (vcpus x sets)
-};
-
-P2mMemory MeasureP2mMemory(const AppProfile& app, StaticPolicy placement, int epochs) {
-  Topology topo = Topology::Amd48();
-  Hypervisor hv(topo, kBytesPerFrame);
-  LatencyModel latency;
-  EngineConfig ec;
-  ec.seed = 7;
-  ec.incremental_placement = true;
-  ec.max_sim_seconds = epochs * ec.epoch_seconds;
-  std::vector<std::unique_ptr<GuestOs>> guests;
-  std::vector<DomainId> doms;
-  Engine engine(hv, latency, ec);
-  const int64_t pages = AppSimPages(app, kBytesPerFrame, ec.min_region_pages);
-  for (int j = 0; j < kJobs; ++j) {
-    DomainConfig dc;
-    dc.name = "dom" + std::to_string(j);
-    dc.num_vcpus = kThreads;
-    dc.memory_pages = pages + 64;
-    for (int t = 0; t < kThreads; ++t) {
-      dc.pinned_cpus.push_back(j * kThreads + t);
-    }
-    dc.policy.placement = placement;
-    const DomainId dom = hv.CreateDomain(dc);
-    doms.push_back(dom);
-    guests.push_back(std::make_unique<GuestOs>(hv, dom));
-    JobSpec spec;
-    spec.app = &app;
-    spec.domain = dom;
-    spec.guest = guests.back().get();
-    spec.threads = kThreads;
-    engine.AddJob(spec);
-  }
-  engine.Run();
-  P2mMemory m;
-  m.pages_per_job = pages + 64;
-  m.flat_bytes_per_job = m.pages_per_job * 8;
-  int64_t table = 0;
-  int64_t tlb = 0;
-  for (DomainId d : doms) {
-    table += hv.domain(d).p2m().MemoryBytes();
-    tlb += hv.domain(d).p2m().TlbBytes();
-  }
-  m.table_bytes_per_job = table / kJobs;
-  m.tlb_bytes_per_job = tlb / kJobs;
-  return m;
-}
-
-// --- Page-order ladder (docs/MODEL.md §14) --------------------------------
-//
-// A big round-1G-placed domain at real 4 KiB page geometry (2M = 512 pages,
-// 1G = 262144), measured directly on a P2mTable at each max order. The
-// per-page LookupRun sweep models guest translation traffic: one native 1G
-// entry serves its whole 256K-page span from a single cache fill, so both
-// the miss count and the mapping-store footprint must collapse as the max
-// order grows. tools/run_bench.sh gates the 1G-vs-4K ratios at >= 5x and
-// ratchets them in tools/bench_ratchet.json; the numbers are deterministic
-// (counts and bytes, not wall time).
-
-struct P2mOrderStats {
-  int64_t pages = 0;
-  int64_t sweep_misses = 0;
-  int64_t sweep_hits = 0;
-  int64_t table_bytes = 0;
-  int64_t sp_2m = 0;
-  int64_t sp_1g = 0;
-};
-
-P2mOrderStats MeasureP2mOrder(PageOrder max_order) {
-  constexpr int64_t kOrderPages = 4ll << 20;   // 16 GiB of 4 KiB pages
-  constexpr int64_t kPagesPer2m = 512;
-  constexpr int64_t kPagesPer1g = 262144;
-  P2mTable p2m(kOrderPages);
-  p2m.ConfigureOrders(max_order, kPagesPer2m, kPagesPer1g);
-  p2m.ConfigureTlb(kThreads);
-  // Round-1G placement: each 1 GiB region is one contiguous machine run,
-  // regions deliberately non-adjacent (different nodes' frame pools).
-  for (int64_t r = 0; r < kOrderPages / kPagesPer1g; ++r) {
-    p2m.MapRange(r * kPagesPer1g, kPagesPer1g, (2 * r + 1) * kPagesPer1g);
-  }
-  p2m.InvalidateTlb();
-  P2mOrderStats st;
-  st.pages = kOrderPages;
-  const int64_t h0 = p2m.tlb_hits();
-  const int64_t m0 = p2m.tlb_misses();
-  for (Pfn p = 0; p < kOrderPages; ++p) {
-    const P2mTable::Run run = p2m.LookupRun(p, static_cast<int32_t>(p & 3));
-    if (!run.valid) {
-      std::fprintf(stderr, "p2m_order: unmapped page %lld\n",
-                   static_cast<long long>(p));
-      std::exit(1);
-    }
-  }
-  st.sweep_hits = p2m.tlb_hits() - h0;
-  st.sweep_misses = p2m.tlb_misses() - m0;
-  st.table_bytes = p2m.MemoryBytes();
-  st.sp_2m = p2m.SuperpageCount(PageOrder::k2M);
-  st.sp_1g = p2m.SuperpageCount(PageOrder::k1G);
-  return st;
 }
 
 // Steady-state epochs/second: a long run minus a 1-epoch run cancels init.
@@ -404,88 +289,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n  ],\n");
 
-  // Extent-table memory vs the flat per-page array it replaced (§13 of
-  // docs/MODEL.md): post-init ratios must stay sub-linear as footprints
-  // grow; post-churn shows the packed-chunk worst case.
-  std::printf("  \"p2m_memory\": [\n");
-  first = true;
-  const struct {
-    const char* label;
-    StaticPolicy placement;
-  } placements[] = {{"round_1g", StaticPolicy::kRound1g},
-                    {"first_touch", StaticPolicy::kFirstTouch}};
-  for (const BenchConfig& cfg : configs) {
-    const AppProfile app = BenchApp(cfg.footprint_mb);
-    for (const auto& pl : placements) {
-      const P2mMemory init = MeasureP2mMemory(app, pl.placement, /*epochs=*/1);
-      const P2mMemory churn = MeasureP2mMemory(app, pl.placement, /*epochs=*/50);
-      if (!first) {
-        std::printf(",\n");
-      }
-      first = false;
-      std::printf("    {\"name\": \"%s\", \"placement\": \"%s\",\n", cfg.name, pl.label);
-      std::printf("     \"pages_per_job\": %lld,\n",
-                  static_cast<long long>(init.pages_per_job));
-      std::printf("     \"flat_bytes_per_job\": %lld,\n",
-                  static_cast<long long>(init.flat_bytes_per_job));
-      std::printf("     \"tlb_bytes_per_job\": %lld,\n",
-                  static_cast<long long>(init.tlb_bytes_per_job));
-      std::printf("     \"post_init_bytes_per_job\": %lld,\n",
-                  static_cast<long long>(init.table_bytes_per_job));
-      std::printf("     \"post_init_ratio\": %.4f,\n",
-                  static_cast<double>(init.table_bytes_per_job) / init.flat_bytes_per_job);
-      std::printf("     \"post_churn_bytes_per_job\": %lld,\n",
-                  static_cast<long long>(churn.table_bytes_per_job));
-      std::printf("     \"post_churn_ratio\": %.4f}",
-                  static_cast<double>(churn.table_bytes_per_job) / churn.flat_bytes_per_job);
-      std::fflush(stdout);
-    }
-  }
-  std::printf("\n  ],\n");
-
-  // Page-order ladder: translation-cache misses and mapping-store bytes for
-  // a 16 GiB round-1G domain at each max order (deterministic counts).
-  std::printf("  \"p2m_order\": [\n");
-  const struct {
-    const char* name;
-    PageOrder order;
-  } orders[] = {{"4k", PageOrder::k4K}, {"2m", PageOrder::k2M}, {"1g", PageOrder::k1G}};
-  P2mOrderStats base_4k;
-  P2mOrderStats top_1g;
-  first = true;
-  for (const auto& o : orders) {
-    const P2mOrderStats st = MeasureP2mOrder(o.order);
-    if (o.order == PageOrder::k4K) {
-      base_4k = st;
-    } else if (o.order == PageOrder::k1G) {
-      top_1g = st;
-    }
-    if (!first) {
-      std::printf(",\n");
-    }
-    first = false;
-    const double lookups = static_cast<double>(st.sweep_hits + st.sweep_misses);
-    std::printf("    {\"name\": \"%s\", \"pages\": %lld,\n", o.name,
-                static_cast<long long>(st.pages));
-    std::printf("     \"superpages_2m\": %lld, \"superpages_1g\": %lld,\n",
-                static_cast<long long>(st.sp_2m), static_cast<long long>(st.sp_1g));
-    std::printf("     \"sweep_misses\": %lld,\n", static_cast<long long>(st.sweep_misses));
-    std::printf("     \"sweep_hit_rate\": %.6f,\n",
-                lookups > 0.0 ? st.sweep_hits / lookups : 0.0);
-    std::printf("     \"table_bytes\": %lld,\n", static_cast<long long>(st.table_bytes));
-    std::printf("     \"bytes_per_page\": %.6f}",
-                static_cast<double>(st.table_bytes) / st.pages);
-    std::fflush(stdout);
-  }
-  std::printf("\n  ],\n");
-  std::printf("  \"p2m_order_miss_ratio_1g_vs_4k\": %.2f,\n",
-              top_1g.sweep_misses > 0
-                  ? static_cast<double>(base_4k.sweep_misses) / top_1g.sweep_misses
-                  : 0.0);
-  std::printf("  \"p2m_order_mem_ratio_1g_vs_4k\": %.2f,\n",
-              top_1g.table_bytes > 0
-                  ? static_cast<double>(base_4k.table_bytes) / top_1g.table_bytes
-                  : 0.0);
   std::printf("  \"fault_p0_mean_overhead_pct\": %.2f,\n",
               overhead_samples > 0 ? overhead_sum_pct / overhead_samples : 0.0);
   std::printf("  \"obs_mean_overhead_pct\": %.2f,\n",

@@ -14,8 +14,7 @@ std::vector<PageAccessSample> CarrefourSystemComponent::ReadHotPages(DomainId do
                                                                      int max_pages) {
   std::vector<PageAccessSample> samples;
   sampler_->SampleHotPages(domain, max_pages, &samples);
-  // Resolve through the TLB-fronted run lookup: hot pages cluster, so one
-  // cached run answers many samples.
+  // Resolve each sample's current node through the backend's run lookup.
   const HvPlacementBackend& be = hv_->backend(domain);
   for (PageAccessSample& s : samples) {
     const HvPlacementBackend::PlacementRun run = be.NodeOfRange(s.pfn);

@@ -52,9 +52,9 @@ struct StackConfig {
   // Enable the automatic policy selector (§7 extension): the domain boots
   // with `policy` (round-4K by default) and the selector takes over.
   bool auto_numa_policy = false;
-  // Largest native P2M page order for app domains (CLI --p2m_max_order).
-  // k4K keeps the table bit-identical to the plain extent store; see
-  // docs/MODEL.md §14.
+  // Largest superpage order app domains are shaped for (CLI
+  // --p2m_max_order): the admission preference and the policies' region
+  // geometry; see docs/MODEL.md §14.
   PageOrder p2m_max_order = PageOrder::k4K;
   // First-touch faults map whole aligned superpage blocks (CLI
   // --ft_superpage; opt-in because it changes placement).

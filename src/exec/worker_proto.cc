@@ -450,8 +450,6 @@ void SerializeEngineConfig(const EngineConfig& ec, WireWriter* w) {
   w->F64(ec.guest_minor_fault_s);
   w->I32(ec.churn_sample_ops);
   w->I64(ec.min_region_pages);
-  w->Bool(ec.p2m_promote);
-  w->I32(ec.p2m_promote_slots);
   SerializeCarrefourConfig(ec.carrefour, w);
   SerializeAutoSelectorConfig(ec.auto_selector, w);
   SerializeFaultPlan(ec.fault, w);
@@ -471,8 +469,6 @@ void DeserializeEngineConfig(WireReader* r, EngineConfig* ec) {
   ec->guest_minor_fault_s = r->F64();
   ec->churn_sample_ops = r->I32();
   ec->min_region_pages = r->I64();
-  ec->p2m_promote = r->Bool();
-  ec->p2m_promote_slots = r->I32();
   DeserializeCarrefourConfig(r, &ec->carrefour);
   DeserializeAutoSelectorConfig(r, &ec->auto_selector);
   DeserializeFaultPlan(r, &ec->fault);

@@ -37,7 +37,8 @@ inline constexpr uint32_t kWireMagic = 0x584e5750;  // "XNWP"
 // v3: replication, walk-orchestrator and walk-pricing fields.
 // v4: EngineConfig drops the solver's iteration count and tolerance (both
 //     are constants in src/sim/engine.h now).
-inline constexpr uint16_t kWireVersion = 4;
+// v5: EngineConfig drops the P2M promotion daemon's two fields.
+inline constexpr uint16_t kWireVersion = 5;
 // Guards against garbage length fields; real payloads are a few KiB.
 inline constexpr uint32_t kMaxWirePayload = 1u << 20;
 // Longest string any message may carry (labels, app names, error texts).

@@ -89,7 +89,7 @@ class GuestOs {
   // the per-page loop would use (bit-identical floating-point sums):
   // touch_cost_s per page, plus minor_fault_s per guest minor fault and
   // hv_fault_s per hypervisor fault. Mapped-ness is resolved run-at-a-time
-  // through the P2M extent lookup instead of page-at-a-time.
+  // through the P2M run lookup instead of page-at-a-time.
   void TouchRange(int pid, Vpn vpn, int64_t count, CpuId cpu,
                   double touch_cost_s, double minor_fault_s, double hv_fault_s,
                   double* cost_seconds, VcpuId vcpu = kInvalidVcpu);

@@ -31,8 +31,9 @@ class HvPlacementBackend : public PlacementBackend {
   // [first, first+count) are either all unmapped (mapped == false,
   // node == kInvalidNode) or all backed by machine frames of `node`. One
   // P2M run lookup plus one node resolution covers the whole run — callers
-  // iterating a region visit each extent once instead of each page.
-  // `vcpu` selects the P2M TLB context.
+  // iterating a region visit each run once instead of each page.
+  // `vcpu` names the walking vCPU, whose node's P2M replica the lookup
+  // re-stamps (docs/MODEL.md §18).
   struct PlacementRun {
     Pfn first = kInvalidPfn;
     int64_t count = 0;

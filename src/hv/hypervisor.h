@@ -35,11 +35,12 @@ struct DomainConfig {
   PolicyConfig policy;
   bool pci_passthrough = false;
   bool is_dom0 = false;
-  // Largest page order the domain's P2M may map natively (docs/MODEL.md
-  // §14). k4K (the default) leaves the table bit-identical to the plain
-  // extent store; 2M/1G spans are derived from the machine frame scale
-  // (FrameAllocator::FramesPerOrder) and orders that collapse to one frame
-  // are disabled automatically.
+  // Largest superpage order the domain's memory is shaped for
+  // (docs/MODEL.md §14): the admission solver's preferred order, and the
+  // orders the policies' region geometry aligns to. 2M/1G spans are derived
+  // from the machine frame scale (FrameAllocator::FramesPerOrder) and
+  // orders that collapse to one frame are skipped. k4K (the default) keeps
+  // the default geometry.
   PageOrder p2m_max_order = PageOrder::k4K;
   // Opt-in: first-touch faults map a whole aligned superpage block on the
   // toucher's node instead of one page. Changes placement and fault counts,
@@ -63,6 +64,20 @@ struct DomainConfig {
   // table bit-identical to an unreplicated one.
   bool p2m_replication = false;
 };
+
+// The page orders that exist for a domain (docs/MODEL.md §14), with their
+// spans in simulated pages. A span of 1 marks an order that does not exist.
+struct P2mOrders {
+  PageOrder max_order = PageOrder::k4K;  // the largest order that exists
+  int64_t span_2m = 1;
+  int64_t span_1g = 1;
+};
+
+// Which orders up to `max_order` exist, given the spans the machine's frame
+// scale yields (FrameAllocator::FramesPerOrder): an order exists when its
+// span is a power of two above one page, the 2M span fits one 512-page P2M
+// chunk, and the 1G span exceeds the 2M span.
+P2mOrders ResolveP2mOrders(PageOrder max_order, int64_t pages_per_2m, int64_t pages_per_1g);
 
 enum class HypercallStatus {
   kOk,

@@ -40,10 +40,11 @@ class Counter {
   int64_t value_ = 0;
 };
 
-// Last-write-wins instantaneous value.
+// Instantaneous value: the last Set wins; Add adjusts it by a delta.
 class Gauge {
  public:
   void Set(double value) { value_ = value; }
+  void Add(double delta) { value_ += delta; }
   double value() const { return value_; }
 
  private:

@@ -12,10 +12,10 @@ class FirstTouchPolicy : public NumaPolicy {
  public:
   // With fault_map_pages > 1 (PolicyGeometry::ft_fault_map_pages), a fault
   // maps the whole aligned block around the faulting page in one contiguous
-  // allocation on the toucher's node — the P2M installs it as a native
-  // superpage when the order hierarchy is on. A block that is partially
-  // mapped, out of range, or fails the contiguous allocation falls back to
-  // the classic per-page path (the block stays lazily faultable).
+  // allocation on the toucher's node, as a superpage fault would. A block
+  // that is partially mapped, out of range, or fails the contiguous
+  // allocation falls back to the classic per-page path (the block stays
+  // lazily faultable).
   explicit FirstTouchPolicy(int64_t fault_map_pages = 1)
       : fault_map_pages_(fault_map_pages) {}
 

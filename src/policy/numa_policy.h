@@ -53,8 +53,8 @@ struct PolicyGeometry {
   int64_t pages_per_1g = 256;
   int64_t pages_per_2m = 1;
   // First-touch fault granularity: >1 makes a fault map the whole aligned
-  // block natively at superpage order when the block is untouched
-  // (opt-in via --ft_superpage; changes placement, so never implied).
+  // superpage-sized block when the block is untouched (opt-in via
+  // --ft_superpage; changes placement, so never implied).
   int64_t ft_fault_map_pages = 1;
 };
 

@@ -240,12 +240,6 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
   // Install the fault plan before any placement work: eager policies map
   // pages at domain creation, and those paths must already see the plan.
   hv.fault_injector().Configure(config_.fault);
-  if (config_.p2m_promote) {
-    PromotionDaemon::Config pconfig;
-    pconfig.slots_per_epoch = config_.p2m_promote_slots;
-    pconfig.seed = config_.seed;
-    promotion_ = std::make_unique<PromotionDaemon>(hv, pconfig);
-  }
   const Topology& topo = hv.topology();
   const int nodes = topo.num_nodes();
   mc_util_.assign(nodes, 0.0);
@@ -414,7 +408,7 @@ void Engine::InitJob(JobState& job) {
 
   // Touch whole ranges: one TouchRange call per toucher's contiguous vpn
   // span (the whole region for master-init, one slice per owner thread),
-  // letting the guest resolve placement extent-at-a-time. Costs accumulate
+  // letting the guest resolve placement run-at-a-time. Costs accumulate
   // per page in the same order the per-page loop used, so the simulated
   // init time is bit-identical.
   for (RegionState& region : job.regions) {
@@ -1518,11 +1512,6 @@ RunResult Engine::Run() {
     if (obs_ != nullptr) {
       obs_->tracer().set_sim_time(now);
     }
-    // Epoch boundary: drop every cached P2M run (per-chunk generations keep
-    // intra-epoch lookups coherent; this bounds cross-epoch staleness).
-    for (DomainId d = 0; d < hv_->num_domains(); ++d) {
-      hv_->domain(d).p2m().InvalidateTlb();
-    }
     {
       XNUMA_TRACE_SCOPE(obs_, "placement_refresh", "engine", refresh_seconds_);
       DrainPlacementEvents();
@@ -1570,13 +1559,6 @@ RunResult Engine::Run() {
     }
     TickCarrefour(now);
     TickScheduler(now);
-    if (promotion_ != nullptr) {
-      // Heal superpages fragmented by this epoch's migrations. Positioned
-      // after the migration/Carrefour work so freshly uniform runs promote
-      // in the same epoch; the placement itself is unaffected (promotion is
-      // representation-only).
-      promotion_->Tick();
-    }
     RecordTrace(now);
     EmitEpochObservability(now);
     if (epoch_hook_) {

@@ -39,7 +39,6 @@
 #include "src/hv/hypervisor.h"
 #include "src/hv/io_model.h"
 #include "src/hv/ipi_model.h"
-#include "src/hv/promotion.h"
 #include "src/hv/scheduler.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/perf_counters.h"
@@ -91,14 +90,6 @@ struct EngineConfig {
   // Lower bound on simulated pages per region so per-thread slices remain
   // meaningful for small-footprint applications.
   int64_t min_region_pages = 96;
-
-  // Background superpage promotion daemon (src/hv/promotion.h): one
-  // deterministic sweep per epoch over order-enabled domains, re-coalescing
-  // runs Carrefour/first-touch churn fragmented. Promotion is a pure P2M
-  // representation change, so results are bit-identical with it on or off;
-  // only `p2m.promotions` and the order-histogram metrics move.
-  bool p2m_promote = false;
-  int p2m_promote_slots = 32;
 
   // Price page-walks into epoch latency (docs/MODEL.md §18): each access
   // pays HvCosts::walk_miss_per_access walks at walk_local_cycles or
@@ -297,7 +288,6 @@ class Engine : public PageAccessSource {
   std::unique_ptr<CarrefourUserComponent> carrefour_user_;
   std::unique_ptr<AutoPolicySelector> auto_selector_;
   std::unique_ptr<WalkAffinityOrchestrator> walk_orchestrator_;
-  std::unique_ptr<PromotionDaemon> promotion_;
 
   std::vector<std::unique_ptr<JobState>> jobs_;
 
@@ -323,7 +313,7 @@ class Engine : public PageAccessSource {
   std::vector<uint8_t> pair_valid_;
 
   // One-entry placement-run memo for the rescan/delta read path: node
-  // resolution is computed once per extent, then reused for every page the
+  // resolution is computed once per run, then reused for every page the
   // run covers. Invalidated by any placement mutation (generation compare)
   // or a domain switch.
   mutable HvPlacementBackend::PlacementRun run_memo_;

@@ -192,5 +192,52 @@ TEST_F(HypervisorTest, CpuShareWithConsolidatedVcpus) {
   EXPECT_EQ(hv_.VcpusOnCpu(0), 2);
 }
 
+// The P2M order rule (docs/MODEL.md §14) decides which superpage orders
+// exist at the machine's frame scale; the surviving orders set the region
+// geometry the domain's policies place with. Pinned for every frame scale,
+// max order and ft_superpage combination.
+TEST(HypervisorGeometryTest, PolicyGeometryFollowsFrameScaleAndMaxOrder) {
+  struct Case {
+    int64_t bytes_per_frame;
+    PageOrder max_order;
+    bool ft_superpage;
+    int64_t pages_per_1g;
+    int64_t pages_per_2m;
+    int64_t ft_fault_map_pages;
+  };
+  constexpr int64_t k256K = 256ll << 10;
+  constexpr int64_t k1M = 1ll << 20;
+  constexpr int64_t k4M = 4ll << 20;
+  const Case cases[] = {
+      {k256K, PageOrder::k4K, false, 256, 1, 1},  {k256K, PageOrder::k4K, true, 256, 1, 1},
+      {k256K, PageOrder::k2M, false, 4096, 8, 1}, {k256K, PageOrder::k2M, true, 4096, 8, 8},
+      {k256K, PageOrder::k1G, false, 4096, 8, 1}, {k256K, PageOrder::k1G, true, 4096, 8, 8},
+      {k1M, PageOrder::k4K, false, 256, 1, 1},    {k1M, PageOrder::k4K, true, 256, 1, 1},
+      {k1M, PageOrder::k2M, false, 1024, 2, 1},   {k1M, PageOrder::k2M, true, 1024, 2, 2},
+      {k1M, PageOrder::k1G, false, 1024, 2, 1},   {k1M, PageOrder::k1G, true, 1024, 2, 2},
+      // At 4 MiB per frame the 2M order collapses to one page, so a 2M
+      // maximum leaves no order and 1G is the only one that exists.
+      {k4M, PageOrder::k4K, false, 256, 1, 1},    {k4M, PageOrder::k4K, true, 256, 1, 1},
+      {k4M, PageOrder::k2M, false, 256, 1, 1},    {k4M, PageOrder::k2M, true, 256, 1, 1},
+      {k4M, PageOrder::k1G, false, 256, 1, 1},    {k4M, PageOrder::k1G, true, 256, 1, 256},
+  };
+  const Topology topo = Topology::Amd48();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "bytes_per_frame=" << c.bytes_per_frame
+                 << " max_order=" << static_cast<int>(c.max_order)
+                 << " ft_superpage=" << c.ft_superpage);
+    Hypervisor hv(topo, c.bytes_per_frame);
+    DomainConfig dc = SmallDomain();
+    dc.policy.placement = StaticPolicy::kFirstTouch;
+    dc.p2m_max_order = c.max_order;
+    dc.ft_superpage = c.ft_superpage;
+    const PolicyGeometry& geom = hv.domain(hv.CreateDomain(dc)).policy_geometry();
+    EXPECT_EQ(geom.pages_per_1g, c.pages_per_1g);
+    EXPECT_EQ(geom.pages_per_2m, c.pages_per_2m);
+    EXPECT_EQ(geom.ft_fault_map_pages, c.ft_fault_map_pages);
+  }
+}
+
 }  // namespace
 }  // namespace xnuma

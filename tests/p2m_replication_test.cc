@@ -1,8 +1,8 @@
 // Unit and property tests for per-node P2M replication (docs/MODEL.md §18):
 // generation-stamp coverage accounting, write-fault-driven copy
-// invalidation, the per-vCPU TLB's replica-epoch clipping, superpage splits
-// under replication, domain teardown, and the invalidation-vs-walk race
-// (run under TSan by the `repl-tsan` preset).
+// invalidation, walk-driven re-stamping and vCPU id folding, the
+// machine-wide replica gauge, domain teardown, and the invalidation-vs-walk
+// race (run under TSan by the `repl-tsan` preset).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "src/hv/hypervisor.h"
 #include "src/hv/p2m.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 namespace {
@@ -21,15 +22,10 @@ namespace {
 constexpr int64_t kPages = 4096;  // 8 chunks of 512 pages
 constexpr Mfn kBase = 1 << 20;
 constexpr int kNodes = 4;
+constexpr int kVcpus = 2;
 
-// Synthetic order geometry, as in p2m_order_test: 1G spans 64 pages so
-// superpages and chunks coexist cheaply.
-constexpr int64_t kSpan2m = 8;
-constexpr int64_t kSpan1g = 64;
-
-P2mTable MakeTable(int num_vcpus = 2) {
+P2mTable MakeTable() {
   P2mTable p2m(kPages);
-  p2m.ConfigureTlb(num_vcpus);
   p2m.MapRange(0, kPages, kBase);
   return p2m;
 }
@@ -46,7 +42,7 @@ TEST(P2mReplicationTest, DisabledTableIsHomeOnly) {
 
 TEST(P2mReplicationTest, FillAndCoverageAccounting) {
   P2mTable p2m = MakeTable();
-  p2m.EnableReplication(kNodes, /*home_node=*/0);
+  p2m.EnableReplication(kNodes, /*home_node=*/0, kVcpus);
   EXPECT_TRUE(p2m.replication_enabled());
   EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);  // not instantiated yet
 
@@ -72,7 +68,7 @@ TEST(P2mReplicationTest, FillAndCoverageAccounting) {
 
 TEST(P2mReplicationTest, InvalidationCountsOncePerValidToStaleEdge) {
   P2mTable p2m = MakeTable();
-  p2m.EnableReplication(kNodes, 0);
+  p2m.EnableReplication(kNodes, 0, kVcpus);
   p2m.FillReplica(1);
   p2m.FillReplica(2);
 
@@ -86,14 +82,14 @@ TEST(P2mReplicationTest, InvalidationCountsOncePerValidToStaleEdge) {
 }
 
 TEST(P2mReplicationTest, RemoteWalkLazilyRestampsItsNodesReplica) {
-  P2mTable p2m = MakeTable(/*num_vcpus=*/2);
-  p2m.EnableReplication(kNodes, 0);
+  P2mTable p2m = MakeTable();
+  p2m.EnableReplication(kNodes, 0, kVcpus);
   // vCPU 0 walks from node 1; SetVcpuNode instantiates the (empty) replica.
   p2m.SetVcpuNode(0, 1);
   EXPECT_EQ(p2m.replica_count(), 1);
   EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);
 
-  // The miss walks the master and re-copies the resolved chunk.
+  // The walk reads the master and re-copies the resolved chunk.
   (void)p2m.LookupRun(0, /*vcpu=*/0);
   EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
   (void)p2m.LookupRun(600, /*vcpu=*/0);  // second chunk
@@ -105,87 +101,67 @@ TEST(P2mReplicationTest, RemoteWalkLazilyRestampsItsNodesReplica) {
   p2m.AuditCounters();
 }
 
-// Satellite contract: dropping one node's replica mid-epoch clips the
-// cached runs of exactly the vCPUs walking from that node.
-TEST(P2mReplicationTest, MidEpochReplicaDropClipsOnlyThatNodesVcpus) {
-  P2mTable p2m = MakeTable(/*num_vcpus=*/2);
-  p2m.EnableReplication(kNodes, 0);
+// Every walk from a non-home node re-copies the chunk it resolved, however
+// recently the same vCPU walked it: a wholesale drop of one node's replica
+// is repaired chunk by chunk by that node's own walks and leaves other
+// nodes' replicas alone.
+TEST(P2mReplicationTest, EveryRemoteWalkRestampsItsChunk) {
+  P2mTable p2m = MakeTable();
+  p2m.EnableReplication(kNodes, 0, kVcpus);
   p2m.SetVcpuNode(0, 1);
   p2m.SetVcpuNode(1, 2);
   p2m.FillReplica(1);
   p2m.FillReplica(2);
-
   (void)p2m.LookupRun(0, 0);
   (void)p2m.LookupRun(0, 1);
-  const int64_t misses_after_fill = p2m.tlb_misses();
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill);  // both cached
-  const int64_t hits_before = p2m.tlb_hits();
 
   p2m.InvalidateReplicas(1);
   EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);
   EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
-
-  // vCPU 0 (node 1) must re-walk; vCPU 1 (node 2) still hits its cache.
-  (void)p2m.LookupRun(0, 0);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill + 1);
+  (void)p2m.LookupRun(0, 0);  // the same walk as before the drop
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
+  (void)p2m.LookupRun(1, 0);  // same chunk: already current
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
   (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_hits(), hits_before + 1);
+  EXPECT_EQ(p2m.ReplicaCoverage(2), 1.0);
+
+  // A master mutation drops the chunk's copy; the next walk re-copies it.
+  p2m.WriteProtect(3);
+  EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(2), 7.0 / 8.0);
+  (void)p2m.LookupRun(3, 0);
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(1), 1.0 / 8.0);
   p2m.AuditCounters();
 }
 
-// Satellite contract: a superpage split under replication stales every
-// replica's superpage stamp and clips cached superpage runs on all
-// contexts (PR-6's sp-generation interaction).
-TEST(P2mReplicationTest, SplitUnderReplicationClipsAllReplicas) {
-  P2mTable p2m(kPages);
-  p2m.ConfigureOrders(PageOrder::k1G, kSpan2m, kSpan1g);
-  p2m.ConfigureTlb(2);
-  p2m.MapRange(0, kPages, kBase);
-  ASSERT_GT(p2m.SuperpageCount(PageOrder::k1G), 0);
+// The guest may pass a pCPU id where a vCPU index is expected: ids fold
+// modulo the domain's vCPU count, and negative ids fold to vCPU 0.
+TEST(P2mReplicationTest, VcpuIdsFoldModuloTheVcpuCount) {
+  P2mTable p2m = MakeTable();
+  p2m.EnableReplication(kNodes, 0, kVcpus);
+  p2m.SetVcpuNode(5, 2);  // 5 % 2 == 1: vCPU 1 now walks from node 2
+  EXPECT_EQ(p2m.replica_count(), 1);
+  (void)p2m.LookupRun(0, /*vcpu=*/3);  // 3 % 2 == 1: stamps node 2
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(2), 1.0 / 8.0);
+  (void)p2m.LookupRun(600, /*vcpu=*/-7);  // vCPU 0 walks from home
+  (void)p2m.LookupRun(1200, /*vcpu=*/4);  // 4 % 2 == 0: home as well
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(2), 1.0 / 8.0);
+  p2m.SetVcpuNode(-1, 3);  // negative: vCPU 0 moves to node 3
+  (void)p2m.LookupRun(600, /*vcpu=*/0);
+  EXPECT_DOUBLE_EQ(p2m.ReplicaCoverage(3), 1.0 / 8.0);
+  p2m.AuditCounters();
+}
 
-  p2m.EnableReplication(kNodes, 0);
-  p2m.SetVcpuNode(0, 1);
-  p2m.SetVcpuNode(1, 2);
+TEST(P2mReplicationTest, DisableDropsEveryReplica) {
+  P2mTable p2m = MakeTable();
+  p2m.EnableReplication(kNodes, 0, kVcpus);
   p2m.FillReplica(1);
   p2m.FillReplica(2);
-  EXPECT_EQ(p2m.ReplicaCoverage(1), 1.0);
-
-  // Cache the same superpage run on both contexts.
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  const int64_t misses_cached = p2m.tlb_misses();
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  ASSERT_EQ(p2m.tlb_misses(), misses_cached);
-
-  // A per-page mutation inside the superpage shatters it: the sp
-  // generation bump stales the stamp on BOTH replicas...
-  const int64_t inval_before = p2m.replica_invalidations();
-  p2m.Unmap(kSpan1g / 2);
-  EXPECT_GT(p2m.superpage_split_count(), 0);
-  EXPECT_GT(p2m.replica_invalidations(), inval_before + 1);
-  EXPECT_LT(p2m.ReplicaCoverage(1), 1.0);
-  EXPECT_LT(p2m.ReplicaCoverage(2), 1.0);
-  EXPECT_EQ(p2m.ReplicaCoverage(1), p2m.ReplicaCoverage(2));
-
-  // ...and both contexts' cached superpage runs are clipped.
-  (void)p2m.LookupRun(0, 0);
-  (void)p2m.LookupRun(0, 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_cached + 2);
-  p2m.AuditCounters();
-}
-
-TEST(P2mReplicationTest, MemoryBytesChargesStampArrays) {
-  P2mTable p2m = MakeTable();
-  const int64_t before = p2m.MemoryBytes();
-  p2m.EnableReplication(kNodes, 0);
-  p2m.FillReplica(1);
-  EXPECT_GT(p2m.MemoryBytes(), before);
+  EXPECT_EQ(p2m.replica_count(), 2);
   p2m.DisableReplication();
   EXPECT_EQ(p2m.replica_count(), 0);
   EXPECT_FALSE(p2m.replication_enabled());
+  EXPECT_EQ(p2m.ReplicaCoverage(1), 0.0);
 }
 
 TEST(P2mReplicationTest, WalkTotalsAccumulate) {
@@ -235,6 +211,36 @@ TEST(P2mReplicationTest, DestroyDomainTearsDownReplicationState) {
   EXPECT_EQ(hv.frames().TotalFreeFrames(), frames_baseline);
 }
 
+// p2m.repl.replicas is machine-wide: every table adds its own replicas, so
+// creating or destroying one replicated domain leaves the others counted.
+TEST(P2mReplicationTest, ReplicaGaugeSumsLiveReplicasAcrossDomains) {
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  Observability obs;
+  hv.set_observability(&obs);
+  const Gauge* gauge = obs.metrics().RegisterGauge("p2m.repl.replicas", "replicas", "");
+
+  DomainConfig cfg;
+  cfg.num_vcpus = 12;
+  cfg.memory_pages = 256;
+  for (int i = 0; i < 12; ++i) {
+    cfg.pinned_cpus.push_back(i);  // nodes 0 and 1: one replica on node 1
+  }
+  cfg.p2m_replication = true;
+  cfg.name = "repl-a";
+  const DomainId a = hv.CreateDomain(cfg);
+  cfg.name = "repl-b";
+  const DomainId b = hv.CreateDomain(cfg);
+  ASSERT_EQ(hv.domain(a).p2m().replica_count(), 1);
+  ASSERT_EQ(hv.domain(b).p2m().replica_count(), 1);
+  EXPECT_EQ(gauge->value(), 2.0);
+
+  hv.DestroyDomain(a);
+  EXPECT_EQ(gauge->value(), 1.0);
+  hv.DestroyDomain(b);
+  EXPECT_EQ(gauge->value(), 0.0);
+}
+
 // Invalidation-vs-walk race: one thread drops and refills a node's replica
 // while vCPUs walk from it. Walks must always return the correct
 // translation (the master never mutates here) without tearing; run under
@@ -244,9 +250,8 @@ TEST(P2mReplicationTest, DestroyDomainTearsDownReplicationState) {
 TEST(P2mReplicationTest, InvalidateVsWalkRaceReturnsCorrectRuns) {
   constexpr int kReaders = 3;
   P2mTable p2m(kPages);
-  p2m.ConfigureTlb(kReaders);
   p2m.MapRange(0, kPages, kBase);
-  p2m.EnableReplication(kNodes, 0);
+  p2m.EnableReplication(kNodes, 0, kReaders);
   for (int i = 0; i < kReaders; ++i) {
     p2m.SetVcpuNode(i, 1 + i % (kNodes - 1));
     p2m.FillReplica(1 + i % (kNodes - 1));

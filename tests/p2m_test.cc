@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace xnuma {
 namespace {
 
@@ -56,7 +59,7 @@ TEST(P2mTest, UnmapResetsWritability) {
   EXPECT_TRUE(p2m.IsWritable(0));
 }
 
-TEST(P2mTest, MapRangeCoversSpanWithOneExtent) {
+TEST(P2mTest, MapRangeCoversSpanWithOneRun) {
   P2mTable p2m(2048);
   p2m.MapRange(10, 500, 1000);
   EXPECT_EQ(p2m.valid_count(), 500);
@@ -65,8 +68,12 @@ TEST(P2mTest, MapRangeCoversSpanWithOneExtent) {
   }
   EXPECT_FALSE(p2m.IsValid(9));
   EXPECT_FALSE(p2m.IsValid(510));
-  // The whole span lives in one chunk and compresses to one extent.
-  EXPECT_EQ(p2m.extent_count(), 1);
+  // The whole span lives in one chunk, so one run covers it.
+  const P2mTable::Run run = p2m.LookupRun(300);
+  EXPECT_TRUE(run.valid);
+  EXPECT_EQ(run.first, 10);
+  EXPECT_EQ(run.count, 500);
+  EXPECT_EQ(run.mfn, 1000);
 }
 
 TEST(P2mTest, MapRangeSpanningChunksSplitsPerChunk) {
@@ -74,12 +81,17 @@ TEST(P2mTest, MapRangeSpanningChunksSplitsPerChunk) {
   const int64_t count = P2mTable::kChunkPages * 2;
   p2m.MapRange(P2mTable::kChunkPages / 2, count, 0);
   EXPECT_EQ(p2m.valid_count(), count);
-  // Extents never cross chunk boundaries: half + full + half.
-  EXPECT_EQ(p2m.extent_count(), 3);
+  // Runs never cross chunk boundaries: half + full + half.
   P2mTable::Run run = p2m.LookupRun(P2mTable::kChunkPages / 2);
   EXPECT_TRUE(run.valid);
   EXPECT_EQ(run.first, P2mTable::kChunkPages / 2);
   EXPECT_EQ(run.count, P2mTable::kChunkPages / 2);  // clipped at the boundary
+  run = p2m.LookupRun(P2mTable::kChunkPages + 7);
+  EXPECT_EQ(run.first, P2mTable::kChunkPages);
+  EXPECT_EQ(run.count, P2mTable::kChunkPages);
+  EXPECT_EQ(run.mfn, P2mTable::kChunkPages / 2);
+  run = p2m.LookupRun(2 * P2mTable::kChunkPages);
+  EXPECT_EQ(run.count, P2mTable::kChunkPages / 2);
 }
 
 TEST(P2mTest, UnmapRangeReversesMapRange) {
@@ -87,19 +99,18 @@ TEST(P2mTest, UnmapRangeReversesMapRange) {
   p2m.MapRange(100, 300, 5000);
   p2m.UnmapRange(100, 300);
   EXPECT_EQ(p2m.valid_count(), 0);
-  EXPECT_EQ(p2m.extent_count(), 0);
   for (Pfn pfn = 100; pfn < 400; ++pfn) {
     EXPECT_FALSE(p2m.IsValid(pfn));
   }
 }
 
-TEST(P2mTest, AdjacentMapsMergeIntoOneExtent) {
+TEST(P2mTest, AdjacentMapsFormOneRun) {
   P2mTable p2m(64);
   p2m.Map(4, 40);
   p2m.Map(6, 42);
-  EXPECT_EQ(p2m.extent_count(), 2);
+  EXPECT_EQ(p2m.LookupRun(4).count, 1);
+  EXPECT_FALSE(p2m.LookupRun(5).valid);
   p2m.Map(5, 41);  // bridges the gap: mfns and writability line up
-  EXPECT_EQ(p2m.extent_count(), 1);
   P2mTable::Run run = p2m.LookupRun(5);
   EXPECT_EQ(run.first, 4);
   EXPECT_EQ(run.count, 3);
@@ -110,23 +121,20 @@ TEST(P2mTest, DiscontiguousMfnsDoNotMerge) {
   P2mTable p2m(64);
   p2m.Map(4, 40);
   p2m.Map(5, 99);  // adjacent pfn, non-adjacent mfn
-  EXPECT_EQ(p2m.extent_count(), 2);
   EXPECT_EQ(p2m.LookupRun(4).count, 1);
+  EXPECT_EQ(p2m.LookupRun(5).count, 1);
 }
 
-TEST(P2mTest, MidRunUnmapSplitsExtent) {
+TEST(P2mTest, MidRunUnmapSplitsRun) {
   P2mTable p2m(64);
   p2m.MapRange(0, 9, 100);
-  EXPECT_EQ(p2m.extent_count(), 1);
-  EXPECT_EQ(p2m.split_count(), 0);
+  EXPECT_EQ(p2m.LookupRun(0).count, 9);
   EXPECT_EQ(p2m.Unmap(4), 104);
-  EXPECT_EQ(p2m.extent_count(), 2);
-  EXPECT_EQ(p2m.split_count(), 1);
   EXPECT_EQ(p2m.LookupRun(0).count, 4);
+  EXPECT_EQ(p2m.LookupRun(4).count, 1);
   EXPECT_EQ(p2m.LookupRun(5).count, 4);
-  // Remapping the hole to the contiguous mfn re-merges the three pieces.
+  // Remapping the hole to the contiguous mfn re-joins the three pieces.
   p2m.Map(4, 104);
-  EXPECT_EQ(p2m.extent_count(), 1);
   EXPECT_EQ(p2m.LookupRun(0).count, 9);
 }
 
@@ -138,10 +146,14 @@ TEST(P2mTest, WriteProtectSplitsAndUnprotectMerges) {
   EXPECT_TRUE(p2m.IsWritable(2));
   EXPECT_TRUE(p2m.IsValid(3));
   EXPECT_EQ(p2m.Lookup(3), 203);
-  EXPECT_EQ(p2m.extent_count(), 3);  // writable | read-only | writable
+  // writable | read-only | writable
+  EXPECT_EQ(p2m.LookupRun(0).count, 3);
+  EXPECT_EQ(p2m.LookupRun(3).count, 1);
+  EXPECT_FALSE(p2m.LookupRun(3).writable);
+  EXPECT_EQ(p2m.LookupRun(4).count, 4);
   p2m.WriteUnprotect(3);
   EXPECT_TRUE(p2m.IsWritable(3));
-  EXPECT_EQ(p2m.extent_count(), 1);
+  EXPECT_EQ(p2m.LookupRun(0).count, 8);
 }
 
 TEST(P2mTest, WriteProtectRangeFlipsWholeSpan) {
@@ -159,8 +171,9 @@ TEST(P2mTest, WriteProtectRangeFlipsWholeSpan) {
   for (Pfn pfn = 0; pfn < 600; ++pfn) {
     EXPECT_TRUE(p2m.IsWritable(pfn));
   }
-  // All splits healed: one extent per chunk again.
-  EXPECT_EQ(p2m.extent_count(), 2);
+  // All splits healed: one run per chunk again.
+  EXPECT_EQ(p2m.LookupRun(0).count, P2mTable::kChunkPages);
+  EXPECT_EQ(p2m.LookupRun(P2mTable::kChunkPages).count, 600 - P2mTable::kChunkPages);
 }
 
 TEST(P2mTest, RunIterationCoversWholeTable) {
@@ -186,35 +199,33 @@ TEST(P2mTest, RunIterationCoversWholeTable) {
   EXPECT_EQ(valid, p2m.valid_count());
 }
 
+// Every chunk is an array of packed per-page entries: a chunk shredded into
+// singleton mappings answers like any other.
 TEST(P2mTest, ChurnConvertsChunkToPackedAndStaysCorrect) {
   P2mTable p2m(P2mTable::kChunkPages);
   // Anti-contiguous singleton mappings: pfn i -> mfn (511 - i). No two
-  // neighbours merge, so the chunk shreds past kPackThreshold and converts.
+  // neighbours form a run.
   for (Pfn pfn = 0; pfn < P2mTable::kChunkPages; ++pfn) {
     p2m.Map(pfn, P2mTable::kChunkPages - 1 - pfn);
   }
-  EXPECT_EQ(p2m.packed_chunk_count(), 1);
-  EXPECT_EQ(p2m.extent_count(), 0);
   for (Pfn pfn = 0; pfn < P2mTable::kChunkPages; ++pfn) {
     EXPECT_EQ(p2m.Lookup(pfn), P2mTable::kChunkPages - 1 - pfn);
   }
-  // Per-page mutations keep working against the packed form.
   p2m.WriteProtect(7);
   EXPECT_FALSE(p2m.IsWritable(7));
   EXPECT_EQ(p2m.Unmap(9), P2mTable::kChunkPages - 10);
   EXPECT_FALSE(p2m.IsValid(9));
   EXPECT_EQ(p2m.valid_count(), P2mTable::kChunkPages - 1);
-  // Runs in packed chunks are still maximal: descending mfns -> singletons.
+  // Runs stay maximal: descending mfns -> singletons.
   EXPECT_EQ(p2m.LookupRun(20).count, 1);
 }
 
 TEST(P2mTest, PackedRunsExtendAcrossContiguousEntries) {
   P2mTable p2m(P2mTable::kChunkPages);
-  // Shred the chunk into packed mode, then rebuild a contiguous stretch.
+  // Shred the chunk into singletons, then rebuild a contiguous stretch.
   for (Pfn pfn = 0; pfn < P2mTable::kChunkPages; ++pfn) {
     p2m.Map(pfn, P2mTable::kChunkPages - 1 - pfn);
   }
-  ASSERT_EQ(p2m.packed_chunk_count(), 1);
   p2m.UnmapRange(100, 50);
   p2m.MapRange(100, 50, 3000);
   const P2mTable::Run run = p2m.LookupRun(125);
@@ -224,42 +235,22 @@ TEST(P2mTest, PackedRunsExtendAcrossContiguousEntries) {
   EXPECT_EQ(run.mfn, 3000);
 }
 
-TEST(P2mTest, TlbHitsOnRepeatedLookupsAndInvalidates) {
-  P2mTable p2m(1024);
-  p2m.ConfigureTlb(4);
-  p2m.MapRange(0, 512, 0);
-  (void)p2m.LookupRun(10, /*vcpu=*/0);  // miss fills the entry
-  const int64_t misses_after_fill = p2m.tlb_misses();
-  (void)p2m.LookupRun(200, /*vcpu=*/0);  // same run, same context
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  EXPECT_EQ(p2m.tlb_misses(), misses_after_fill);
-  // A different vCPU context has its own set: first probe misses.
-  (void)p2m.LookupRun(200, /*vcpu=*/1);
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  // Mutating the chunk bumps its generation; the cached run is dropped.
-  p2m.WriteProtect(300);
-  (void)p2m.LookupRun(10, /*vcpu=*/0);
-  EXPECT_EQ(p2m.tlb_hits(), 1);
-  // A global invalidation drops even untouched cached runs.
-  (void)p2m.LookupRun(10, /*vcpu=*/0);  // re-fill after the mutation
-  EXPECT_EQ(p2m.tlb_hits(), 2);
-  p2m.InvalidateTlb();
-  (void)p2m.LookupRun(10, /*vcpu=*/0);
-  EXPECT_EQ(p2m.tlb_hits(), 2);
-  // The TLB is read-through only: results always match the table.
-  const P2mTable::Run run = p2m.LookupRun(10);
-  EXPECT_EQ(run.mfn + (10 - run.first), 10);
-}
+// Random-operation property test against a naive per-page model: every
+// entry must match the model, and every LookupRun must return exactly the
+// maximal run of one validity and writability, mfn stepping by 1, clipped
+// to the pfn's 512-page chunk.
+constexpr int64_t kModelPages = 2 * P2mTable::kChunkPages + 300;  // partial last chunk
 
-TEST(P2mTest, ReferenceModeMatchesExtentModeOnRandomOps) {
-  P2mTable::SetReferenceModeForTest(true);
-  P2mTable ref(1024);
-  P2mTable::SetReferenceModeForTest(false);
-  P2mTable ext(1024);
-  EXPECT_TRUE(ref.reference_mode());
-  EXPECT_FALSE(ext.reference_mode());
+TEST(P2mTest, RandomOpsMatchPerPageModel) {
+  struct Page {
+    bool valid = false;
+    bool writable = false;
+    Mfn mfn = kInvalidMfn;
+  };
+  P2mTable p2m(kModelPages);
+  std::vector<Page> model(kModelPages);
+  int64_t model_valid = 0;
 
-  // A deterministic op mix; both tables must agree entry-for-entry.
   uint64_t x = 12345;
   auto next = [&x]() {
     x ^= x << 13;
@@ -267,55 +258,125 @@ TEST(P2mTest, ReferenceModeMatchesExtentModeOnRandomOps) {
     x ^= x << 17;
     return x;
   };
-  for (int i = 0; i < 4000; ++i) {
-    const Pfn pfn = static_cast<Pfn>(next() % 1024);
-    switch (next() % 4) {
+  // Few distinct pfn -> mfn offsets, so neighbouring maps often line up
+  // into runs and per-page churn often breaks them.
+  auto pick_mfn = [&next](Pfn pfn) { return pfn + static_cast<Mfn>(next() % 3) * 4096; };
+  auto all = [&model](Pfn first, int64_t count, bool valid) {
+    for (Pfn p = first; p < first + count; ++p) {
+      if (model[p].valid != valid) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto expected_run = [&model](Pfn pfn) {
+    const Pfn base = pfn & ~(P2mTable::kChunkPages - 1);
+    const Pfn end = std::min(base + P2mTable::kChunkPages, kModelPages);
+    auto joins = [&model](Pfn a, Pfn b) {  // does page b continue page a's run?
+      if (model[a].valid != model[b].valid) {
+        return false;
+      }
+      return !model[a].valid ||
+             (model[a].writable == model[b].writable && model[a].mfn + 1 == model[b].mfn);
+    };
+    Pfn lo = pfn;
+    Pfn hi = pfn + 1;
+    while (lo > base && joins(lo - 1, lo)) {
+      --lo;
+    }
+    while (hi < end && joins(hi - 1, hi)) {
+      ++hi;
+    }
+    return P2mTable::Run{lo, hi - lo, model[lo].valid ? model[lo].mfn : kInvalidMfn,
+                         model[lo].valid, model[lo].valid && model[lo].writable};
+  };
+
+  for (int i = 0; i < 20000; ++i) {
+    const Pfn pfn = static_cast<Pfn>(next() % kModelPages);
+    const int64_t count = std::min<int64_t>(1 + next() % 48, kModelPages - pfn);
+    switch (next() % 8) {
       case 0:
-        if (!ext.IsValid(pfn)) {
-          ext.Map(pfn, pfn + 7);
-          ref.Map(pfn, pfn + 7);
+        if (!model[pfn].valid) {
+          const Mfn mfn = pick_mfn(pfn);
+          p2m.Map(pfn, mfn);
+          model[pfn] = {true, true, mfn};
+          ++model_valid;
         }
         break;
       case 1:
-        if (ext.IsValid(pfn)) {
-          EXPECT_EQ(ext.Unmap(pfn), ref.Unmap(pfn));
+        if (all(pfn, count, false)) {
+          const Mfn mfn = pick_mfn(pfn);
+          p2m.MapRange(pfn, count, mfn);
+          for (int64_t k = 0; k < count; ++k) {
+            model[pfn + k] = {true, true, mfn + k};
+          }
+          model_valid += count;
         }
         break;
       case 2:
-        if (ext.IsValid(pfn)) {
-          ext.WriteProtect(pfn);
-          ref.WriteProtect(pfn);
+        if (model[pfn].valid) {
+          ASSERT_EQ(p2m.Unmap(pfn), model[pfn].mfn);
+          model[pfn] = {};
+          --model_valid;
+        }
+        break;
+      case 3:
+        if (all(pfn, count, true)) {
+          p2m.UnmapRange(pfn, count);
+          for (int64_t k = 0; k < count; ++k) {
+            model[pfn + k] = {};
+          }
+          model_valid -= count;
+        }
+        break;
+      case 4:
+        if (model[pfn].valid) {
+          const Mfn mfn = pick_mfn(pfn);
+          p2m.Remap(pfn, mfn);
+          model[pfn].mfn = mfn;
+        }
+        break;
+      case 5:
+        if (model[pfn].valid) {
+          const bool writable = next() % 2 == 0;
+          if (writable) {
+            p2m.WriteUnprotect(pfn);
+          } else {
+            p2m.WriteProtect(pfn);
+          }
+          model[pfn].writable = writable;
         }
         break;
       default:
-        if (ext.IsValid(pfn)) {
-          ext.Remap(pfn, pfn + 11);
-          ref.Remap(pfn, pfn + 11);
+        if (all(pfn, count, true)) {
+          const bool writable = next() % 2 == 0;
+          if (writable) {
+            p2m.WriteUnprotectRange(pfn, count);
+          } else {
+            p2m.WriteProtectRange(pfn, count);
+          }
+          for (int64_t k = 0; k < count; ++k) {
+            model[pfn + k].writable = writable;
+          }
         }
         break;
     }
+    ASSERT_EQ(p2m.valid_count(), model_valid);
+    const Pfn probe = static_cast<Pfn>(next() % kModelPages);
+    const P2mTable::Run want = expected_run(probe);
+    const P2mTable::Run got = p2m.LookupRun(probe);
+    ASSERT_EQ(got.first, want.first) << "probe " << probe << " op " << i;
+    ASSERT_EQ(got.count, want.count) << "probe " << probe << " op " << i;
+    ASSERT_EQ(got.valid, want.valid) << "probe " << probe << " op " << i;
+    ASSERT_EQ(got.writable, want.writable) << "probe " << probe << " op " << i;
+    ASSERT_EQ(got.mfn, want.mfn) << "probe " << probe << " op " << i;
   }
-  EXPECT_EQ(ext.valid_count(), ref.valid_count());
-  for (Pfn pfn = 0; pfn < 1024; ++pfn) {
-    ASSERT_EQ(ext.IsValid(pfn), ref.IsValid(pfn)) << pfn;
-    ASSERT_EQ(ext.IsWritable(pfn), ref.IsWritable(pfn)) << pfn;
-    ASSERT_EQ(ext.Lookup(pfn), ref.Lookup(pfn)) << pfn;
+  for (Pfn pfn = 0; pfn < kModelPages; ++pfn) {
+    ASSERT_EQ(p2m.IsValid(pfn), model[pfn].valid) << pfn;
+    ASSERT_EQ(p2m.IsWritable(pfn), model[pfn].valid && model[pfn].writable) << pfn;
+    ASSERT_EQ(p2m.Lookup(pfn), model[pfn].valid ? model[pfn].mfn : kInvalidMfn) << pfn;
   }
-}
-
-TEST(P2mTest, MemoryStaysSubLinearForContiguousMappings) {
-  // A fully contiguous mapping needs one extent per chunk regardless of
-  // size: table memory is dominated by the chunk directory, far below the
-  // 8 bytes/page a flat table pays.
-  P2mTable small(1 << 12);
-  small.MapRange(0, 1 << 12, 0);
-  P2mTable big(1 << 16);
-  big.MapRange(0, 1 << 16, 0);
-  const int64_t flat_big = (1 << 16) * 8;
-  EXPECT_LT(big.MemoryBytes(), flat_big / 4);
-  // Growing pages 16x grows memory well under 16x once the fixed overhead
-  // is subtracted (per-chunk cost, not per-page cost).
-  EXPECT_LT(big.MemoryBytes(), 16 * small.MemoryBytes());
+  p2m.AuditCounters();
 }
 
 TEST(P2mDeathTest, MapRangeOverlapAborts) {

@@ -84,7 +84,6 @@ RunSpec RandomSpec(Rand& rng) {
   spec.options.engine.utilization_damping = rng.Finite();
   spec.options.engine.max_sim_seconds = rng.Finite();
   spec.options.engine.seed = rng.Next();
-  spec.options.engine.p2m_promote = rng.Bool();
   spec.options.engine.fault.enabled = rng.Bool();
   spec.options.engine.fault.seed = rng.Next();
   spec.options.engine.fault.frame_alloc_rate = rng.Finite();
@@ -252,9 +251,9 @@ TEST(WorkerProtoTest, CorruptFramesLatchCleanErrors) {
   std::string error;
   const std::vector<uint8_t> good = EncodeWork(work, &error);
   ASSERT_FALSE(good.empty()) << error;
-  // v4 frames: EngineConfig no longer carries the solver's iteration count
-  // and tolerance.
-  ASSERT_EQ(kWireVersion, 4);
+  // v5 frames: EngineConfig no longer carries the P2M promotion daemon's
+  // two fields.
+  ASSERT_EQ(kWireVersion, 5);
   EXPECT_EQ(good[4] | (good[5] << 8), kWireVersion);  // version u16 LE at offset 4
 
   {  // flipped payload byte -> checksum mismatch
@@ -287,16 +286,19 @@ TEST(WorkerProtoTest, CorruptFramesLatchCleanErrors) {
                              " (this build speaks " + std::to_string(kWireVersion) + ")";
     EXPECT_NE(decoder.error().find(want), std::string::npos) << decoder.error();
   }
-  {  // version skew: a frame from a v3 build, whose EngineConfig still
-     // carries the solver fields this build no longer reads
+  // version skew: frames from v3 and v4 builds, whose EngineConfig still
+  // carries the solver (v3) and promotion daemon (v3, v4) fields this build
+  // no longer reads
+  for (const uint8_t old_version : {3, 4}) {
     std::vector<uint8_t> bad = good;
-    bad[4] = 3;
+    bad[4] = old_version;
     FrameDecoder decoder;
     decoder.Append(bad.data(), bad.size());
     WireFrame frame;
     EXPECT_FALSE(decoder.Next(&frame));
-    EXPECT_NE(decoder.error().find("wire version 3 (this build speaks 4)"), std::string::npos)
-        << decoder.error();
+    const std::string want =
+        "wire version " + std::to_string(old_version) + " (this build speaks 5)";
+    EXPECT_NE(decoder.error().find(want), std::string::npos) << decoder.error();
   }
   {  // unknown frame type
     std::vector<uint8_t> bad = good;

@@ -104,53 +104,6 @@ END {
 }
 ' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
 
-# Extent-compressed P2M: after a round-1G MapRange placement the mapping
-# store must cost well under half of a flat 8-byte-per-page array on the
-# largest footprint (sub-linear growth is the point of the representation;
-# §13 of MODEL.md). The first-touch rows are the adversarial packed floor
-# and are archived ungated.
-awk -F'"' '
-$2 == "name" { gate = ($4 == "16gb_per_job" && $8 == "round_1g") }
-$2 == "post_init_ratio" && gate {
-  v = $3; gsub(/[:, ]/, "", v); ratio = v + 0; found = 1
-  if (ratio >= 0.5) {
-    printf "FAIL: P2M round-1G post-init table is %.1f%% of flat (budget: 50%%)\n", ratio * 100
-    exit 1
-  }
-  printf "OK: P2M round-1G post-init table is %.1f%% of flat (budget: 50%%)\n", ratio * 100
-}
-END { if (!found) { print "FAIL: p2m_memory missing from bench output"; exit 1 } }
-' "$ROOT/BENCH_engine.json"
-
-# Page-order ladder: a 16 GiB round-1G domain at max order 1G must cut both
-# translation-cache sweep misses and mapping-store bytes by >= 5x vs the
-# 4K-only table (docs/MODEL.md §14). The ratios are deterministic counts, so
-# they also ratchet: each must stay within 10% of the best archived value in
-# tools/bench_ratchet.json.
-awk -F': ' '
-FNR == NR {
-  if ($1 ~ /"p2m_order_miss_ratio_1g_vs_4k"/) { gsub(/[,} ]/, "", $2); base_miss = $2 + 0 }
-  if ($1 ~ /"p2m_order_mem_ratio_1g_vs_4k"/)  { gsub(/[,} ]/, "", $2); base_mem = $2 + 0 }
-  next
-}
-/"p2m_order_miss_ratio_1g_vs_4k"/ { gsub(/[,}]/, "", $2); miss = $2 + 0; have_miss = 1 }
-/"p2m_order_mem_ratio_1g_vs_4k"/  { gsub(/[,}]/, "", $2); mem = $2 + 0; have_mem = 1 }
-END {
-  if (!have_miss || !have_mem) { print "FAIL: p2m_order ratios missing from bench output"; exit 1 }
-  if (miss < 5.0 || mem < 5.0) {
-    printf "FAIL: p2m order-1G ladder at %.1fx misses / %.1fx memory vs 4K (gate: >= 5x both)\n", miss, mem
-    exit 1
-  }
-  if (miss < base_miss * 0.9 || mem < base_mem * 0.9) {
-    printf "FAIL: p2m order ratios %.1fx/%.1fx regressed >10%% below ratchet %.1fx/%.1fx\n", \
-           miss, mem, base_miss, base_mem
-    exit 1
-  }
-  printf "OK: p2m order-1G ladder cuts misses %.1fx and memory %.1fx vs 4K (gate: >= 5x; ratchet %.1fx/%.1fx)\n", \
-         miss, mem, base_miss, base_mem
-}
-' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
-
 # Walk-locality ladder (docs/MODEL.md §18): with page-walks priced, the
 # best static placement must leave most walks remote (< 50% local — the
 # home node can only cover its own thread share), while per-node P2M

@@ -47,10 +47,8 @@ int Usage() {
                "           --proc_retries N --proc_deadline SECONDS  (dispatcher\n"
                "            retry budget per run and per-run kill deadline)\n"
                "           --fault_rate P --fault_seed N  (seeded chaos injection)\n"
-               "           --p2m_max_order 4k|2m|1g  (largest native P2M page\n"
-               "            order; 4k is the plain extent store)\n"
-               "           --p2m_promote  (background superpage promotion daemon;\n"
-               "            results are bit-identical, only p2m.* metrics move)\n"
+               "           --p2m_max_order 4k|2m|1g  (largest superpage order the\n"
+               "            domain's admission and policy geometry align to)\n"
                "           --ft_superpage (first-touch maps whole aligned\n"
                "            superpage blocks per fault; changes placement)\n"
                "           --p2m_replication  (per-node P2M replicas,\n"
@@ -109,7 +107,6 @@ RunOptions LoadOptions(const Flags& flags) {
   if (fault_rate > 0.0) {
     opts.engine.fault = FaultPlan::Uniform(fault_seed, fault_rate);
   }
-  opts.engine.p2m_promote = flags.GetBool("p2m_promote", false);
   opts.engine.price_walks = flags.GetBool("price_walks", false);
   return opts;
 }
