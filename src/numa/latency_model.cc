@@ -24,9 +24,7 @@ double LatencyModel::CongestionFactor(double util) const {
 
 double LatencyModel::AccessCycles(int hops, double mc_util, double path_link_util) const {
   XNUMA_DCHECK(hops >= 0 && hops <= 2);
-  const double bottleneck = std::max(mc_util, path_link_util);
-  return params_.base_cycles[hops] +
-         CongestionFactor(bottleneck) * params_.saturated_extra_cycles[hops];
+  return CyclesAt(hops, CongestionFactor(std::max(mc_util, path_link_util)));
 }
 
 }  // namespace xnuma

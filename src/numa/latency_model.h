@@ -71,6 +71,13 @@ class LatencyModel {
   // beyond (overload region).
   double CongestionFactor(double util) const;
 
+  // DRAM access latency in cycles at `hops` for a given congestion factor:
+  // the one home of the latency formula, shared by AccessCycles and the
+  // engine's per-solve latency table.
+  double CyclesAt(int hops, double congestion_factor) const {
+    return params_.base_cycles[hops] + congestion_factor * params_.saturated_extra_cycles[hops];
+  }
+
   double UncontendedCycles(int hops) const { return params_.base_cycles[hops]; }
   double SaturatedCycles(int hops) const {
     return params_.base_cycles[hops] + params_.saturated_extra_cycles[hops];

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 
 #include "src/common/check.h"
@@ -145,6 +146,10 @@ struct Engine::ThreadState {
   double rate = 0.0;  // accesses/s at current utilization
   bool done = false;
   std::vector<double> p_node;  // access distribution over destination nodes
+  // The (node, done) p_node was last computed for; kInvalidNode before the
+  // first computation.
+  NodeId p_node_node = kInvalidNode;
+  bool p_node_done = false;
   double latency_weighted = 0.0;
   double latency_weight = 0.0;
   double last_latency_cycles = 0.0;
@@ -212,6 +217,10 @@ struct Engine::JobState {
   bool needs_full_rescan = true;
   // Counts changed since the double masses were last derived from them.
   bool masses_stale = true;
+  // Bumped by DeriveRegionMasses, the only writer of the derived masses;
+  // the threads' p_node were last computed from p_node_mass_generation.
+  uint64_t mass_generation = 0;
+  uint64_t p_node_mass_generation = 0;
   int64_t refresh_count = 0;
 };
 
@@ -249,7 +258,7 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
   mc_scratch_.assign(nodes, 0.0);
   link_scratch_.assign(topo.num_links(), 0.0);
   pair_cycles_.assign(static_cast<size_t>(nodes) * nodes, 0.0);
-  pair_valid_.assign(static_cast<size_t>(nodes) * nodes, 0);
+  pair_read_.assign(static_cast<size_t>(nodes) * nodes, 0);
   cpu_sharers_.assign(topo.num_cpus(), 0);
   // Flatten the all-shortest-paths table once; the solver's inner loops walk
   // this index instead of the nested Routes() vectors.
@@ -272,6 +281,7 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
   if (const char* verify = getenv("XNUMA_VERIFY_PLACEMENT_CACHE"); verify != nullptr) {
     verify_cache_period_ = std::max(0, atoi(verify));
   }
+  debug_epoch_ = getenv("XNUMA_DEBUG_EPOCH") != nullptr;
   carrefour_system_ = std::make_unique<CarrefourSystemComponent>(hv, counters_, *this);
   carrefour_user_ =
       std::make_unique<CarrefourUserComponent>(*carrefour_system_, config_.carrefour, config.seed);
@@ -292,6 +302,9 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
     dirty_event_count_ = m.RegisterCounter(
         "engine.placement.dirty_events", "events",
         "Dirty-page events applied incrementally to the placement cache");
+    distribution_recomputes_ = m.RegisterCounter(
+        "engine.placement.distribution_recomputes", "job-epochs",
+        "Job-epochs whose access distributions were recomputed (the rest reused them)");
     solver_seconds_ = m.RegisterHistogram(
         "engine.solver.seconds", "s",
         "Wall-clock cost of one utilization fixed-point solve");
@@ -535,6 +548,7 @@ void Engine::DeriveRegionMasses(JobState& job) {
       region.slice_total[t] = c.slice_hot_total[t] * wh + c.slice_cold_total[t] * wc;
     }
   }
+  ++job.mass_generation;
 }
 
 void Engine::DrainPlacementEvents() {
@@ -728,51 +742,89 @@ bool Engine::DebugVerifyPlacementCache() {
 }
 
 void Engine::ComputeAccessDistributions(JobState& job) {
-  const int nodes = hv_->topology().num_nodes();
-  const P2mTable& p2m = hv_->domain(job.spec.domain).p2m();
+  if (config_.price_walks) {
+    // Replica coverage moves without any change in mass, so it is refreshed
+    // every epoch, then frozen for the epoch so the walk term stays constant
+    // across Picard iterations of the bandwidth fixed point.
+    const P2mTable& p2m = hv_->domain(job.spec.domain).p2m();
+    for (ThreadState& th : job.threads) {
+      if (!th.done) {
+        th.walk_coverage = p2m.ReplicaCoverage(th.node);
+      }
+    }
+  }
+  // p_node depends only on the derived masses and each thread's (node,
+  // done): when none of them moved since the last computation, the same
+  // arithmetic would return the same bits (docs/MODEL.md §9).
+  bool current = job.p_node_mass_generation == job.mass_generation;
+  for (const ThreadState& th : job.threads) {
+    current = current && th.p_node_node == th.node && th.p_node_done == th.done;
+  }
+  if (current) {
+    if (verify_cache_period_ > 0 && job.refresh_count % verify_cache_period_ == 0) {
+      std::vector<double> fresh;
+      for (int t = 0; t < job.spec.threads; ++t) {
+        const std::vector<double>& kept = job.threads[t].p_node;
+        fresh.resize(kept.size());
+        ThreadDistribution(job, t, &fresh);
+        XNUMA_CHECK(std::memcmp(fresh.data(), kept.data(), kept.size() * sizeof(double)) == 0);
+      }
+    }
+    return;
+  }
   for (int t = 0; t < job.spec.threads; ++t) {
     ThreadState& th = job.threads[t];
-    std::fill(th.p_node.begin(), th.p_node.end(), 0.0);
-    if (th.done) {
+    ThreadDistribution(job, t, &th.p_node);
+    th.p_node_node = th.node;
+    th.p_node_done = th.done;
+  }
+  job.p_node_mass_generation = job.mass_generation;
+  if (distribution_recomputes_ != nullptr) {
+    distribution_recomputes_->Increment();
+  }
+}
+
+void Engine::ThreadDistribution(const JobState& job, int t, std::vector<double>* p_node) const {
+  const int nodes = hv_->topology().num_nodes();
+  const ThreadState& th = job.threads[t];
+  std::vector<double>& p_out = *p_node;
+  std::fill(p_out.begin(), p_out.end(), 0.0);
+  if (th.done) {
+    return;
+  }
+  for (const RegionState& region : job.regions) {
+    const double share = region.spec->access_share;
+    const double denom = region.total_mass + region.replicated_mass;
+    if (share <= 0.0 || denom <= 0.0) {
       continue;
     }
-    // Frozen for the epoch so the walk term stays constant across Picard
-    // iterations of the bandwidth fixed point.
-    th.walk_coverage = config_.price_walks ? p2m.ReplicaCoverage(th.node) : 1.0;
-    for (const RegionState& region : job.regions) {
-      const double share = region.spec->access_share;
-      const double denom = region.total_mass + region.replicated_mass;
-      if (share <= 0.0 || denom <= 0.0) {
-        continue;
-      }
-      // Replicated pages are served from the accessor's own node.
-      const double local_frac = region.replicated_mass / denom;
-      th.p_node[th.node] += share * local_frac;
-      if (region.total_mass <= 0.0) {
-        continue;
-      }
-      const double rest = 1.0 - local_frac;
-      const double aff = region.spec->owner_affinity;
-      const bool use_slice = region.slice_total[t] > 0.0;
-      for (NodeId n = 0; n < nodes; ++n) {
-        double p = (1.0 - aff) * region.node_mass[n] / region.total_mass;
-        if (use_slice) {
-          p += aff * region.slice_mass[t][n] / region.slice_total[t];
-        } else {
-          p += aff * region.node_mass[n] / region.total_mass;
-        }
-        th.p_node[n] += share * rest * p;
-      }
+    // Replicated pages are served from the accessor's own node.
+    const double local_frac = region.replicated_mass / denom;
+    p_out[th.node] += share * local_frac;
+    if (region.total_mass <= 0.0) {
+      continue;
     }
-    // Normalize against rounding drift.
-    double total = 0.0;
-    for (double p : th.p_node) {
-      total += p;
-    }
-    if (total > 0.0) {
-      for (double& p : th.p_node) {
-        p /= total;
+    const double rest = 1.0 - local_frac;
+    const double aff = region.spec->owner_affinity;
+    const bool use_slice = region.slice_total[t] > 0.0;
+    for (NodeId n = 0; n < nodes; ++n) {
+      double p = (1.0 - aff) * region.node_mass[n] / region.total_mass;
+      if (use_slice) {
+        p += aff * region.slice_mass[t][n] / region.slice_total[t];
+      } else {
+        p += aff * region.node_mass[n] / region.total_mass;
       }
+      p_out[n] += share * rest * p;
+    }
+  }
+  // Normalize against rounding drift.
+  double total = 0.0;
+  for (double p : p_out) {
+    total += p;
+  }
+  if (total > 0.0) {
+    for (double& p : p_out) {
+      p /= total;
     }
   }
 }
@@ -828,20 +880,76 @@ double Engine::ThreadOverheadFraction(const JobState& job) const {
   return overhead;
 }
 
+void Engine::ListLatencyPairs() {
+  const Topology& topo = hv_->topology();
+  const int nodes = topo.num_nodes();
+  std::fill(pair_read_.begin(), pair_read_.end(), 0);
+  for (const auto& jptr : jobs_) {
+    if (jptr->finished) {
+      continue;
+    }
+    for (const ThreadState& th : jptr->threads) {
+      if (th.done) {
+        continue;
+      }
+      for (NodeId n = 0; n < nodes; ++n) {
+        if (th.p_node[n] <= 0.0) {
+          continue;
+        }
+        pair_read_[static_cast<size_t>(th.node) * nodes + n] = 1;
+      }
+    }
+  }
+  latency_pairs_.clear();
+  for (NodeId dst = 0; dst < nodes; ++dst) {
+    for (NodeId src = 0; src < nodes; ++src) {
+      if (pair_read_[static_cast<size_t>(src) * nodes + dst] != 0) {
+        latency_pairs_.push_back({src, dst, topo.Distance(src, dst)});
+      }
+    }
+  }
+}
+
+void Engine::PriceLatencyPairs() {
+  // The congestion factor follows the bottleneck, std::max(mc, link): the
+  // destination controller unless its utilization is below the path's link
+  // utilization. Pairs run destination-major, so a controller's factor is
+  // computed at most once per iteration and shared by every source it
+  // bottlenecks.
+  const int nodes = hv_->topology().num_nodes();
+  NodeId factor_dst = kInvalidNode;
+  double mc_factor = 0.0;
+  for (const LatencyPair& pair : latency_pairs_) {
+    const double mc = mc_util_[pair.dst];
+    const double link = PathLinkUtil(pair.src, pair.dst);
+    double factor = 0.0;
+    if (mc < link) {
+      factor = latency_->CongestionFactor(link);
+    } else {
+      if (factor_dst != pair.dst) {
+        mc_factor = latency_->CongestionFactor(mc);
+        factor_dst = pair.dst;
+      }
+      factor = mc_factor;
+    }
+    pair_cycles_[static_cast<size_t>(pair.src) * nodes + pair.dst] =
+        latency_->CyclesAt(pair.hops, factor);
+  }
+}
+
 void Engine::SolveUtilizationFixedPoint() {
   const Topology& topo = hv_->topology();
   const int nodes = topo.num_nodes();
   const LatencyParams& lp = latency_->params();
 
   ComputeCpuSharers();
+  ListLatencyPairs();
   int iterations = 0;
   double max_delta = 0.0;
   do {
-    // Rates from current utilizations. AccessCycles is a pure function of
-    // the (source node, target node) pair while the utilizations are frozen
-    // for the iteration, and threads pinned to one node share its rows, so
-    // each pair is resolved once and memoized.
-    std::fill(pair_valid_.begin(), pair_valid_.end(), 0);
+    // Rates from current utilizations: each thread's latency is a dot
+    // product of its distribution with its node's row of the latency table.
+    PriceLatencyPairs();
     for (auto& jptr : jobs_) {
       JobState& job = *jptr;
       if (job.finished) {
@@ -852,19 +960,13 @@ void Engine::SolveUtilizationFixedPoint() {
           th.rate = 0.0;
           continue;
         }
+        const double* cycles = &pair_cycles_[static_cast<size_t>(th.node) * nodes];
         double lat = 0.0;
         for (NodeId n = 0; n < nodes; ++n) {
           if (th.p_node[n] <= 0.0) {
             continue;
           }
-          const size_t pi = static_cast<size_t>(th.node) * nodes + n;
-          if (pair_valid_[pi] == 0) {
-            const int hops = topo.Distance(th.node, n);
-            pair_cycles_[pi] =
-                latency_->AccessCycles(hops, mc_util_[n], PathLinkUtil(th.node, n));
-            pair_valid_[pi] = 1;
-          }
-          lat += th.p_node[n] * pair_cycles_[pi];
+          lat += th.p_node[n] * cycles[n];
         }
         th.last_latency_cycles = lat;
         // Memory-level parallelism overlaps part of the DRAM latency with
@@ -1060,7 +1162,7 @@ void Engine::AdvanceProgress(JobState& job, double dt, double now) {
     }
   }
 
-  if (const char* dbg = getenv("XNUMA_DEBUG_EPOCH"); dbg != nullptr) {
+  if (debug_epoch_) {
     double rem = 0.0;
     for (const ThreadState& th : job.threads) {
       rem += th.work_remaining;

@@ -259,7 +259,13 @@ class Engine : public PageAccessSource {
   PagePlacement ReadPagePlacement(const JobState& job, Vpn vpn,
                                   bool sequential = true) const;
   void ComputeAccessDistributions(JobState& job);
+  // Thread t's access distribution over destination nodes, written to
+  // `p_node` (one entry per node): a pure function of the job's derived
+  // masses and the thread's node; all zero once the thread is done.
+  void ThreadDistribution(const JobState& job, int t, std::vector<double>* p_node) const;
   void ComputeCpuSharers();
+  void ListLatencyPairs();
+  void PriceLatencyPairs();
   void SolveUtilizationFixedPoint();
   double PathLinkUtil(NodeId src, NodeId dst) const;
   void AdvanceProgress(JobState& job, double dt, double now);
@@ -306,11 +312,19 @@ class Engine : public PageAccessSource {
   // ---- Fixed-point solver caches (allocated once, reused per iteration). --
   std::vector<double> mc_scratch_;
   std::vector<double> link_scratch_;
-  // Per-iteration (src node, dst node) latency memo: AccessCycles is a pure
-  // function of the pair once the utilizations are frozen for the iteration,
-  // and every thread on a node shares its rows.
+  // Per-solve latency table. Thread nodes and p_node are frozen for a solve,
+  // so the (source node, destination node) pairs some running thread reads
+  // are listed once at its start, destination-major. Each iteration prices
+  // every listed pair into pair_cycles_ ([src * nodes + dst]) before the
+  // thread loop, and every thread on a node shares its row.
+  struct LatencyPair {
+    NodeId src = 0;
+    NodeId dst = 0;
+    int32_t hops = 0;
+  };
+  std::vector<LatencyPair> latency_pairs_;
+  std::vector<uint8_t> pair_read_;  // [src * nodes + dst], listing scratch
   std::vector<double> pair_cycles_;
-  std::vector<uint8_t> pair_valid_;
 
   // One-entry placement-run memo for the rescan/delta read path: node
   // resolution is computed once per run, then reused for every page the
@@ -360,14 +374,18 @@ class Engine : public PageAccessSource {
   std::vector<double> sample_rates_;  // [candidates][nodes]
   NoisyTopK top_k_;
   // XNUMA_VERIFY_PLACEMENT_CACHE=N cross-checks the incremental aggregates
-  // against a full rescan every N refreshes of each job (0 = off).
+  // against a full rescan every N refreshes of each job, and a skipped
+  // access-distribution recomputation against a fresh one (0 = off).
   int verify_cache_period_ = 0;
+  // XNUMA_DEBUG_EPOCH is set: print per-job solver diagnostics every epoch.
+  bool debug_epoch_ = false;
 
   // ---- Observability (null = disabled; inherited from the hypervisor). ----
   Observability* obs_ = nullptr;
   Counter* epoch_count_ = nullptr;
   Counter* full_rescan_count_ = nullptr;
   Counter* dirty_event_count_ = nullptr;
+  Counter* distribution_recomputes_ = nullptr;
   Histogram* solver_seconds_ = nullptr;
   Histogram* solver_iterations_ = nullptr;
   Histogram* solver_residual_ = nullptr;

@@ -1,0 +1,299 @@
+// Pinned results of whole simulations along the engine paths that move
+// threads, share CPUs, price page-walks or overload the solver.
+//
+// The epoch loop reuses a job's access distributions while its derived
+// masses and every thread's (node, done) stay put, and prices each solve's
+// (source, destination) latency pairs once per iteration. Neither may alter
+// a single bit of any result. P2mPinnedTest covers one pinned 12-thread
+// domain; these cells reach what it does not: a 48-thread run whose solves
+// hit the iteration cap, two consolidated jobs sharing every CPU, the
+// credit scheduler moving vCPUs, the walk orchestrator with priced walks
+// and replication, and a native Linux run with MCS locks. The digests were
+// recorded before either reuse existed. Each cell also runs under
+// XNUMA_VERIFY_PLACEMENT_CACHE=1, which recomputes every skipped
+// distribution and aborts unless it matches the reused one bit for bit.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "src/core/experiment.h"
+#include "src/guest/guest_os.h"
+#include "src/hv/hypervisor.h"
+#include "src/hv/scheduler.h"
+#include "src/numa/latency_model.h"
+#include "src/numa/topology.h"
+#include "src/sim/engine.h"
+#include "src/workload/app_profile.h"
+
+namespace xnuma {
+namespace {
+
+uint64_t Mix(uint64_t digest, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (value >> (8 * i)) & 0xFF;
+    digest *= 0x100000001b3ull;  // FNV-1a prime
+  }
+  return digest;
+}
+
+uint64_t MixDouble(uint64_t digest, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return Mix(digest, bits);
+}
+
+// FNV-1a over every field of every job's result, in job order.
+uint64_t ResultsDigest(const std::vector<JobResult>& jobs) {
+  uint64_t d = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  for (const JobResult& job : jobs) {
+    d = Mix(d, job.app.size());
+    for (const char c : job.app) {
+      d = Mix(d, static_cast<uint8_t>(c));
+    }
+    d = Mix(d, static_cast<uint64_t>(job.domain));
+    d = Mix(d, job.finished ? 1 : 0);
+    d = MixDouble(d, job.completion_seconds);
+    d = MixDouble(d, job.init_seconds);
+    d = MixDouble(d, job.compute_seconds);
+    d = MixDouble(d, job.imbalance_pct);
+    d = MixDouble(d, job.interconnect_pct);
+    d = MixDouble(d, job.avg_mc_util_pct);
+    d = MixDouble(d, job.avg_latency_cycles);
+    d = MixDouble(d, job.observed_disk_mb_per_s);
+    d = MixDouble(d, job.observed_ctx_switches_per_s);
+    d = Mix(d, static_cast<uint64_t>(job.hv_page_faults));
+    d = Mix(d, static_cast<uint64_t>(job.carrefour_migrations));
+    d = Mix(d, static_cast<uint64_t>(job.final_policy.placement));
+    d = Mix(d, job.final_policy.carrefour ? 1 : 0);
+    d = Mix(d, job.final_policy.vnuma ? 1 : 0);
+    d = Mix(d, static_cast<uint64_t>(job.policy_switches));
+    d = Mix(d, static_cast<uint64_t>(job.faults_injected));
+    d = Mix(d, static_cast<uint64_t>(job.faults_recovered));
+    d = Mix(d, static_cast<uint64_t>(job.faults_aborted));
+    d = Mix(d, static_cast<uint64_t>(job.local_walks));
+    d = Mix(d, static_cast<uint64_t>(job.remote_walks));
+  }
+  return d;
+}
+
+// A catalog app with its nominal runtime (and disk stream) scaled down.
+AppProfile ShrunkApp(const char* name, double seconds) {
+  const AppProfile* app = FindApp(name);
+  EXPECT_NE(app, nullptr);
+  AppProfile copy = *app;
+  copy.disk_read_mb *= seconds / copy.nominal_seconds;
+  copy.nominal_seconds = seconds;
+  return copy;
+}
+
+// A shared master-init region plus an owner-partitioned private one.
+AppProfile TwoRegionApp(double cycles_per_access) {
+  AppProfile app;
+  app.name = "engine-pinned";
+  app.cpu_cycles_per_access = cycles_per_access;
+  app.nominal_seconds = 0.5;
+  RegionSpec shared;
+  shared.name = "shared";
+  shared.footprint_mb = 512;
+  shared.init = AllocPattern::kMasterInit;
+  shared.access_share = 0.7;
+  shared.hot_fraction = 0.25;
+  shared.hot_share = 0.8;
+  app.regions.push_back(shared);
+  RegionSpec priv;
+  priv.name = "private";
+  priv.footprint_mb = 256;
+  priv.init = AllocPattern::kOwnerPartitioned;
+  priv.access_share = 0.3;
+  priv.owner_affinity = 0.9;
+  app.regions.push_back(priv);
+  return app;
+}
+
+DomainConfig PinnedDomain(const AppProfile& app, Hypervisor& hv, const EngineConfig& ec,
+                          int vcpus, StaticPolicy placement, bool carrefour) {
+  DomainConfig dc;
+  dc.name = app.name;
+  dc.num_vcpus = vcpus;
+  dc.memory_pages = AppSimPages(app, hv.frames().bytes_per_frame(), ec.min_region_pages) + 64;
+  for (int i = 0; i < vcpus; ++i) {
+    dc.pinned_cpus.push_back(i);
+  }
+  dc.policy.placement = placement;
+  dc.policy.carrefour = carrefour;
+  return dc;
+}
+
+// 48 threads with few cycles per access overload the controllers: the
+// iteration oscillates and many solves stop at the cap.
+std::vector<JobResult> RunOverloaded() {
+  const AppProfile app = TwoRegionApp(/*cycles_per_access=*/20.0);
+  EngineConfig ec;
+  ec.seed = 5;
+  ec.max_sim_seconds = 30.0;
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  LatencyModel latency;
+  const DomainId dom =
+      hv.CreateDomain(PinnedDomain(app, hv, ec, 48, StaticPolicy::kRound4k, false));
+  GuestOs guest(hv, dom);
+  Engine engine(hv, latency, ec);
+  int capped = 0;
+  engine.set_epoch_hook([&](double) {
+    capped += engine.last_fixed_point_iterations() == kFixedPointMaxIterations ? 1 : 0;
+  });
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = 48;
+  engine.AddJob(spec);
+  const RunResult r = engine.Run();
+  EXPECT_GT(capped, 0);
+  return r.jobs;
+}
+
+// Figure 9's setting: two 48-vCPU VMs, every pCPU running one vCPU of each,
+// so both jobs' threads share CPUs.
+std::vector<JobResult> RunConsolidatedPair() {
+  const AppProfile a = ShrunkApp("streamcluster", 2.0);
+  const AppProfile b = ShrunkApp("wc", 2.0);
+  RunOptions opts;
+  opts.engine.max_sim_seconds = 240.0;
+  const PairResult pair =
+      RunAppPair(a, XenPlusStack({StaticPolicy::kFirstTouch, true}), b,
+                 XenPlusStack({StaticPolicy::kRound4k, false}), PairMode::kConsolidated, opts);
+  return {pair.first, pair.second};
+}
+
+// The credit scheduler without NUMA affinity re-pins vCPUs every 250 ms and
+// the threads follow them.
+std::vector<JobResult> RunCreditScheduler() {
+  const AppProfile app = ShrunkApp("cg.C", 2.0);
+  EngineConfig ec;
+  ec.seed = 3;
+  ec.max_sim_seconds = 120.0;
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  LatencyModel latency;
+  Engine engine(hv, latency, ec);
+  SchedulerConfig sc;
+  sc.numa_soft_affinity = false;
+  sc.seed = 3;
+  CreditScheduler scheduler(topo, sc);
+  engine.set_scheduler(&scheduler, /*period_s=*/0.25);
+  const DomainId dom =
+      hv.CreateDomain(PinnedDomain(app, hv, ec, 48, StaticPolicy::kFirstTouch, false));
+  GuestOs guest(hv, dom);
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = 48;
+  engine.AddJob(spec);
+  const RunResult r = engine.Run();
+  EXPECT_GT(scheduler.total_migrations(), 0);
+  return r.jobs;
+}
+
+// Priced page-walks with per-node P2M replicas, Carrefour's page and
+// translation replication, vCPU churn, and the walk orchestrator re-pinning
+// vCPUs toward the replicas they walk. The shared region is read-only and
+// busy enough to saturate links, so Carrefour replicates its pages and a
+// thread's distribution depends on its node. vCPU churn (every 0.3 s) and
+// Carrefour (every 0.25 s) mostly land on different epochs, so placement
+// moves without thread moves and the other way round.
+std::vector<JobResult> RunWalkOrchestrator() {
+  AppProfile app = TwoRegionApp(/*cycles_per_access=*/40.0);
+  app.regions[0].write_fraction = 0.0;
+  EngineConfig ec;
+  ec.seed = 1042;
+  ec.max_sim_seconds = 60.0;
+  ec.price_walks = true;
+  ec.carrefour_period_seconds = 0.25;
+  ec.carrefour.enable_replication = true;
+  ec.carrefour.replicate_translation = true;
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  LatencyModel latency;
+  DomainConfig dc = PinnedDomain(app, hv, ec, 24, StaticPolicy::kFirstTouch, true);
+  dc.p2m_replication = true;
+  const DomainId dom = hv.CreateDomain(dc);
+  GuestOs guest(hv, dom);
+  Engine engine(hv, latency, ec);
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = 24;
+  spec.vcpu_migration_period_s = 0.3;
+  spec.walk_orchestrator = true;
+  engine.AddJob(spec);
+  const RunResult r = engine.Run();
+  EXPECT_GT(r.jobs.back().local_walks + r.jobs.back().remote_walks, 0);
+  return r.jobs;
+}
+
+// Native Linux first-touch; streamcluster is lock-bound, so the stack gives
+// it MCS locks.
+std::vector<JobResult> RunLinuxNativeMcs() {
+  const AppProfile app = ShrunkApp("streamcluster", 2.0);
+  EXPECT_TRUE(app.mcs_eligible);
+  RunOptions opts;
+  opts.engine.max_sim_seconds = 240.0;
+  return {RunSingleApp(app, LinuxStack(), opts)};
+}
+
+struct EngineCase {
+  const char* label;
+  std::vector<JobResult> (*run)();
+  uint64_t digest;
+};
+
+// Prints the label, so test names stay stable across runs.
+void PrintTo(const EngineCase& ec, std::ostream* os) { *os << ec.label; }
+
+class EnginePinnedTest : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(EnginePinnedTest, DigestIsPinned) {
+  const EngineCase ec = GetParam();
+  const std::vector<JobResult> jobs = ec.run();
+  for (const JobResult& job : jobs) {
+    EXPECT_TRUE(job.finished) << job.app;
+  }
+  const uint64_t digest = ResultsDigest(jobs);
+  EXPECT_EQ(digest, ec.digest) << std::hex << "0x" << digest;
+}
+
+// Every refresh cross-checks the placement cache against a full rescan, and
+// every skipped distribution recomputation against a fresh one (both
+// XNUMA_CHECK, so finishing is the assertion); the results stay pinned.
+TEST_P(EnginePinnedTest, VerifyModeReproducesDigest) {
+  const EngineCase ec = GetParam();
+  setenv("XNUMA_VERIFY_PLACEMENT_CACHE", "1", /*overwrite=*/1);
+  const std::vector<JobResult> jobs = ec.run();
+  unsetenv("XNUMA_VERIFY_PLACEMENT_CACHE");
+  const uint64_t digest = ResultsDigest(jobs);
+  EXPECT_EQ(digest, ec.digest) << std::hex << "0x" << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, EnginePinnedTest,
+    ::testing::Values(
+        EngineCase{"overloaded_48", &RunOverloaded, 0x2f7b37720fcaa18eull},
+        EngineCase{"consolidated_pair", &RunConsolidatedPair, 0xf96af0d10e8fb3c6ull},
+        EngineCase{"credit_scheduler", &RunCreditScheduler, 0x5914336fa64bc7c8ull},
+        EngineCase{"walk_orchestrator", &RunWalkOrchestrator, 0xaf36c190c9221530ull},
+        EngineCase{"linux_native_mcs", &RunLinuxNativeMcs, 0xcf3fbd1171d3761dull}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      return std::string(info.param.label);
+    });
+
+}  // namespace
+}  // namespace xnuma

@@ -1,5 +1,6 @@
 // Tests for the fixed-point solver's convergence rule, its iteration cap and
-// its convergence telemetry.
+// its convergence telemetry, and for the access distributions the epoch loop
+// hands each solve.
 
 #include <gtest/gtest.h>
 
@@ -128,6 +129,26 @@ TEST(FixedPointTest, OverloadStillTerminatesAtIterationCap) {
   EXPECT_LE(unconverged.count, m.engine->epochs_run());
   // A solve stopped by the cap reports a residual above the tolerance.
   EXPECT_GT(FindMetric(obs, "engine.solver.residual").max, kFixedPointTolerance);
+}
+
+TEST(FixedPointTest, DistributionsAreRecomputedOnlyWhenTheirInputsMove) {
+  // Round-4K placement with no churn, no Carrefour and pinned threads: the
+  // derived masses are set once, so only the first epoch and the epochs
+  // after threads finish recompute the distributions.
+  AppProfile app = SmallApp();
+  app.nominal_seconds = 2.0;
+  EngineConfig ec;
+  ec.seed = 5;
+  Observability obs;
+  FpMachine m(ec, app, /*threads=*/12, &obs);
+  RunResult r = m.engine->Run();
+  ASSERT_TRUE(r.jobs.back().finished);
+  const int64_t epochs = m.engine->epochs_run();
+  const int64_t recomputes = FindMetric(obs, "engine.placement.distribution_recomputes").count;
+  EXPECT_EQ(FindMetric(obs, "engine.epochs").count, epochs);
+  EXPECT_GE(recomputes, 1);
+  EXPECT_LE(recomputes, 1 + 12);
+  EXPECT_LT(recomputes * 4, epochs);
 }
 
 }  // namespace
