@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include <cstdlib>
-
 #include "src/common/flags.h"
-#include "src/exec/dispatcher.h"
 #include "src/exec/parallel_for.h"
-#include "src/exec/worker_proto.h"
 
 namespace xnuma {
 
@@ -17,28 +13,19 @@ namespace {
 // Written once by InitBench before any worker thread exists, read-only
 // afterwards.
 int g_bench_jobs = 1;
-int g_bench_procs = 0;
 
 }  // namespace
 
 void InitBench(int argc, char** argv) {
-  const int worker_status = MaybeWorkerMain(argc, argv);
-  if (worker_status >= 0) {
-    std::exit(worker_status);
-  }
   const Flags flags(argc, argv);
   g_bench_jobs =
       std::clamp(static_cast<int>(flags.GetInt("jobs", 1)), 1, kMaxParallelJobs);
-  g_bench_procs =
-      std::clamp(static_cast<int>(flags.GetInt("procs", 0)), 0, kMaxDispatchProcs);
   for (const std::string& key : flags.UnusedKeys()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
   }
 }
 
 int BenchJobs() { return g_bench_jobs; }
-
-int BenchProcs() { return g_bench_procs; }
 
 void BenchFor(int count, const std::function<void(int)>& body) {
   ParallelForOptions options;

@@ -33,21 +33,12 @@ RunOptions BenchOptions();
 
 // Parses the shared bench command line — call first in every bench main().
 // Flags: `--jobs N` fans each binary's independent-run matrix across N
-// worker threads; `--procs N` selects worker *processes* for binaries that
-// route a matrix through the multi-process dispatcher (default 0 =
-// in-process). Output is bit-identical for every value: bodies commit into
-// per-index slots and all printing happens after the fan-out.
-//
-// InitBench is also the worker hook: when argv carries `--worker`, the
-// process runs the dispatcher worker loop over stdin/stdout and exits —
-// any bench binary is its own worker under the default self-exec command.
+// worker threads. Output is bit-identical for every value: bodies commit
+// into per-index slots and all printing happens after the fan-out.
 void InitBench(int argc, char** argv);
 
 // Worker threads selected by InitBench (1 when never called).
 int BenchJobs();
-
-// Worker processes selected by InitBench (0 when never called).
-int BenchProcs();
 
 // Runs body(i) for i in [0, count) across BenchJobs() workers on the
 // deterministic src/exec runner. Each body must only construct private

@@ -24,9 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/exec/dispatcher.h"
 #include "src/exec/experiment_runner.h"
-#include "src/exec/worker_proto.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
@@ -200,21 +198,6 @@ MatrixStats RunMatrix(const std::vector<RunSpec>& specs, int jobs) {
   return stats;
 }
 
-// Same matrix through the multi-process dispatcher (this binary re-execs
-// itself with --worker): wall time includes fork/exec and the wire round
-// trip, and the outcomes must still be bit-identical to the in-process run.
-MatrixStats DispatchMatrix(const std::vector<RunSpec>& specs, int procs) {
-  Dispatcher::Options opt;
-  opt.procs = procs;
-  const Dispatcher dispatcher(opt);
-  const auto start = std::chrono::steady_clock::now();
-  MatrixStats stats;
-  stats.outcomes = dispatcher.RunAll(specs);
-  const auto end = std::chrono::steady_clock::now();
-  stats.wall_s = std::chrono::duration<double>(end - start).count();
-  return stats;
-}
-
 bool SameOutcomes(const std::vector<RunOutcome>& a, const std::vector<RunOutcome>& b) {
   if (a.size() != b.size()) {
     return false;
@@ -234,14 +217,8 @@ bool SameOutcomes(const std::vector<RunOutcome>& a, const std::vector<RunOutcome
 }  // namespace
 }  // namespace xnuma
 
-int main(int argc, char** argv) {
+int main() {
   using namespace xnuma;
-  // Dispatcher worker mode: the dispatch_matrix section below re-execs
-  // this binary with --worker via /proc/self/exe.
-  const int worker_status = MaybeWorkerMain(argc, argv);
-  if (worker_status >= 0) {
-    return worker_status;
-  }
   const BenchConfig configs[] = {
       {"1gb_per_job", 1024.0},
       {"4gb_per_job", 4096.0},
@@ -320,36 +297,6 @@ int main(int argc, char** argv) {
   std::printf("    \"serial_s\": %.3f,\n", serial_s);
   std::printf("    \"jobs4_s\": %.3f,\n", jobs4_s);
   std::printf("    \"speedup_jobs4\": %.2f,\n", jobs4_s > 0.0 ? serial_s / jobs4_s : 0.0);
-  std::printf("    \"results_identical\": %s\n  },\n", identical ? "true" : "false");
-
-  // Multi-process dispatch throughput: the same matrix at --procs 1 and
-  // --procs 4, best of 3 trials, outcomes compared against the in-process
-  // serial run (the dispatcher's bit-identical contract, MODEL.md §15).
-  double procs1_s = 1e18;
-  double procs4_s = 1e18;
-  std::vector<RunOutcome> procs1_out;
-  std::vector<RunOutcome> procs4_out;
-  for (int trial = 0; trial < 3; ++trial) {
-    MatrixStats one = DispatchMatrix(specs, 1);
-    MatrixStats four = DispatchMatrix(specs, 4);
-    if (one.wall_s < procs1_s) {
-      procs1_s = one.wall_s;
-      procs1_out = std::move(one.outcomes);
-    }
-    if (four.wall_s < procs4_s) {
-      procs4_s = four.wall_s;
-      procs4_out = std::move(four.outcomes);
-    }
-  }
-  const bool dispatch_identical =
-      SameOutcomes(serial_out, procs1_out) && SameOutcomes(serial_out, procs4_out);
-  std::printf("  \"dispatch_matrix\": {\n");
-  std::printf("    \"specs\": %d,\n", static_cast<int>(specs.size()));
-  std::printf("    \"host_cores\": %u,\n", std::thread::hardware_concurrency());
-  std::printf("    \"procs1_s\": %.3f,\n", procs1_s);
-  std::printf("    \"procs4_s\": %.3f,\n", procs4_s);
-  std::printf("    \"speedup_procs4\": %.2f,\n", procs4_s > 0.0 ? procs1_s / procs4_s : 0.0);
-  std::printf("    \"results_identical\": %s\n  }\n}\n",
-              dispatch_identical ? "true" : "false");
-  return identical && dispatch_identical ? 0 : 1;
+  std::printf("    \"results_identical\": %s\n  }\n}\n", identical ? "true" : "false");
+  return identical ? 0 : 1;
 }

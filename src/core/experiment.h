@@ -104,13 +104,6 @@ struct RunOptions {
   // they attach per-machine state that cannot be shared across concurrent
   // runs.
   int jobs = 1;
-  // Worker *processes* for the same matrices. 0 (the default) keeps
-  // execution in-process; > 0 routes SweepPolicies through the multi-process
-  // dispatcher — but only at the exec layer (DispatchedSweepPolicies in
-  // src/exec/dispatcher.h), because the dispatcher sits above xnuma_core.
-  // The in-core SweepPolicies ignores this field. Results stay bit-identical
-  // for every value (docs/MODEL.md §15).
-  int procs = 0;
 };
 
 // Runs `app` alone on a 48-core machine (threads pinned 1:1 to vCPUs to

@@ -59,8 +59,7 @@ class ParallelRunner {
     // Runner-level observability (exec.* metrics). Only ever touched from
     // the calling thread, never from workers.
     Observability* obs = nullptr;
-    // Test seam: body executed per spec (null = RunSingleApp). Shared with
-    // the dispatcher worker via ExecuteSpec (src/exec/run_outcome.h).
+    // Test seam: body executed per spec (null = RunSingleApp).
     RunSpecFn run = nullptr;
   };
 

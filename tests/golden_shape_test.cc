@@ -24,9 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/exec/dispatcher.h"
 #include "src/exec/experiment_runner.h"
-#include "src/exec/worker_proto.h"
 
 #ifndef XNUMA_GOLDEN_DIR
 #error "XNUMA_GOLDEN_DIR must be defined (tests/CMakeLists.txt sets it)"
@@ -195,101 +193,6 @@ std::string ComputeShapeClaims() {
   return claims.str();
 }
 
-// The Figure 1 / Table 1 subset of the golden matrix, re-run through the
-// multi-process dispatcher. The derived claim lines must match the fixture
-// (which was produced in-process) exactly — the paper-level claims cannot
-// depend on which execution substrate computed them (docs/MODEL.md §15).
-std::string ComputeFig1Table1ClaimsViaDispatcher() {
-  const std::vector<AppProfile> apps = GoldenApps();
-  StackConfig stock_linux = LinuxStack();
-  stock_linux.mcs_for_eligible = false;
-
-  std::vector<RunSpec> specs;
-  for (const AppProfile& app : apps) {
-    RunSpec base;
-    base.app = app;
-    base.options = GoldenOptions();
-
-    RunSpec spec = base;
-    spec.stack = stock_linux;
-    spec.label = app.name + "/fig1-linux";
-    specs.push_back(spec);
-
-    spec = base;
-    spec.stack = XenStack();
-    spec.label = app.name + "/fig1-xen";
-    specs.push_back(spec);
-
-    spec = base;
-    spec.stack = LinuxStack({StaticPolicy::kFirstTouch, false});
-    spec.label = app.name + "/table1-ft";
-    specs.push_back(spec);
-  }
-
-  Dispatcher::Options opt;
-  opt.procs = 4;
-  const std::vector<RunOutcome> outcomes = Dispatcher(opt).RunAll(specs);
-
-  std::ostringstream claims;
-  int over50 = 0;
-  int over100 = 0;
-  double worst = 0.0;
-  std::string worst_app;
-  int low = 0;
-  int moderate = 0;
-  int high = 0;
-  for (size_t a = 0; a < apps.size(); ++a) {
-    const RunOutcome* row = &outcomes[a * 3];
-    for (int k = 0; k < 3; ++k) {
-      EXPECT_TRUE(row[k].ok) << row[k].label << ": " << row[k].error;
-    }
-    const double overhead = 100.0 * (row[1].result.completion_seconds /
-                                         row[0].result.completion_seconds -
-                                     1.0);
-    if (overhead > 50.0) {
-      ++over50;
-    }
-    if (overhead > 100.0) {
-      ++over100;
-    }
-    if (overhead > worst) {
-      worst = overhead;
-      worst_app = apps[a].name;
-    }
-    const char* cls = Classify(row[2].result.imbalance_pct);
-    if (cls[0] == 'l') {
-      ++low;
-    } else if (cls[0] == 'm') {
-      ++moderate;
-    } else {
-      ++high;
-    }
-  }
-  claims << "fig1.over50 " << over50 << "\n";
-  claims << "fig1.over100 " << over100 << "\n";
-  claims << "fig1.worst_app " << worst_app << "\n";
-  claims << "table1.class_split " << low << "/" << moderate << "/" << high << "\n";
-  return claims.str();
-}
-
-TEST(GoldenShapeTest, Fig1Table1ClaimsSurviveTheMultiProcessPath) {
-  const std::string fixture_path = std::string(XNUMA_GOLDEN_DIR) + "/shape_claims.txt";
-  std::ifstream in(fixture_path);
-  ASSERT_TRUE(in.good()) << "missing fixture " << fixture_path
-                         << " — run once with XNUMA_REGEN_GOLDEN=1";
-  // The fixture's first four lines are exactly the Fig-1/Table-1 claims.
-  std::string expected;
-  for (int line = 0; line < 4; ++line) {
-    std::string text;
-    ASSERT_TRUE(std::getline(in, text)) << "fixture shorter than 4 lines";
-    expected += text + "\n";
-  }
-
-  EXPECT_EQ(expected, ComputeFig1Table1ClaimsViaDispatcher())
-      << "the dispatcher-computed claims diverged from the in-process "
-         "fixture — the multi-process path is not bit-identical";
-}
-
 TEST(GoldenShapeTest, ShapeClaimsMatchFixture) {
   const std::string fixture_path = std::string(XNUMA_GOLDEN_DIR) + "/shape_claims.txt";
   const std::string actual = ComputeShapeClaims();
@@ -315,14 +218,3 @@ TEST(GoldenShapeTest, ShapeClaimsMatchFixture) {
 
 }  // namespace
 }  // namespace xnuma
-
-// Custom main: the dispatcher test above re-execs this binary as its
-// --worker processes, which gtest_main's main could not serve.
-int main(int argc, char** argv) {
-  const int worker_status = xnuma::MaybeWorkerMain(argc, argv);
-  if (worker_status >= 0) {
-    return worker_status;
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -1,11 +1,9 @@
 // Shared matchers for the execution-layer test battery: field-by-field
 // equality over RunOutcome matrices, exact double compares included.
 //
-// Exact compares are the point — the parallel runner (threads), the
-// multi-process dispatcher, and the serial loop all promise *bit-identical*
-// outcomes, not approximately-equal ones (docs/MODEL.md §12, §15). Used by
-// parallel_runner_test, dispatcher_differential_test and
-// dispatcher_crash_test so all three pin the same definition of "same".
+// Exact compares are the point — the parallel runner at every jobs value
+// and the serial loop promise *bit-identical* outcomes, not
+// approximately-equal ones (docs/MODEL.md §12).
 
 #ifndef XENNUMA_TESTS_OUTCOME_MATCHERS_H_
 #define XENNUMA_TESTS_OUTCOME_MATCHERS_H_

@@ -120,11 +120,11 @@ TEST(ParallelRunnerTest, SharedObsOrTraceSpecIsRejected) {
       << outcomes[1].error;
 }
 
-// Regression (PR 7): a cell throwing a value that is not a std::exception
-// used to escape the runner's catch, reach ParallelFor's lowest-index
-// rethrow, and discard the entire drained matrix. With the shared
-// ExecuteSpec (src/exec/run_outcome.h) it degrades into an error outcome
-// and every other slot survives — for every jobs value.
+// Regression: a cell throwing a value that is not a std::exception used to
+// escape the runner's catch, reach ParallelFor's lowest-index rethrow, and
+// discard the entire drained matrix. The runner's per-spec executor
+// (src/exec/experiment_runner.cc) degrades it into an error outcome and
+// every other slot survives — for every jobs value.
 TEST(ParallelRunnerTest, NonStdThrowDegradesToErrorOutcomeAndMatrixDrains) {
   const std::vector<RunSpec> specs = TestMatrix();  // kmeans cells: [4..7]
 

@@ -162,31 +162,18 @@ END {
 }
 ' "$ROOT/tools/bench_ratchet.json" "$ROOT/BENCH_engine.json"
 
-# Parallel experiment matrix (threads) and dispatch matrix (processes):
-# results at --jobs 4 / --procs 4 must be bit-identical to the serial loop
-# (always), and each must be >= 2x its own single-worker baseline on hosts
-# with at least 4 cores. On smaller hosts the speedups are recorded but not
-# gated — there is nothing to parallelize onto. The two sections share key
-# names, so the awk tracks which section it is inside.
+# Parallel experiment matrix (threads): results at --jobs 4 must be
+# bit-identical to the serial loop (always), and >= 2x the serial baseline
+# on hosts with at least 4 cores. On smaller hosts the speedup is recorded
+# but not gated — there is nothing to parallelize onto.
 awk -F': ' '
-/"parallel_matrix"/   { section = "jobs" }
-/"dispatch_matrix"/   { section = "procs" }
 /"host_cores"/        { gsub(/[,}]/, "", $2); cores = $2 + 0 }
 /"speedup_jobs4"/     { gsub(/[,}]/, "", $2); jobs_speedup = $2 + 0; have_jobs = 1 }
-/"speedup_procs4"/    { gsub(/[,}]/, "", $2); procs_speedup = $2 + 0; have_procs = 1 }
-/"results_identical"/ {
-  gsub(/[,} ]/, "", $2)
-  if (section == "jobs") { jobs_identical = $2 } else { procs_identical = $2 }
-}
+/"results_identical"/ { gsub(/[,} ]/, "", $2); jobs_identical = $2 }
 END {
   if (!have_jobs) { print "FAIL: parallel_matrix missing from bench output"; exit 1 }
-  if (!have_procs) { print "FAIL: dispatch_matrix missing from bench output"; exit 1 }
   if (jobs_identical != "true") {
     print "FAIL: parallel matrix results differ between --jobs 1 and --jobs 4"
-    exit 1
-  }
-  if (procs_identical != "true") {
-    print "FAIL: dispatch matrix results differ between in-process and --procs {1,4}"
     exit 1
   }
   if (cores >= 4) {
@@ -195,14 +182,8 @@ END {
       exit 1
     }
     printf "OK: parallel matrix speedup %.2fx at --jobs 4 (gate: >= 2x on %d cores)\n", jobs_speedup, cores
-    if (procs_speedup < 2.0) {
-      printf "FAIL: dispatch matrix speedup %.2fx at --procs 4 (gate: >= 2x on %d cores)\n", procs_speedup, cores
-      exit 1
-    }
-    printf "OK: dispatch matrix speedup %.2fx at --procs 4 (gate: >= 2x on %d cores)\n", procs_speedup, cores
   } else {
     printf "OK: parallel matrix identical; speedup %.2fx recorded ungated (%d cores < 4)\n", jobs_speedup, cores
-    printf "OK: dispatch matrix identical; speedup %.2fx recorded ungated (%d cores < 4)\n", procs_speedup, cores
   }
 }
 ' "$ROOT/BENCH_engine.json"

@@ -17,8 +17,6 @@
 
 #include "src/common/flags.h"
 #include "src/core/experiment.h"
-#include "src/exec/dispatcher.h"
-#include "src/exec/worker_proto.h"
 #include "src/obs/obs.h"
 #include "src/sim/trace.h"
 #include "src/workload/app_profile.h"
@@ -41,11 +39,6 @@ int Usage() {
                "  options: --seconds N --threads N --seed N --csv --trace FILE.csv\n"
                "           --jobs N   (sweep: fan the policy matrix across N worker\n"
                "            threads; results are bit-identical to --jobs 1)\n"
-               "           --procs N  (sweep: fan the policy matrix across N worker\n"
-               "            *processes* via the crash-tolerant dispatcher; results\n"
-               "            are bit-identical to in-process execution)\n"
-               "           --proc_retries N --proc_deadline SECONDS  (dispatcher\n"
-               "            retry budget per run and per-run kill deadline)\n"
                "           --fault_rate P --fault_seed N  (seeded chaos injection)\n"
                "           --p2m_max_order 4k|2m|1g  (largest superpage order the\n"
                "            domain's admission and policy geometry align to)\n"
@@ -101,7 +94,6 @@ RunOptions LoadOptions(const Flags& flags) {
   opts.threads = static_cast<int>(flags.GetInt("threads", 48));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   opts.jobs = static_cast<int>(flags.GetInt("jobs", 1));
-  opts.procs = static_cast<int>(flags.GetInt("procs", 0));
   const double fault_rate = flags.GetDouble("fault_rate", 0.0);
   const uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
   if (fault_rate > 0.0) {
@@ -264,16 +256,15 @@ int CmdRun(const Flags& flags) {
 int CmdSweep(const Flags& flags) {
   const AppProfile app = LoadApp(flags, "app");
   const std::string stack_name = flags.GetString("stack", "xen+");
-  const StackConfig base = WithVnumaOptions(
-      WithP2mOptions(stack_name == "linux" ? LinuxStack() : XenPlusStack(), flags), flags);
-  const auto candidates =
-      stack_name == "linux" ? LinuxPolicyCandidates() : XenPolicyCandidates();
-  Dispatcher::Options dispatch;
-  dispatch.retry_budget = static_cast<int>(flags.GetInt("proc_retries", 2));
-  dispatch.deadline_seconds = flags.GetDouble("proc_deadline", 300.0);
-  // Routed through the multi-process dispatcher when --procs > 0; results
-  // are bit-identical either way (docs/MODEL.md §15).
-  const auto sweep = DispatchedSweepPolicies(app, base, candidates, LoadOptions(flags), dispatch);
+  if (stack_name != "linux" && stack_name != "xen+") {
+    std::fprintf(stderr, "unknown sweep stack '%s' (want linux or xen+)\n", stack_name.c_str());
+    std::exit(2);
+  }
+  const bool is_linux = stack_name == "linux";
+  const StackConfig base =
+      WithVnumaOptions(WithP2mOptions(is_linux ? LinuxStack() : XenPlusStack(), flags), flags);
+  const auto candidates = is_linux ? LinuxPolicyCandidates() : XenPolicyCandidates();
+  const auto sweep = SweepPolicies(app, base, candidates, LoadOptions(flags));
   for (const auto& entry : sweep) {
     PrintResult(flags, ToString(entry.policy), entry.result);
   }
@@ -288,6 +279,11 @@ int CmdPair(const Flags& flags) {
   const AppProfile a = LoadApp(flags, "a");
   const AppProfile b = LoadApp(flags, "b");
   const std::string mode_name = flags.GetString("mode", "split");
+  if (mode_name != "split" && mode_name != "consolidated") {
+    std::fprintf(stderr, "unknown pair mode '%s' (want split or consolidated)\n",
+                 mode_name.c_str());
+    std::exit(2);
+  }
   const PairMode mode =
       mode_name == "consolidated" ? PairMode::kConsolidated : PairMode::kSplitHalves;
   const StackConfig stack = LoadStack(flags);
@@ -371,13 +367,6 @@ int CmdAuto(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Self-exec worker mode for the multi-process dispatcher: `xnuma
-  // --worker` speaks the wire protocol over stdin/stdout and never parses
-  // normal commands.
-  const int worker_status = xnuma::MaybeWorkerMain(argc, argv);
-  if (worker_status >= 0) {
-    return worker_status;
-  }
   if (argc < 2) {
     return Usage();
   }
