@@ -82,9 +82,35 @@ PlacementScore ScoreCandidate(const Topology& topo, const std::vector<NodeId>& n
   return score;
 }
 
-AdmissionSolver::AdmissionSolver(const Topology& topo, const FrameAllocator& frames,
-                                 Config config)
-    : topo_(&topo), frames_(&frames), config_(config) {}
+namespace {
+
+// Keeps `candidate` in `result` when it is the best admit so far: a higher
+// score, or an equal score with a lexicographically smaller node list.
+void OfferCandidate(const std::vector<NodeId>& candidate, const PlacementScore& score,
+                    AdmissionResult* result) {
+  if (result->decision != AdmissionDecision::kAdmit || Better(score, result->score) ||
+      (score == result->score && candidate < result->nodes)) {
+    result->decision = AdmissionDecision::kAdmit;
+    result->score = score;
+    result->nodes = candidate;
+  }
+}
+
+// The next larger mask with the same number of set bits (Gosper's hack):
+// from (1 << k) - 1 it visits every k-subset in ascending mask order.
+uint32_t NextCombination(uint32_t mask) {
+  const uint32_t low = mask & (~mask + 1);
+  const uint32_t ripple = mask + low;
+  return ripple | (((mask ^ ripple) >> 2) / low);
+}
+
+}  // namespace
+
+AdmissionSolver::AdmissionSolver(const Topology& topo, const FrameAllocator& frames)
+    : topo_(&topo),
+      frames_(&frames),
+      spaces_(topo.num_nodes()),
+      space_generation_(topo.num_nodes(), kStale) {}
 
 AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
                                        const std::vector<int>& free_cpus_per_node) const {
@@ -103,45 +129,87 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
     return result;
   }
 
-  // One pass over the allocator's extent state covers every candidate —
-  // the Gudkov efficiency argument: per-subset evaluation is O(k) sums
-  // over these summaries, never a frame scan.
-  std::vector<NodeSpace> spaces(n);
-  for (NodeId node = 0; node < n; ++node) {
-    spaces[node] = ComputeNodeSpace(*frames_, node);
+  RefreshSpaces();
+  result.decision = AdmissionDecision::kDefer;
+  if (n <= kMaxNodesExhaustive) {
+    SolveExhaustive(request, free_cpus_per_node, &result);
+  } else {
+    SolveBeam(request, free_cpus_per_node, &result);
   }
+  return result;
+}
 
-  const bool beam = n > config_.max_nodes_exhaustive;
+void AdmissionSolver::RefreshSpaces() const {
+  // The Gudkov efficiency argument: candidates are scored from these
+  // per-node summaries, never from a frame scan, and a summary is
+  // recomputed only when its node's frames changed since the last solve.
+  for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
+    const uint64_t generation = frames_->generation(node);
+    if (space_generation_[node] != generation) {
+      spaces_[node] = ComputeNodeSpace(*frames_, node);
+      space_generation_[node] = generation;
+    }
+  }
+}
+
+void AdmissionSolver::SolveExhaustive(const AdmissionRequest& request,
+                                      const std::vector<int>& free_cpus_per_node,
+                                      AdmissionResult* result) const {
+  const int n = topo_->num_nodes();
+  const uint32_t end = uint32_t{1} << n;
+  // Free-CPU and free-frame totals per node mask. A k-subset's totals are
+  // those of the (k-1)-subset without its lowest node, which the previous
+  // cardinality wrote, plus that node's; so a solve writes only the
+  // entries of the cardinalities it visits.
+  mask_cpus_.resize(end);
+  mask_frames_.resize(end);
+  mask_cpus_[0] = 0;
+  mask_frames_[0] = 0;
+  // Every k-subset counts as evaluated; only the ones that fit are scored.
+  for (int k = 1; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
+    for (uint32_t mask = (uint32_t{1} << k) - 1; mask < end; mask = NextCombination(mask)) {
+      const int low = std::countr_zero(mask);
+      const uint32_t rest = mask & (mask - 1);
+      mask_cpus_[mask] = mask_cpus_[rest] + free_cpus_per_node[low];
+      mask_frames_[mask] = mask_frames_[rest] + spaces_[low].free_frames;
+      ++result->candidates_evaluated;
+      if (mask_cpus_[mask] < request.num_vcpus || mask_frames_[mask] < request.memory_pages) {
+        continue;
+      }
+      candidate_.clear();
+      for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+        candidate_.push_back(std::countr_zero(bits));
+      }
+      OfferCandidate(candidate_,
+                     ScoreCandidate(*topo_, candidate_, spaces_, free_cpus_per_node,
+                                    request.preferred_order),
+                     result);
+    }
+  }
+}
+
+void AdmissionSolver::SolveBeam(const AdmissionRequest& request,
+                                const std::vector<int>& free_cpus_per_node,
+                                AdmissionResult* result) const {
+  const int n = topo_->num_nodes();
+  // Legacy load order: most free pCPUs, then most free frames, then id.
   std::vector<NodeId> by_load(n);
   std::iota(by_load.begin(), by_load.end(), 0);
-  if (beam) {
-    // Legacy load order: most free pCPUs, then most free frames, then id.
-    std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
-      if (free_cpus_per_node[a] != free_cpus_per_node[b]) {
-        return free_cpus_per_node[a] > free_cpus_per_node[b];
-      }
-      if (spaces[a].free_frames != spaces[b].free_frames) {
-        return spaces[a].free_frames > spaces[b].free_frames;
-      }
-      return a < b;
-    });
-  }
-
-  bool found = false;
-  std::vector<NodeId> best_nodes;
-  PlacementScore best_score;
-  std::vector<NodeId> candidate;
-  for (int k = 1; k <= n && !found; ++k) {
-    // Candidate pool: every node when exhaustive; the (k + beam_window)
-    // least loaded when bounding latency on very wide machines.
-    std::vector<NodeId> pool;
-    if (beam) {
-      pool.assign(by_load.begin(),
-                  by_load.begin() + std::min<int>(n, k + config_.beam_window));
-      std::sort(pool.begin(), pool.end());
-    } else {
-      pool = by_load;
+  std::sort(by_load.begin(), by_load.end(), [&](NodeId a, NodeId b) {
+    if (free_cpus_per_node[a] != free_cpus_per_node[b]) {
+      return free_cpus_per_node[a] > free_cpus_per_node[b];
     }
+    if (spaces_[a].free_frames != spaces_[b].free_frames) {
+      return spaces_[a].free_frames > spaces_[b].free_frames;
+    }
+    return a < b;
+  });
+
+  std::vector<NodeId> candidate;
+  for (int k = 1; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
+    // Candidate pool: the (k + kBeamWindow) least loaded nodes.
+    std::vector<NodeId> pool(by_load.begin(), by_load.begin() + std::min(n, k + kBeamWindow));
+    std::sort(pool.begin(), pool.end());
     const int p = static_cast<int>(pool.size());
     for (uint32_t mask = 1; mask < (uint32_t{1} << p); ++mask) {
       if (std::popcount(mask) != k) {
@@ -154,33 +222,19 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
         if (mask & (uint32_t{1} << i)) {
           candidate.push_back(pool[i]);
           cpu_total += free_cpus_per_node[pool[i]];
-          frame_total += spaces[pool[i]].free_frames;
+          frame_total += spaces_[pool[i]].free_frames;
         }
       }
-      ++result.candidates_evaluated;
+      ++result->candidates_evaluated;
       if (cpu_total < request.num_vcpus || frame_total < request.memory_pages) {
         continue;
       }
-      const PlacementScore score = ScoreCandidate(*topo_, candidate, spaces,
-                                                  free_cpus_per_node,
-                                                  request.preferred_order);
-      if (!found || Better(score, best_score) ||
-          (score == best_score && candidate < best_nodes)) {
-        best_score = score;
-        best_nodes = candidate;
-        found = true;
-      }
+      OfferCandidate(candidate,
+                     ScoreCandidate(*topo_, candidate, spaces_, free_cpus_per_node,
+                                    request.preferred_order),
+                     result);
     }
   }
-
-  if (found) {
-    result.decision = AdmissionDecision::kAdmit;
-    result.nodes = std::move(best_nodes);
-    result.score = best_score;
-  } else {
-    result.decision = AdmissionDecision::kDefer;
-  }
-  return result;
 }
 
 }  // namespace xnuma

@@ -84,33 +84,47 @@ PlacementScore ScoreCandidate(const Topology& topo, const std::vector<NodeId>& n
                               const std::vector<int>& free_cpus_per_node,
                               PageOrder preferred_order);
 
+// Up to this many nodes, every subset of each cardinality is evaluated (the
+// machine sizes this repo models: <= 2^12 subsets, microseconds). Beyond it
+// the solver searches a beam: k-node subsets are drawn from the best
+// (k + kBeamWindow) nodes by legacy load order.
+inline constexpr int kMaxNodesExhaustive = 12;
+inline constexpr int kBeamWindow = 4;
+
 class AdmissionSolver {
  public:
-  struct Config {
-    // Up to this many nodes, every subset of each cardinality is scored
-    // (the machine sizes this repo models: <= 2^12 subsets, microseconds).
-    // Beyond it the solver bounds latency with a beam: subsets are drawn
-    // from the best (k + beam_window) nodes by legacy load order.
-    int max_nodes_exhaustive = 12;
-    int beam_window = 4;
-  };
-
-  AdmissionSolver(const Topology& topo, const FrameAllocator& frames)
-      : AdmissionSolver(topo, frames, Config{}) {}
-  AdmissionSolver(const Topology& topo, const FrameAllocator& frames, Config config);
+  AdmissionSolver(const Topology& topo, const FrameAllocator& frames);
 
   // `free_cpus_per_node[n]` = unreserved pCPUs on node n (the hypervisor's
   // reservation table; tests may synthesize it). Deterministic: same
-  // machine state, same result.
+  // machine state, same result. Not safe to call concurrently on one
+  // solver: it refreshes the solver's cached per-node summaries.
   AdmissionResult Solve(const AdmissionRequest& request,
                         const std::vector<int>& free_cpus_per_node) const;
 
-  const Config& config() const { return config_; }
-
  private:
+  // Brings spaces_ up to date: re-runs ComputeNodeSpace for exactly the
+  // nodes whose allocator generation moved since their last computation.
+  void RefreshSpaces() const;
+  void SolveExhaustive(const AdmissionRequest& request,
+                       const std::vector<int>& free_cpus_per_node,
+                       AdmissionResult* result) const;
+  void SolveBeam(const AdmissionRequest& request, const std::vector<int>& free_cpus_per_node,
+                 AdmissionResult* result) const;
+
   const Topology* topo_;
   const FrameAllocator* frames_;
-  Config config_;
+  // Per-node available-space cache (docs/MODEL.md §17): spaces_[n] equals
+  // ComputeNodeSpace(*frames_, n) whenever space_generation_[n] ==
+  // frames_->generation(n). kStale marks a node never computed.
+  static constexpr uint64_t kStale = ~uint64_t{0};
+  mutable std::vector<NodeSpace> spaces_;
+  mutable std::vector<uint64_t> space_generation_;
+  // Exhaustive-regime scratch, reused across solves: free-CPU and
+  // free-frame totals per node mask, and the node list being scored.
+  mutable std::vector<int> mask_cpus_;
+  mutable std::vector<int64_t> mask_frames_;
+  mutable std::vector<NodeId> candidate_;
 };
 
 }  // namespace xnuma

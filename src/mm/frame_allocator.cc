@@ -20,6 +20,7 @@ FrameAllocator::FrameAllocator(const Topology& topo, int64_t bytes_per_frame)
     total_frames_ += frames;
   }
   free_count_ = node_sizes_;
+  generation_.assign(topo.num_nodes(), 0);
   used_.assign((total_frames_ + 63) >> 6, 0);
   rover_.assign(topo.num_nodes(), 0);
 }
@@ -185,6 +186,7 @@ Mfn FrameAllocator::AllocOnNode(NodeId node) {
   XNUMA_CHECK(found >= 0);  // free_count_ said there was a free frame.
   SetBit(found);
   --free_count_[node];
+  ++generation_[node];
   rover_[node] = (found - base + 1) % size;
   return found;
 }
@@ -207,6 +209,7 @@ Mfn FrameAllocator::AllocContiguous(NodeId node, int64_t count) {
     SetBit(first + k);
   }
   free_count_[node] -= count;
+  ++generation_[node];
   return first;
 }
 
@@ -214,7 +217,9 @@ void FrameAllocator::Free(Mfn mfn) {
   XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
   XNUMA_CHECK(TestBit(mfn));
   ClearBit(mfn);
-  ++free_count_[NodeOf(mfn)];
+  const NodeId node = NodeOf(mfn);
+  ++free_count_[node];
+  ++generation_[node];
 }
 
 void FrameAllocator::FreeContiguous(Mfn first, int64_t count) {
@@ -255,6 +260,7 @@ void FrameAllocator::FragmentEdgeRegions(int holes_per_edge, uint64_t seed) {
         if (!TestBit(mfn)) {
           SetBit(mfn);
           --free_count_[node];
+          ++generation_[node];
         }
       }
     }

@@ -70,6 +70,13 @@ class FrameAllocator {
   int64_t FreeFrames(NodeId node) const;
   int64_t TotalFreeFrames() const;
 
+  // Per-node mutation generation: every Alloc*/Free*/FragmentEdgeRegions
+  // call that changes a frame of `node` bumps it, and no call bumps the
+  // generation of a node whose frames it left alone. State derived from one
+  // node's bitmap (the admission solver's NodeSpace cache, docs/MODEL.md
+  // §17) is current while the generation it was computed at still holds.
+  uint64_t generation(NodeId node) const { return generation_[node]; }
+
   // Read-only, zero-copy iteration over the free extents of one node, in
   // ascending machine-frame order. The cursor walks the live allocation
   // bitmap word-wise (no snapshot is taken): it is exact as long as the
@@ -127,6 +134,7 @@ class FrameAllocator {
   std::vector<int64_t> node_bases_;
   std::vector<int64_t> node_sizes_;
   std::vector<int64_t> free_count_;
+  std::vector<uint64_t> generation_;
   // Bitmap, bit mfn set = frame allocated (or reserved as a hole). Packed
   // 64 frames per word so the allocation scans can skip whole words.
   std::vector<uint64_t> used_;

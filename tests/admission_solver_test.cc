@@ -1,0 +1,197 @@
+// Admission solver answers on the machines the batteries in
+// admission_property_test and admission_differential_test do not reach
+// (docs/MODEL.md §17):
+//
+//  * the paper's 8-node AMD48 under bench/extra_churn's 20k-event trace,
+//    whose admission tallies and placement digest are pinned;
+//  * the hypervisor's long-lived solver, whose per-node NodeSpace cache
+//    sees every allocator mutation of a live churn replay, against the
+//    brute-force ReferenceSolve before every arrival;
+//  * 14-16-node synthetic machines, where the solver leaves the exhaustive
+//    regime for the beam.
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "src/admission/churn_runner.h"
+#include "src/admission/reference_solver.h"
+#include "src/admission/solver.h"
+#include "src/common/rng.h"
+#include "src/core/experiment.h"
+#include "src/hv/hypervisor.h"
+#include "src/mm/frame_allocator.h"
+#include "src/numa/topology.h"
+#include "src/workload/churn.h"
+
+namespace xnuma {
+namespace {
+
+// bench/extra_churn's trace: heavy-tailed tenants of up to 16 GiB on AMD48.
+ChurnSpec ExtraChurnSpec() {
+  ChurnSpec spec;
+  spec.seed = 4817;
+  spec.num_events = 20000;
+  spec.target_live_domains = 40;
+  spec.min_pages = 8;
+  spec.max_pages = 4096;
+  spec.max_vcpus = 12;
+  spec.huge_page_fraction = 0.3;
+  return spec;
+}
+
+TEST(AdmissionPinnedTest, ExtraChurnAnswersArePinned) {
+  ChurnScenarioConfig config;
+  config.amd48 = true;
+  config.spec = ExtraChurnSpec();
+  const ChurnReport report = RunChurnScenario(config);
+  EXPECT_EQ(report.events, 20000);
+  EXPECT_EQ(report.admitted, 6808);
+  EXPECT_EQ(report.deferred, 229);
+  EXPECT_EQ(report.rejected, 0);
+  EXPECT_EQ(report.placement_digest, 0xb991984c563a62ecull);
+}
+
+TEST(AdmissionLiveDifferentialTest, HypervisorSolverMatchesReferenceOnAmd48Churn) {
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  ChurnRunner runner(hv);
+  ChurnSpec spec = ExtraChurnSpec();
+  spec.num_events = 4000;
+  const DomainConfig tmpl;
+  int64_t arrivals = 0;
+  int64_t admits = 0;
+  for (const ChurnEvent& ev : GenerateChurnTrace(spec)) {
+    if (ev.kind == ChurnEvent::Kind::kArrive) {
+      AdmissionRequest request;
+      request.num_vcpus = ev.num_vcpus;
+      request.memory_pages = ev.pages;
+      request.preferred_order = ev.preferred_order;
+      const AdmissionResult live = hv.AdmitDomain(request).result;
+      const AdmissionResult ref =
+          ReferenceSolve(topo, hv.frames(), request, hv.FreeCpusPerNode());
+      ASSERT_EQ(live.decision, ref.decision) << "arrival " << arrivals;
+      ASSERT_EQ(live.nodes, ref.nodes) << "arrival " << arrivals;
+      ASSERT_EQ(live.score, ref.score) << "arrival " << arrivals;
+      ++arrivals;
+      admits += live.decision == AdmissionDecision::kAdmit ? 1 : 0;
+    }
+    // One event at a time: live domains carry over between Run calls.
+    runner.Run({ev}, tmpl);
+  }
+  EXPECT_GT(arrivals, 1000);
+  EXPECT_GT(admits, arrivals / 2);
+  EXPECT_LT(admits, arrivals);  // some arrivals were deferred
+}
+
+// A random allocator history on `topo`: single frames, contiguous runs and
+// frees spread over every node.
+void Churn(Rng& rng, FrameAllocator& frames, std::vector<Mfn>& held, int ops) {
+  const int nodes = frames.num_nodes();
+  for (int i = 0; i < ops; ++i) {
+    const NodeId node = static_cast<NodeId>(rng.NextInt(nodes));
+    switch (rng.NextInt(3)) {
+      case 0: {
+        const Mfn mfn = frames.AllocOnNode(node);
+        if (mfn != kInvalidMfn) {
+          held.push_back(mfn);
+        }
+        break;
+      }
+      case 1: {
+        const int64_t count = 1 + rng.NextInt(16);
+        const Mfn first = frames.AllocContiguous(node, count);
+        if (first != kInvalidMfn) {
+          for (int64_t f = 0; f < count; ++f) {
+            held.push_back(first + f);
+          }
+        }
+        break;
+      }
+      default: {
+        if (!held.empty()) {
+          const size_t idx = static_cast<size_t>(rng.NextInt(held.size()));
+          frames.Free(held[idx]);
+          held[idx] = held.back();
+          held.pop_back();
+        }
+        break;
+      }
+    }
+  }
+}
+
+TEST(AdmissionBeamTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
+  int decisions[3] = {0, 0, 0};  // indexed by AdmissionDecision
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed);
+    const int n = 14 + static_cast<int>(rng.NextInt(3));
+    ASSERT_GT(n, kMaxNodesExhaustive);
+    const int cpus = 1 + static_cast<int>(rng.NextInt(4));
+    const int64_t frames_per_node = 32 + rng.NextInt(96);
+    const Topology topo = Topology::Synthetic(n, cpus, frames_per_node * (4ll << 20));
+    FrameAllocator frames(topo, 4ll << 20);
+    // Lives across every mutation below, so its NodeSpace cache must follow.
+    const AdmissionSolver solver(topo, frames);
+    std::vector<Mfn> held;
+    for (int round = 0; round < 4; ++round) {
+      Churn(rng, frames, held, static_cast<int>(rng.NextInt(200)));
+      std::vector<int> free_cpus(n);
+      for (int& c : free_cpus) {
+        c = static_cast<int>(rng.NextInt(cpus + 1));
+      }
+      for (int probe = 0; probe < 6; ++probe) {
+        AdmissionRequest request;
+        request.num_vcpus = 1 + static_cast<int>(rng.NextInt(topo.num_cpus() + 3));
+        request.memory_pages = 1 + rng.NextInt(frames.total_frames() + 64);
+        const int64_t order_roll = rng.NextInt(3);
+        request.preferred_order = order_roll == 0   ? PageOrder::k4K
+                                  : order_roll == 1 ? PageOrder::k2M
+                                                    : PageOrder::k1G;
+        const AdmissionResult result = solver.Solve(request, free_cpus);
+        ++decisions[static_cast<int>(result.decision)];
+
+        // Reject iff even the bare machine is too small.
+        const bool exceeds_machine = request.memory_pages > frames.total_frames() ||
+                                     request.num_vcpus > topo.num_cpus();
+        ASSERT_EQ(result.decision == AdmissionDecision::kReject, exceeds_machine)
+            << "seed " << seed << " round " << round;
+
+        // An admit fits its node-set, counted frame by frame.
+        if (result.decision == AdmissionDecision::kAdmit) {
+          ASSERT_FALSE(result.nodes.empty());
+          int64_t frame_total = 0;
+          int cpu_total = 0;
+          NodeId prev = kInvalidNode;
+          for (const NodeId node : result.nodes) {
+            ASSERT_GT(node, prev) << "nodes not strictly ascending, seed " << seed;
+            prev = node;
+            frame_total += RecountNodeSpace(frames, node).free_frames;
+            cpu_total += free_cpus[node];
+          }
+          ASSERT_GE(frame_total, request.memory_pages) << "seed " << seed;
+          ASSERT_GE(cpu_total, request.num_vcpus) << "seed " << seed;
+        }
+
+        // Same state, same result: asking again, and asking a solver with
+        // no cached state, changes nothing.
+        const AdmissionResult again = solver.Solve(request, free_cpus);
+        const AdmissionResult fresh = AdmissionSolver(topo, frames).Solve(request, free_cpus);
+        for (const AdmissionResult* other : {&again, &fresh}) {
+          ASSERT_EQ(other->decision, result.decision) << "seed " << seed;
+          ASSERT_EQ(other->nodes, result.nodes) << "seed " << seed;
+          ASSERT_EQ(other->score, result.score) << "seed " << seed;
+          ASSERT_EQ(other->candidates_evaluated, result.candidates_evaluated)
+              << "seed " << seed;
+        }
+      }
+    }
+  }
+  // The probes reached all three verdicts.
+  EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kAdmit)], 0);
+  EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kDefer)], 0);
+  EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kReject)], 0);
+}
+
+}  // namespace
+}  // namespace xnuma

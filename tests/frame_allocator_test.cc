@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/numa/topology.h"
 
@@ -99,6 +101,59 @@ TEST_F(FrameAllocatorTest, FramesPerOrderScalesWithFrameSize) {
   EXPECT_EQ(fine.FramesPerOrder(PageOrder::k4K), 1);
   EXPECT_EQ(fine.FramesPerOrder(PageOrder::k2M), 512);
   EXPECT_EQ(fine.FramesPerOrder(PageOrder::k1G), 262144);
+}
+
+// Every mutator moves the generation of the node whose frames it changed
+// and of no other node: the admission solver recomputes a node's cached
+// NodeSpace only when that node's generation moved.
+TEST_F(FrameAllocatorTest, MutatorsBumpOnlyTheTouchedNodesGeneration) {
+  std::vector<uint64_t> before;
+  auto snapshot = [&] {
+    before.clear();
+    for (NodeId n = 0; n < 4; ++n) {
+      before.push_back(alloc_.generation(n));
+    }
+  };
+  auto expect_moved = [&](const std::vector<NodeId>& touched, const char* what) {
+    for (NodeId n = 0; n < 4; ++n) {
+      const bool moved = alloc_.generation(n) != before[n];
+      const bool want = std::find(touched.begin(), touched.end(), n) != touched.end();
+      EXPECT_EQ(moved, want) << what << ", node " << n;
+    }
+  };
+
+  snapshot();
+  const Mfn one = alloc_.AllocOnNode(1);
+  ASSERT_NE(one, kInvalidMfn);
+  expect_moved({1}, "AllocOnNode");
+
+  snapshot();
+  const Mfn run = alloc_.AllocContiguous(2, 4);
+  ASSERT_NE(run, kInvalidMfn);
+  expect_moved({2}, "AllocContiguous");
+
+  snapshot();
+  alloc_.Free(one);
+  expect_moved({1}, "Free");
+
+  snapshot();
+  alloc_.FreeContiguous(run, 4);
+  expect_moved({2}, "FreeContiguous");
+
+  // Fill node 0: a refused allocation changes no frame and no generation.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_NE(alloc_.AllocOnNode(0), kInvalidMfn);
+  }
+  snapshot();
+  EXPECT_EQ(alloc_.AllocOnNode(0), kInvalidMfn);
+  EXPECT_EQ(alloc_.AllocContiguous(0, 2), kInvalidMfn);
+  expect_moved({}, "refused allocation");
+
+  // Edge holes land on every node with a free frame left to pin; the full
+  // node 0 has none, so its generation stays.
+  snapshot();
+  alloc_.FragmentEdgeRegions(/*holes_per_edge=*/2);
+  expect_moved({1, 2, 3}, "FragmentEdgeRegions");
 }
 
 // The bitmap packs 64 frames per word; these cases pin the word-boundary

@@ -93,7 +93,6 @@ RunOptions LoadOptions(const Flags& flags) {
   RunOptions opts;
   opts.threads = static_cast<int>(flags.GetInt("threads", 48));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  opts.jobs = static_cast<int>(flags.GetInt("jobs", 1));
   const double fault_rate = flags.GetDouble("fault_rate", 0.0);
   const uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
   if (fault_rate > 0.0) {
@@ -176,6 +175,12 @@ StackConfig LoadStack(const Flags& flags) {
         flags);
   }
   if (stack == "xen") {
+    // Plain Xen has one fixed placement and no Carrefour; choosing either
+    // is what Xen+ adds.
+    if (!policy.empty() || carrefour) {
+      std::fprintf(stderr, "--policy and --carrefour need --stack xen+ (plain xen ignores them)\n");
+      std::exit(2);
+    }
     return WithVnumaOptions(WithP2mOptions(XenStack(), flags), flags);
   }
   if (stack == "xen+") {
@@ -264,7 +269,9 @@ int CmdSweep(const Flags& flags) {
   const StackConfig base =
       WithVnumaOptions(WithP2mOptions(is_linux ? LinuxStack() : XenPlusStack(), flags), flags);
   const auto candidates = is_linux ? LinuxPolicyCandidates() : XenPolicyCandidates();
-  const auto sweep = SweepPolicies(app, base, candidates, LoadOptions(flags));
+  RunOptions opts = LoadOptions(flags);
+  opts.jobs = static_cast<int>(flags.GetInt("jobs", 1));
+  const auto sweep = SweepPolicies(app, base, candidates, opts);
   for (const auto& entry : sweep) {
     PrintResult(flags, ToString(entry.policy), entry.result);
   }
