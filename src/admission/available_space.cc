@@ -89,13 +89,20 @@ double FragIndex(const NodeSpace& space) {
                    static_cast<double>(space.free_frames);
 }
 
-double MachineFragmentation(const FrameAllocator& frames) {
-  const int nodes = frames.num_nodes();
+double MachineFragmentation(const std::vector<NodeSpace>& spaces) {
   double total = 0.0;
-  for (NodeId n = 0; n < nodes; ++n) {
-    total += FragIndex(ComputeNodeSpace(frames, n));
+  for (const NodeSpace& space : spaces) {
+    total += FragIndex(space);
   }
-  return total / static_cast<double>(nodes);
+  return total / static_cast<double>(spaces.size());
+}
+
+double MachineFragmentation(const FrameAllocator& frames) {
+  std::vector<NodeSpace> spaces;
+  for (NodeId n = 0; n < frames.num_nodes(); ++n) {
+    spaces.push_back(ComputeNodeSpace(frames, n));
+  }
+  return MachineFragmentation(spaces);
 }
 
 }  // namespace xnuma

@@ -16,6 +16,7 @@
 #define XENNUMA_SRC_ADMISSION_AVAILABLE_SPACE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/types.h"
 #include "src/mm/frame_allocator.h"
@@ -54,7 +55,9 @@ NodeSpace RecountNodeSpace(const FrameAllocator& frames, NodeId node);
 double FragIndex(const NodeSpace& space);
 
 // Machine fragmentation: mean FragIndex over all nodes (the `churn.
-// fragmentation` gauge; the churn soak test pins a hand-computed fixture).
+// fragmentation` gauge; the churn soak test pins a hand-computed fixture),
+// from the nodes' summaries in node order or from a walk of every node.
+double MachineFragmentation(const std::vector<NodeSpace>& spaces);
 double MachineFragmentation(const FrameAllocator& frames);
 
 }  // namespace xnuma

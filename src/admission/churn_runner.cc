@@ -216,12 +216,12 @@ ChurnReport ChurnRunner::Run(const std::vector<ChurnEvent>& trace,
     if (churn_events_ != nullptr) {
       churn_events_->Increment();
       churn_live_domains_->Set(static_cast<double>(live_.size()));
-      churn_fragmentation_->Set(MachineFragmentation(hv_->frames()));
+      churn_fragmentation_->Set(MachineFragmentation(hv_->NodeSpaces()));
     }
   }
 
   report.final_live_domains = static_cast<int>(live_.size());
-  report.final_fragmentation = MachineFragmentation(hv_->frames());
+  report.final_fragmentation = MachineFragmentation(hv_->NodeSpaces());
 
   std::vector<double> sorted(solve_us_.begin() + first_sample, solve_us_.end());
   std::sort(sorted.begin(), sorted.end());

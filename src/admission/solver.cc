@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <numeric>
 
 #include "src/common/check.h"
@@ -110,7 +111,9 @@ AdmissionSolver::AdmissionSolver(const Topology& topo, const FrameAllocator& fra
     : topo_(&topo),
       frames_(&frames),
       spaces_(topo.num_nodes()),
-      space_generation_(topo.num_nodes(), kStale) {}
+      space_generation_(topo.num_nodes(), kStale) {
+  XNUMA_CHECK(topo.num_nodes() <= kMaxAdmissionNodes);
+}
 
 AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
                                        const std::vector<int>& free_cpus_per_node) const {
@@ -131,12 +134,56 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
 
   RefreshSpaces();
   result.decision = AdmissionDecision::kDefer;
+  // A subset's free totals only grow as nodes join it, so no k-subset fits
+  // below first_k, and none at all when the whole machine falls short: a
+  // defer that evaluates no candidate. Otherwise the whole machine fits, so
+  // both regimes admit by k = n.
+  const int first_k = SmallestFittingCardinality(request, free_cpus_per_node);
+  if (first_k > n) {
+    return result;
+  }
   if (n <= kMaxNodesExhaustive) {
-    SolveExhaustive(request, free_cpus_per_node, &result);
+    SolveExhaustive(request, free_cpus_per_node, first_k, &result);
   } else {
-    SolveBeam(request, free_cpus_per_node, &result);
+    SolveBeam(request, free_cpus_per_node, first_k, &result);
   }
   return result;
+}
+
+int AdmissionSolver::SmallestFittingCardinality(
+    const AdmissionRequest& request, const std::vector<int>& free_cpus_per_node) const {
+  const int n = topo_->num_nodes();
+  int64_t cpus = 0;
+  int64_t frames = 0;
+  for (NodeId node = 0; node < n; ++node) {
+    XNUMA_CHECK(free_cpus_per_node[node] >= 0);  // the prunes need totals that grow
+    cpus += free_cpus_per_node[node];
+    frames += spaces_[node].free_frames;
+  }
+  if (cpus < request.num_vcpus || frames < request.memory_pages) {
+    return n + 1;
+  }
+  sorted_cpus_.assign(free_cpus_per_node.begin(), free_cpus_per_node.end());
+  sorted_frames_.resize(n);
+  for (NodeId node = 0; node < n; ++node) {
+    sorted_frames_[node] = spaces_[node].free_frames;
+  }
+  std::sort(sorted_cpus_.begin(), sorted_cpus_.end(), std::greater<>());
+  std::sort(sorted_frames_.begin(), sorted_frames_.end(), std::greater<>());
+  int k = 0;
+  cpus = 0;
+  frames = 0;
+  while (cpus < request.num_vcpus || frames < request.memory_pages) {
+    cpus += sorted_cpus_[k];
+    frames += sorted_frames_[k];
+    ++k;
+  }
+  return std::max(k, 1);
+}
+
+const std::vector<NodeSpace>& AdmissionSolver::NodeSpaces() const {
+  RefreshSpaces();
+  return spaces_;
 }
 
 void AdmissionSolver::RefreshSpaces() const {
@@ -153,25 +200,34 @@ void AdmissionSolver::RefreshSpaces() const {
 }
 
 void AdmissionSolver::SolveExhaustive(const AdmissionRequest& request,
-                                      const std::vector<int>& free_cpus_per_node,
+                                      const std::vector<int>& free_cpus_per_node, int first_k,
                                       AdmissionResult* result) const {
   const int n = topo_->num_nodes();
   const uint32_t end = uint32_t{1} << n;
   // Free-CPU and free-frame totals per node mask. A k-subset's totals are
   // those of the (k-1)-subset without its lowest node, which the previous
   // cardinality wrote, plus that node's; so a solve writes only the
-  // entries of the cardinalities it visits.
+  // entries of the cardinalities it visits, and sums the first one's
+  // directly.
   mask_cpus_.resize(end);
   mask_frames_.resize(end);
-  mask_cpus_[0] = 0;
-  mask_frames_[0] = 0;
-  // Every k-subset counts as evaluated; only the ones that fit are scored.
-  for (int k = 1; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
+  // Every visited k-subset counts as evaluated; only the ones that fit are
+  // scored.
+  for (int k = first_k; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
     for (uint32_t mask = (uint32_t{1} << k) - 1; mask < end; mask = NextCombination(mask)) {
-      const int low = std::countr_zero(mask);
-      const uint32_t rest = mask & (mask - 1);
-      mask_cpus_[mask] = mask_cpus_[rest] + free_cpus_per_node[low];
-      mask_frames_[mask] = mask_frames_[rest] + spaces_[low].free_frames;
+      if (k == first_k) {
+        mask_cpus_[mask] = 0;
+        mask_frames_[mask] = 0;
+        for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+          mask_cpus_[mask] += free_cpus_per_node[std::countr_zero(bits)];
+          mask_frames_[mask] += spaces_[std::countr_zero(bits)].free_frames;
+        }
+      } else {
+        const int low = std::countr_zero(mask);
+        const uint32_t rest = mask & (mask - 1);
+        mask_cpus_[mask] = mask_cpus_[rest] + free_cpus_per_node[low];
+        mask_frames_[mask] = mask_frames_[rest] + spaces_[low].free_frames;
+      }
       ++result->candidates_evaluated;
       if (mask_cpus_[mask] < request.num_vcpus || mask_frames_[mask] < request.memory_pages) {
         continue;
@@ -189,7 +245,7 @@ void AdmissionSolver::SolveExhaustive(const AdmissionRequest& request,
 }
 
 void AdmissionSolver::SolveBeam(const AdmissionRequest& request,
-                                const std::vector<int>& free_cpus_per_node,
+                                const std::vector<int>& free_cpus_per_node, int first_k,
                                 AdmissionResult* result) const {
   const int n = topo_->num_nodes();
   // Legacy load order: most free pCPUs, then most free frames, then id.
@@ -206,7 +262,7 @@ void AdmissionSolver::SolveBeam(const AdmissionRequest& request,
   });
 
   std::vector<NodeId> candidate;
-  for (int k = 1; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
+  for (int k = first_k; k <= n && result->decision != AdmissionDecision::kAdmit; ++k) {
     // Candidate pool: the (k + kBeamWindow) least loaded nodes.
     std::vector<NodeId> pool(by_load.begin(), by_load.begin() + std::min(n, k + kBeamWindow));
     std::sort(pool.begin(), pool.end());

@@ -90,6 +90,9 @@ PlacementScore ScoreCandidate(const Topology& topo, const std::vector<NodeId>& n
 // (k + kBeamWindow) nodes by legacy load order.
 inline constexpr int kMaxNodesExhaustive = 12;
 inline constexpr int kBeamWindow = 4;
+// Node sets are uint32_t masks, and the beam shifts 1 by up to the node
+// count, so the solver takes machines of at most this many nodes.
+inline constexpr int kMaxAdmissionNodes = 31;
 
 class AdmissionSolver {
  public:
@@ -102,15 +105,26 @@ class AdmissionSolver {
   AdmissionResult Solve(const AdmissionRequest& request,
                         const std::vector<int>& free_cpus_per_node) const;
 
+  // Every node's NodeSpace, equal to ComputeNodeSpace(frames, n): the
+  // solver's cache, brought up to date by re-walking only the nodes whose
+  // frames moved since it last looked.
+  const std::vector<NodeSpace>& NodeSpaces() const;
+
  private:
   // Brings spaces_ up to date: re-runs ComputeNodeSpace for exactly the
   // nodes whose allocator generation moved since their last computation.
   void RefreshSpaces() const;
+  // The smallest k for which the k largest free-CPU counts and the k
+  // largest free-frame counts can both hold the request, or n + 1 when the
+  // whole machine cannot.
+  int SmallestFittingCardinality(const AdmissionRequest& request,
+                                 const std::vector<int>& free_cpus_per_node) const;
+  // Both search cardinalities first_k, first_k + 1, ... until one admits.
   void SolveExhaustive(const AdmissionRequest& request,
-                       const std::vector<int>& free_cpus_per_node,
+                       const std::vector<int>& free_cpus_per_node, int first_k,
                        AdmissionResult* result) const;
   void SolveBeam(const AdmissionRequest& request, const std::vector<int>& free_cpus_per_node,
-                 AdmissionResult* result) const;
+                 int first_k, AdmissionResult* result) const;
 
   const Topology* topo_;
   const FrameAllocator* frames_;
@@ -125,6 +139,9 @@ class AdmissionSolver {
   mutable std::vector<int> mask_cpus_;
   mutable std::vector<int64_t> mask_frames_;
   mutable std::vector<NodeId> candidate_;
+  // Free-CPU and free-frame counts per node, largest first.
+  mutable std::vector<int> sorted_cpus_;
+  mutable std::vector<int64_t> sorted_frames_;
 };
 
 }  // namespace xnuma

@@ -24,7 +24,8 @@ void AutoPolicySelector::Tick(DomainId domain) {
   }
 
   // Partitionable share of the hot pages.
-  std::vector<PageAccessSample> hot = system_->ReadHotPages(domain, config_.sample_pages);
+  std::vector<PageAccessSample> hot;
+  system_->ReadHotPages(domain, config_.sample_pages, &hot);
   int partitionable = 0;
   for (const PageAccessSample& page : hot) {
     double share = 0.0;

@@ -10,17 +10,15 @@ const TrafficSnapshot& CarrefourSystemComponent::ReadMetrics() const {
   return counters_->last_epoch();
 }
 
-std::vector<PageAccessSample> CarrefourSystemComponent::ReadHotPages(DomainId domain,
-                                                                     int max_pages) {
-  std::vector<PageAccessSample> samples;
-  sampler_->SampleHotPages(domain, max_pages, &samples);
+void CarrefourSystemComponent::ReadHotPages(DomainId domain, int max_pages,
+                                            std::vector<PageAccessSample>* out) {
+  sampler_->SampleHotPages(domain, max_pages, out);
   // Resolve each sample's current node through the backend's run lookup.
   const HvPlacementBackend& be = hv_->backend(domain);
-  for (PageAccessSample& s : samples) {
+  for (PageAccessSample& s : *out) {
     const HvPlacementBackend::PlacementRun run = be.NodeOfRange(s.pfn);
     s.current_node = run.mapped ? run.node : kInvalidNode;
   }
-  return samples;
 }
 
 bool CarrefourSystemComponent::ReplicatePage(DomainId domain, Pfn pfn) {

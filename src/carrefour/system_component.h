@@ -32,8 +32,8 @@ class CarrefourSystemComponent {
   const TrafficSnapshot& ReadMetrics() const;
 
   // Hottest pages of `domain`, most accessed first, with per-source-node
-  // rates (IBS attribution).
-  std::vector<PageAccessSample> ReadHotPages(DomainId domain, int max_pages);
+  // rates (IBS attribution), written over the contents of *out.
+  void ReadHotPages(DomainId domain, int max_pages, std::vector<PageAccessSample>* out);
 
   // Migrates one physical page of `domain` through the internal interface
   // (§4.1). Returns false when the destination node is out of memory.

@@ -84,11 +84,11 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
     return stats;
   }
 
-  std::vector<PageAccessSample> hot;
   {
     XNUMA_TRACE_SCOPE(obs_, "carrefour_scan", "carrefour", scan_seconds_);
-    hot = system_->ReadHotPages(domain, config_.hot_pages_per_tick);
+    system_->ReadHotPages(domain, config_.hot_pages_per_tick, &hot_);
   }
+  const std::vector<PageAccessSample>& hot = hot_;
 
   XNUMA_TRACE_SCOPE(obs_, "carrefour_migrate", "carrefour", migrate_seconds_);
   int budget = config_.max_migrations_per_tick;

@@ -112,6 +112,8 @@ class CarrefourUserComponent {
   int64_t total_replications_ = 0;
   int64_t total_skipped_ticks_ = 0;
   std::unordered_map<DomainId, BackoffState> backoff_;
+  // The last scan's hot pages; kept so every scan reuses their rate vectors.
+  std::vector<PageAccessSample> hot_;
 
   // Observability (null = disabled).
   Observability* obs_ = nullptr;

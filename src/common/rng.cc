@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 namespace xnuma {
 namespace {
@@ -14,38 +15,68 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-// kRadiusBounds[tier] >= sqrt(-2 ln u1) for every u1 of the tier: the
-// radius at the tier's smallest u1, raised by 1e-9, far above the rounding
-// of log and sqrt. Every unclamped u1 (>= 2^-53) lies at or below tier 106,
-// bounded by 8.62; the last tier's 37.2 covers the clamped 1e-300.
-const std::array<double, BoxMullerPair::kClampedTier + 1> kRadiusBounds = [] {
-  std::array<double, BoxMullerPair::kClampedTier + 1> bounds{};
-  for (int tier = 0; tier < BoxMullerPair::kClampedTier; ++tier) {
-    const double lowest = std::bit_cast<double>(0x3ff0000000000000ull -
-                                                (static_cast<uint64_t>(tier + 1) << 51) + 1);
-    bounds[tier] = std::sqrt(-2.0 * std::log(lowest)) * (1.0 + 1e-9);
-  }
-  bounds[BoxMullerPair::kClampedTier] = 37.2;
-  return bounds;
-}();
-
-// kAngleBounds[half][sector] >= |cos| (half 0) or |sin| (half 1) of every
-// angle 2*pi*u2 with u2 in the sector. The sectors' edges include every
-// peak of |cos| and |sin| (multiples of a quarter turn), so the larger
-// value at the two edges is the maximum; 1e-9 covers the rounding of the
-// angle and of cos and sin.
-const std::array<std::array<double, BoxMullerPair::kSectors>, 2> kAngleBounds = [] {
-  std::array<std::array<double, BoxMullerPair::kSectors>, 2> bounds{};
-  for (int sector = 0; sector < BoxMullerPair::kSectors; ++sector) {
-    const double lo = 2.0 * M_PI * sector / BoxMullerPair::kSectors;
-    const double hi = 2.0 * M_PI * (sector + 1) / BoxMullerPair::kSectors;
-    bounds[0][sector] = std::max(std::abs(std::cos(lo)), std::abs(std::cos(hi))) + 1e-9;
-    bounds[1][sector] = std::max(std::abs(std::sin(lo)), std::abs(std::sin(hi))) + 1e-9;
-  }
-  return bounds;
-}();
-
 }  // namespace
+
+// kRadii[tier] holds sqrt(-2 ln u1) for every u1 of the tier: the radius at
+// the tier's largest and smallest u1, widened by a relative 1e-9, far above
+// the rounding of log and sqrt. Every unclamped u1 (>= 2^-53) lies at or
+// below tier 106, bounded by 8.62; the last tier's 37.2 covers the clamped
+// 1e-300.
+const std::array<BoxMullerPair::Interval, BoxMullerPair::kClampedTier + 1> BoxMullerPair::kRadii =
+    [] {
+      auto radius_at = [](int tier_edge) {
+        const double u1 = std::bit_cast<double>(0x3ff0000000000000ull -
+                                                (static_cast<uint64_t>(tier_edge) << 51));
+        return std::sqrt(-2.0 * std::log(u1));
+      };
+      std::array<Interval, kClampedTier + 1> radii{};
+      for (int tier = 0; tier <= kClampedTier; ++tier) {
+        radii[tier].lo = radius_at(tier) * (1.0 - 1e-9);
+        // The tier's smallest u1 lies one bit above the next tier's largest.
+        const double lowest = std::bit_cast<double>(0x3ff0000000000000ull -
+                                                    (static_cast<uint64_t>(tier + 1) << 51) + 1);
+        radii[tier].hi = std::sqrt(-2.0 * std::log(lowest)) * (1.0 + 1e-9);
+      }
+      radii[kClampedTier].hi = 37.2;
+      return radii;
+    }();
+
+// kAngles[sector][half] holds cos (half 0) or sin (half 1) of every angle
+// 2*pi*u2 with u2 in the sector. The sectors' edges include every peak of
+// cos and sin (multiples of a quarter turn), so each is monotone over a
+// sector and its values at the two edges bound it; 1e-9 covers the rounding
+// of the angle and of cos and sin.
+const std::array<std::array<BoxMullerPair::Interval, 2>, BoxMullerPair::kSectors>
+    BoxMullerPair::kAngles = [] {
+      std::array<std::array<Interval, 2>, kSectors> angles{};
+      for (int sector = 0; sector < kSectors; ++sector) {
+        const double lo = 2.0 * M_PI * sector / kSectors;
+        const double hi = 2.0 * M_PI * (sector + 1) / kSectors;
+        angles[sector][0] = {std::min(std::cos(lo), std::cos(hi)) - 1e-9,
+                             std::max(std::cos(lo), std::cos(hi)) + 1e-9};
+        angles[sector][1] = {std::min(std::sin(lo), std::sin(hi)) - 1e-9,
+                             std::max(std::sin(lo), std::sin(hi)) + 1e-9};
+      }
+      return angles;
+    }();
+
+const std::array<std::array<float, 2>, BoxMullerPair::kSectors << GaussianBlock::kSectorShift>
+    GaussianBlock::kUppers = [] {
+      std::array<std::array<float, 2>, BoxMullerPair::kSectors << kSectorShift> uppers{};
+      for (int sector = 0; sector < BoxMullerPair::kSectors; ++sector) {
+        for (int tier = 0; tier <= BoxMullerPair::kClampedTier; ++tier) {
+          for (int half = 0; half < 2; ++half) {
+            const double hi = BoxMullerPair::Bounds(tier, sector, half).hi;
+            float up = static_cast<float>(hi);
+            if (static_cast<double>(up) < hi) {
+              up = std::nextafter(up, std::numeric_limits<float>::infinity());
+            }
+            uppers[tier | sector << kSectorShift][half] = up;
+          }
+        }
+      }
+      return uppers;
+    }();
 
 // Every Gaussian the generator hands out, one at a time or from a block, is
 // computed here, so they agree bit for bit.
@@ -55,10 +86,6 @@ void BoxMullerPair::Normals(double out[2]) const {
   out[0] = r * std::cos(theta);
   out[1] = r * std::sin(theta);
 }
-
-double BoxMullerPair::RadiusBound(int tier) { return kRadiusBounds[tier]; }
-
-double BoxMullerPair::AngleBound(int sector, int half) { return kAngleBounds[half][sector]; }
 
 void GaussianBlock::Values(size_t first, size_t count, double* out) {
   size_t j = first + offset_;  // position in the pairs' value stream
@@ -89,16 +116,6 @@ void GaussianBlock::Values(size_t first, size_t count, double* out) {
       ++cursor_q_;
     }
   }
-}
-
-double GaussianBlock::WeightedBound(size_t first, size_t count, const double* weights) const {
-  double sum = 0.0;
-  for (size_t k = 0; k < count; ++k) {
-    const size_t j = first + offset_ + k;
-    sum += std::abs(weights[k]) * BoxMullerPair::RadiusBound(tiers_[j / 2]) *
-           BoxMullerPair::AngleBound(sectors_[j / 2], static_cast<int>(j % 2));
-  }
-  return sum;
 }
 
 Rng::Rng(uint64_t seed) {
@@ -138,31 +155,50 @@ void Rng::DrawGaussians(size_t n, GaussianBlock* block) {
   block->size_ = n;
   block->offset_ = offset;
   block->carried_ = pending_;
-  block->tiers_.resize(pairs);
-  block->sectors_.resize(pairs);
+  block->codes_.resize(pairs);
   block->states_.clear();
   block->cursor_q_ = SIZE_MAX;
+  uint16_t* codes = block->codes_.data();
+  int max_tier = 0;
+  if (offset == 1) {
+    max_tier = pending_.RadiusTier();
+    codes[0] = static_cast<uint16_t>(max_tier | pending_.AngleSector()
+                                                    << GaussianBlock::kSectorShift);
+  }
   // Draw through a local generator whose address never escapes, so its
-  // state stays in registers across the byte-wide stores.
+  // state stays in registers across the stores. Tier and sector come
+  // straight from the integers behind u1 and u2, and the smallest m1 has
+  // the largest tier.
   Rng gen = FromState(s_);
-  BoxMullerPair pair = pending_;
-  uint8_t* tiers = block->tiers_.data();
-  uint8_t* sectors = block->sectors_.data();
-  for (size_t p = 0; p < pairs; ++p) {
-    if (p >= offset) {
-      if ((p - offset) % GaussianBlock::kPairsPerState == 0) {
-        const State state = gen.s_;
-        block->states_.push_back(state);
-      }
-      pair = gen.NextPair();
+  uint64_t m1 = 0;
+  uint64_t m2 = 0;
+  uint64_t min_m1 = UINT64_MAX;
+  for (size_t p = offset; p < pairs;) {
+    const State state = gen.s_;
+    block->states_.push_back(state);
+    const size_t end = std::min(pairs, p + GaussianBlock::kPairsPerState);
+    for (; p < end; ++p) {
+      m1 = gen.NextU64() >> 11;
+      m2 = gen.NextU64() >> 11;
+      min_m1 = std::min(min_m1, m1);
+      codes[p] = static_cast<uint16_t>(BoxMullerPair::TierOfMantissa(m1) |
+                                       BoxMullerPair::SectorOfMantissa(m2)
+                                           << GaussianBlock::kSectorShift);
     }
-    tiers[p] = static_cast<uint8_t>(pair.RadiusTier());
-    sectors[p] = static_cast<uint8_t>(pair.AngleSector());
   }
   s_ = gen.s_;
+  if (min_m1 != UINT64_MAX) {
+    max_tier = std::max(max_tier, BoxMullerPair::TierOfMantissa(min_m1));
+  }
+  // Every angle bound lies within 1 + 1e-9 of zero.
+  block->max_magnitude_ = pairs > 0 ? BoxMullerPair::RadiusBound(max_tier) * (1.0 + 1e-9) : 0.0;
   if (n > 0) {
-    // An odd end leaves the last pair's sine half for the next call.
-    pending_ = (offset + n) % 2 == 1 ? pair : BoxMullerPair{0.0, 0.0};
+    // An odd end leaves the last pair, a fresh one, waiting with its sine
+    // half for the next call.
+    pending_ = (offset + n) % 2 == 1
+                   ? BoxMullerPair::FromUniforms(static_cast<double>(m1) * 0x1.0p-53,
+                                                 static_cast<double>(m2) * 0x1.0p-53)
+                   : BoxMullerPair{0.0, 0.0};
   }
 }
 

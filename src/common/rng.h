@@ -32,24 +32,51 @@ struct BoxMullerPair {
   // Both normals: the cosine one first.
   void Normals(double out[2]) const;
 
-  // Bounds on |normal| with no transcendental call: |normal| is at most
-  // RadiusBound(RadiusTier()) * AngleBound(AngleSector(), half).
+  // Signed bounds on each normal with no transcendental call: half `half`
+  // (0 the cosine, 1 the sine) lies in Bounds(RadiusTier(), AngleSector(),
+  // half).
   //
-  // The radius falls as u1 rises, so a lower bound on u1 bounds it.
-  // RadiusTier() buckets u1 by half binary orders of magnitude, from 0 for
-  // u1 above 0.75 up to kClampedTier, which no unclamped u1 (at least
-  // 2^-53) reaches; RadiusBound(tier) bounds the radius of every u1 in it.
+  // The radius falls as u1 rises, so the tier of u1 bounds it from both
+  // sides. RadiusTier() buckets u1 by half binary orders of magnitude, from
+  // 0 for u1 above 0.75 up to kClampedTier, which no unclamped u1 (at least
+  // 2^-53) reaches; RadiusBound(tier) is the tier's upper bound.
   static constexpr int kClampedTier = 107;
   int RadiusTier() const {
     const uint64_t below_one = 0x3ff0000000000000ull - std::bit_cast<uint64_t>(u1);
     return static_cast<int>(std::min<uint64_t>(below_one >> 51, kClampedTier));
   }
-  static double RadiusBound(int tier);
-  // AngleSector() is the 64th of the turn u2 falls in; AngleBound(sector,
-  // half) bounds |cos| (half 0) or |sin| (half 1) over it.
+  static double RadiusBound(int tier) { return kRadii[tier].hi; }
+  // AngleSector() is the 64th of the turn u2 falls in. A sector never
+  // straddles a quadrant, so it fixes the signs of cos and sin.
   static constexpr int kSectors = 64;
   int AngleSector() const { return std::clamp(static_cast<int>(u2 * kSectors), 0, kSectors - 1); }
-  static double AngleBound(int sector, int half);
+
+  // The same tier and sector from the 53-bit integers m = x >> 11 that
+  // Rng::NextDouble() scales by 2^-53 into u1 and u2. m1 = 0 is the clamped
+  // u1, whose exponent difference saturates at kClampedTier.
+  static int TierOfMantissa(uint64_t m1) {
+    const uint64_t below_one =
+        0x4340000000000000ull - std::bit_cast<uint64_t>(static_cast<double>(m1));
+    return static_cast<int>(std::min<uint64_t>(below_one >> 51, kClampedTier));
+  }
+  static int SectorOfMantissa(uint64_t m2) { return static_cast<int>(m2 >> 47); }
+
+  struct Interval {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  static Interval Bounds(int tier, int sector, int half) {
+    const Interval& r = kRadii[tier];
+    const Interval& a = kAngles[sector][half];
+    return {std::min(r.lo * a.lo, r.hi * a.lo), std::max(r.lo * a.hi, r.hi * a.hi)};
+  }
+
+ private:
+  // Per tier: the radius over its u1. Per sector and half: cos or sin over
+  // its angles, signed. Each is widened for the rounding of log, sqrt, cos
+  // and sin.
+  static const std::array<Interval, kClampedTier + 1> kRadii;
+  static const std::array<std::array<Interval, 2>, kSectors> kAngles;
 };
 
 class GaussianBlock;
@@ -129,9 +156,9 @@ class Rng {
 // The next n NextGaussian() values of a generator, drawn by
 // Rng::DrawGaussians and transformed only on demand: value i is bit-equal
 // to the i-th NextGaussian() the generator would have returned instead. The
-// block keeps each pair's radius tier and angle sector, and the generator's
-// state every kPairsPerState pairs to replay the uniforms of the pairs it
-// transforms.
+// block keeps each pair's radius tier and angle sector, which bound its
+// values, and the generator's state every kPairsPerState pairs to replay
+// the uniforms of the pairs it transforms.
 class GaussianBlock {
  public:
   size_t size() const { return size_; }
@@ -140,9 +167,28 @@ class GaussianBlock {
   // the range overlaps once. Ranges visited in ascending order replay the
   // fewest uniforms.
   void Values(size_t first, size_t count, double* out);
-  // An upper bound on the sum of |weights[k] * value (first + k)| over
-  // k < count, from each pair's radius tier and angle sector alone.
-  double WeightedBound(size_t first, size_t count, const double* weights) const;
+  // Signed bounds on value i, from its pair's radius tier and angle sector
+  // alone.
+  BoxMullerPair::Interval Bounds(size_t i) const {
+    const size_t j = i + offset_;
+    const uint16_t code = codes_[j / 2];
+    return BoxMullerPair::Bounds(code & kTierMask, code >> kSectorShift, static_cast<int>(j % 2));
+  }
+  // Upper bounds on values [first, first + count), written to out: each at
+  // least Bounds(i).hi, looked up per pair from its code.
+  void UpperBounds(size_t first, size_t count, double* out) const {
+    size_t j = first + offset_;
+    const size_t end = j + count;
+    while (j < end) {
+      const std::array<float, 2>& hi = kUppers[codes_[j / 2]];
+      for (size_t half = j % 2; half < 2 && j < end; ++half, ++j) {
+        *out++ = hi[half];
+      }
+    }
+  }
+  // At least |Bounds(i).lo| and |Bounds(i).hi| for every value i: the
+  // radius bound of the largest tier drawn.
+  double MaxMagnitude() const { return max_magnitude_; }
 
  private:
   friend class Rng;
@@ -157,8 +203,15 @@ class GaussianBlock {
   size_t offset_ = 0;
   BoxMullerPair carried_;
   std::vector<Rng::State> states_;
-  std::vector<uint8_t> tiers_;    // per pair p: RadiusTier()
-  std::vector<uint8_t> sectors_;  // per pair p: AngleSector()
+  // Per pair p: RadiusTier() | AngleSector() << kSectorShift.
+  static constexpr int kSectorShift = 7;
+  static constexpr uint16_t kTierMask = (1 << kSectorShift) - 1;
+  std::vector<uint16_t> codes_;
+  // Per pair code and half: BoxMullerPair::Bounds(...).hi rounded up to a
+  // float, a table small enough that the codes a scan meets stay cached.
+  static const std::array<std::array<float, 2>, BoxMullerPair::kSectors << kSectorShift>
+      kUppers;
+  double max_magnitude_ = 0.0;
   // The generator right before fresh pair cursor_q_, where the last
   // Values() call stopped replaying.
   Rng cursor_;

@@ -195,6 +195,9 @@ class Hypervisor {
   const AdmissionVerdict& last_admission() const { return last_admission_; }
   // Unreserved pCPUs per node — the solver's CPU-side input.
   std::vector<int> FreeCpusPerNode() const;
+  // Every node's free-extent summary, from the admission solver's
+  // generation-checked cache (AdmissionSolver::NodeSpaces).
+  const std::vector<NodeSpace>& NodeSpaces() const { return admission_solver_.NodeSpaces(); }
 
  private:
   const Topology* topo_;

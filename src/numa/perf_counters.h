@@ -98,8 +98,10 @@ double RelativeStddevPercent(const std::vector<double>& values);
 class PageAccessSource {
  public:
   virtual ~PageAccessSource() = default;
-  // Appends up to `max_pages` of the hottest pages of `domain`, most
-  // accessed first. Sampling noise is implementation-defined.
+  // Replaces the contents of *out with up to `max_pages` of the hottest
+  // pages of `domain`, most accessed first; an implementation may reuse
+  // the storage of *out's elements. Sampling noise is
+  // implementation-defined.
   virtual void SampleHotPages(DomainId domain, int max_pages,
                               std::vector<PageAccessSample>* out) = 0;
 };

@@ -332,6 +332,9 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
         m.RegisterGauge("engine.sim_seconds", "s", "Simulated time at the last epoch");
     sampler_candidates_ = m.RegisterCounter(
         "engine.sampler.candidates", "pages", "Candidate pages considered by hot-page scans");
+    sampler_bounded_ = m.RegisterCounter(
+        "engine.sampler.bounded", "pages",
+        "Candidate pages whose own noisy-total bound hot-page scans computed");
     sampler_scored_ = m.RegisterCounter(
         "engine.sampler.scored", "pages",
         "Candidate pages whose sampling noise a hot-page scan transformed");
@@ -1376,9 +1379,8 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   // pages; bring the placement cache up to the live state first.
   DrainPlacementEvents();
   const int nodes = hv_->topology().num_nodes();
-  // Reserve a row for every page up front: a rate buffer grown row by row
-  // holds two copies of itself while it reallocates and leaves the old one
-  // behind as a heap hole, which showed up in peak RSS.
+  // Room for every page, written by index: the buffers only grow, so a
+  // scan neither reallocates nor checks capacity per page.
   size_t max_candidates = 0;
   for (const auto& jptr : jobs_) {
     if (jptr->spec.domain == domain && !jptr->finished) {
@@ -1387,10 +1389,15 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
       }
     }
   }
-  sample_pages_.clear();
-  sample_pages_.reserve(max_candidates);
-  sample_rates_.clear();
-  sample_rates_.reserve(max_candidates * nodes);
+  if (sample_pfns_.size() < max_candidates) {
+    sample_pfns_.resize(max_candidates);
+    sample_classes_.resize(max_candidates);
+  }
+  Pfn* pfns = sample_pfns_.data();
+  int* classes = sample_classes_.data();
+  int candidates = 0;
+  class_rows_.clear();
+  class_written_.clear();
   std::vector<double> uniform_by_node;
   std::vector<double> hot_rates;
   std::vector<double> cold_rates;
@@ -1423,50 +1430,70 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
         slice_node[t] = th.node;
       }
       const bool written = region.spec->write_fraction > 0.0;
-      // A page weighs w_hot or w_cold, so its uniform rates are one of two
-      // rows; its owner's affinity rate depends on its slice alone.
+      // A page weighs w_hot or w_cold, so its rates are one of two rows per
+      // slice: the uniform rates of its weight plus, on the slice owner's
+      // node, the owner's affinity rate. Class 2 * slice + hot of this
+      // region holds that row.
       hot_rates.resize(nodes);
       cold_rates.resize(nodes);
       for (NodeId n = 0; n < nodes; ++n) {
         hot_rates[n] = uniform_by_node[n] * region.w_hot / region.total_mass;
         cold_rates[n] = uniform_by_node[n] * region.w_cold / region.total_mass;
       }
+      const int first_class = static_cast<int>(class_written_.size());
       for (int slice = 0; slice < job.spec.threads; ++slice) {
         const bool owned = region.slice_total[slice] > 0.0 && slice_node[slice] != kInvalidNode;
+        for (const bool hot : {false, true}) {
+          const std::vector<double>& uniform = hot ? hot_rates : cold_rates;
+          class_rows_.insert(class_rows_.end(), uniform.begin(), uniform.end());
+          if (owned) {
+            const double w = hot ? region.w_hot : region.w_cold;
+            class_rows_[class_rows_.size() - nodes + slice_node[slice]] +=
+                slice_rate[slice] * w / region.slice_total[slice];
+          }
+          class_written_.push_back(written);
+        }
+        const int cold_class = first_class + 2 * slice;
+        // IsHot(idx) without a division per page: hot pages are the
+        // multiples of hot_stride below hot_end.
+        const int64_t stride = region.hot_stride;
+        const int64_t hot_end = region.hot_count * stride;
+        const int64_t begin = region.SliceBegin(slice, job.spec.threads);
         const int64_t end = region.SliceEnd(slice, job.spec.threads);
-        for (int64_t idx = region.SliceBegin(slice, job.spec.threads); idx < end; ++idx) {
+        int64_t next_multiple = (begin + stride - 1) / stride * stride;
+        for (int64_t idx = begin; idx < end; ++idx) {
+          const bool hot = idx == next_multiple && idx < hot_end;
+          next_multiple += idx == next_multiple ? stride : 0;
           const PagePlacement& page = region.page_cache[idx];
           if (page.pfn == kInvalidPfn || page.replicated) {
             continue;  // replicated pages are already local everywhere
           }
-          const bool hot = region.IsHot(idx);
-          const std::vector<double>& uniform = hot ? hot_rates : cold_rates;
-          sample_rates_.insert(sample_rates_.end(), uniform.begin(), uniform.end());
-          if (owned) {
-            const double w = hot ? region.w_hot : region.w_cold;
-            sample_rates_[sample_rates_.size() - nodes + slice_node[slice]] +=
-                slice_rate[slice] * w / region.slice_total[slice];
-          }
-          sample_pages_.push_back({page.pfn, written});
+          pfns[candidates] = page.pfn;
+          classes[candidates] = cold_class + (hot ? 1 : 0);
+          ++candidates;
         }
       }
     }
   }
   // IBS-style sampling noise; the noisy totals rank the pages.
-  const int keep =
-      top_k_.Select(sample_rates_, nodes, max_pages, config_.sampling_noise, rng_);
+  const int keep = top_k_.Select(class_rows_, std::span<const int>(classes, candidates), nodes,
+                                 max_pages, config_.sampling_noise, rng_);
+  // Kept pages overwrite the caller's samples in place, reusing their rate
+  // vectors.
+  out->resize(keep);
   for (int k = 0; k < keep; ++k) {
     const int i = top_k_.kept(k);
-    const double* rates = &sample_rates_[static_cast<size_t>(i) * nodes];
-    PageAccessSample sample;
+    const double* rates = top_k_.kept_rates(k);
+    PageAccessSample& sample = (*out)[k];
     sample.domain = domain;
-    sample.pfn = sample_pages_[i].pfn;
+    sample.pfn = pfns[i];
+    sample.current_node = kInvalidNode;
     sample.rate_by_node.assign(rates, rates + nodes);
-    sample.written = sample_pages_[i].written;
-    out->push_back(std::move(sample));
+    sample.written = class_written_[classes[i]];
   }
   if (obs_ != nullptr) {
-    sampler_candidates_->Increment(static_cast<int64_t>(sample_pages_.size()));
+    sampler_candidates_->Increment(candidates);
+    sampler_bounded_->Increment(top_k_.bounded());
     sampler_scored_->Increment(top_k_.scored());
   }
 }

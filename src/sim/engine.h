@@ -51,8 +51,9 @@ namespace xnuma {
 
 // The epoch's damped Picard iteration stops once the largest per-iteration
 // change of any controller or link utilization is at most the tolerance.
-// Saturated controllers make the iteration oscillate instead of settling;
-// such solves stop at the cap and keep its last iterate (docs/MODEL.md §3).
+// A damped step keeps 85% of the error where the map is flat, so a solve
+// whose fixed point moved far converges too slowly to meet the tolerance
+// within the cap; it stops there and keeps its last iterate (docs/MODEL.md §3).
 inline constexpr double kFixedPointTolerance = 1e-7;
 inline constexpr int kFixedPointMaxIterations = 24;
 
@@ -363,15 +364,15 @@ class Engine : public PageAccessSource {
   std::map<std::pair<const GuestOs*, int>, int> job_by_guest_pid_;
   std::vector<GuestOs::VpageEvent> vpage_event_scratch_;
   std::vector<Pfn> pfn_event_scratch_;
-  // Hot-page sampling scratch, reused across SampleHotPages scans: one
-  // candidate per sampled page, its per-source-node rates as one row of
-  // sample_rates_, and the noisy top-k selection over the rows.
-  struct SampleCandidate {
-    Pfn pfn = kInvalidPfn;
-    bool written = false;
-  };
-  std::vector<SampleCandidate> sample_pages_;
-  std::vector<double> sample_rates_;  // [candidates][nodes]
+  // Hot-page sampling scratch, reused across SampleHotPages scans: per
+  // candidate page its pfn and class (sized for every page of the largest
+  // domain scanned so far); per class (region, slice, hot or cold) one row
+  // of per-source-node rates and whether the region is written; and the
+  // noisy top-k selection over them.
+  std::vector<Pfn> sample_pfns_;
+  std::vector<int> sample_classes_;
+  std::vector<double> class_rows_;  // [classes][nodes]
+  std::vector<char> class_written_;
   NoisyTopK top_k_;
   // XNUMA_VERIFY_PLACEMENT_CACHE=N cross-checks the incremental aggregates
   // against a full rescan every N refreshes of each job, and a skipped
@@ -395,6 +396,7 @@ class Engine : public PageAccessSource {
   Gauge* max_link_util_gauge_ = nullptr;
   Gauge* sim_seconds_gauge_ = nullptr;
   Counter* sampler_candidates_ = nullptr;
+  Counter* sampler_bounded_ = nullptr;
   Counter* sampler_scored_ = nullptr;
   // Previous cumulative fault totals, for the per-epoch deltas in the trace.
   int64_t prev_faults_injected_ = 0;

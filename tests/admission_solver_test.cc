@@ -8,7 +8,10 @@
 //    sees every allocator mutation of a live churn replay, against the
 //    brute-force ReferenceSolve before every arrival;
 //  * 14-16-node synthetic machines, where the solver leaves the exhaustive
-//    regime for the beam.
+//    regime for the beam;
+//  * the exact prunes both regimes share: a machine that falls short defers
+//    without a candidate, and the search starts at the smallest
+//    cardinality whose largest nodes could fit.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +194,54 @@ TEST(AdmissionBeamTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
   EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kAdmit)], 0);
   EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kDefer)], 0);
   EXPECT_GT(decisions[static_cast<int>(AdmissionDecision::kReject)], 0);
+}
+
+// A request the machine cannot hold now, though an empty machine could,
+// defers without evaluating a candidate, in the exhaustive regime and in
+// the beam; the brute-force reference agrees that nothing fits.
+TEST(AdmissionPruneTest, ShortMachineDefersWithoutCandidates) {
+  for (const int n : {8, 14}) {
+    const Topology topo = Topology::Synthetic(n, 2, 64 * (4ll << 20));
+    FrameAllocator frames(topo, 4ll << 20);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_NE(frames.AllocOnNode(static_cast<NodeId>(i % n)), kInvalidMfn);
+    }
+    const AdmissionSolver solver(topo, frames);
+    const std::vector<int> free_cpus(n, 1);  // one of each node's two pCPUs reserved
+    AdmissionRequest cpu_short;
+    cpu_short.num_vcpus = n + 1;
+    cpu_short.memory_pages = 1;
+    AdmissionRequest frame_short;
+    frame_short.num_vcpus = 1;
+    frame_short.memory_pages = frames.total_frames() - 40 + 1;
+    for (const AdmissionRequest& request : {cpu_short, frame_short}) {
+      const AdmissionResult result = solver.Solve(request, free_cpus);
+      EXPECT_EQ(result.decision, AdmissionDecision::kDefer) << n << " nodes";
+      EXPECT_EQ(result.candidates_evaluated, 0) << n << " nodes";
+      EXPECT_EQ(ReferenceSolve(topo, frames, request, free_cpus).decision,
+                AdmissionDecision::kDefer);
+    }
+  }
+}
+
+// A request no two nodes can hold is searched from three-node sets on: the
+// solve evaluates exactly the 56 three-node subsets of eight nodes and
+// admits the reference's answer.
+TEST(AdmissionPruneTest, SearchStartsAtTheSmallestCardinalityThatCanFit) {
+  const Topology topo = Topology::Synthetic(8, 2, 64 * (4ll << 20));
+  FrameAllocator frames(topo, 4ll << 20);
+  const AdmissionSolver solver(topo, frames);
+  const std::vector<int> free_cpus(8, 2);
+  AdmissionRequest request;
+  request.num_vcpus = 5;
+  request.memory_pages = 16;
+  const AdmissionResult result = solver.Solve(request, free_cpus);
+  const AdmissionResult ref = ReferenceSolve(topo, frames, request, free_cpus);
+  ASSERT_EQ(result.decision, AdmissionDecision::kAdmit);
+  EXPECT_EQ(result.nodes, ref.nodes);
+  EXPECT_EQ(result.score, ref.score);
+  EXPECT_EQ(result.nodes.size(), 3u);
+  EXPECT_EQ(result.candidates_evaluated, 56);
 }
 
 }  // namespace

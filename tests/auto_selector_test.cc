@@ -14,6 +14,7 @@ class ScriptedSampler : public PageAccessSource {
   void SampleHotPages(DomainId domain, int max_pages,
                       std::vector<PageAccessSample>* out) override {
     (void)domain;
+    out->clear();
     for (int i = 0; i < std::min<int>(max_pages, static_cast<int>(samples.size())); ++i) {
       out->push_back(samples[i]);
     }

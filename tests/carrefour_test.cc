@@ -13,6 +13,7 @@ class FakeSampler : public PageAccessSource {
   void SampleHotPages(DomainId domain, int max_pages,
                       std::vector<PageAccessSample>* out) override {
     (void)domain;
+    out->clear();
     for (int i = 0; i < std::min<int>(max_pages, static_cast<int>(samples.size())); ++i) {
       out->push_back(samples[i]);
     }
@@ -156,7 +157,8 @@ TEST_F(CarrefourTest, MigrationBudgetIsRespected) {
 TEST_F(CarrefourTest, SystemComponentFillsCurrentNode) {
   PlacePages(0, 2, 4);
   sampler_.samples.push_back(MakeSample(0, 1, 0.9));
-  const auto hot = system_->ReadHotPages(dom_, 8);
+  std::vector<PageAccessSample> hot;
+  system_->ReadHotPages(dom_, 8, &hot);
   ASSERT_EQ(hot.size(), 1u);
   EXPECT_EQ(hot[0].current_node, 4);
 }

@@ -131,7 +131,7 @@ DomainConfig PinnedDomain(const AppProfile& app, Hypervisor& hv, const EngineCon
 }
 
 // 48 threads with few cycles per access overload the controllers: the
-// iteration oscillates and many solves stop at the cap.
+// iteration converges slowly and many solves stop at the cap.
 std::vector<JobResult> RunOverloaded() {
   const AppProfile app = TwoRegionApp(/*cycles_per_access=*/20.0);
   EngineConfig ec;

@@ -111,7 +111,7 @@ TEST(FixedPointTest, EarlyExitSavesIterationsAndMatchesWithinTolerance) {
 TEST(FixedPointTest, OverloadStillTerminatesAtIterationCap) {
   // A bandwidth-hungry app (few CPU cycles per access, all 48 threads) that
   // drives the controllers into the overload region, where the iteration
-  // oscillates and never meets the tolerance.
+  // converges too slowly to meet the tolerance within the cap.
   const AppProfile app = SmallApp(/*cycles_per_access=*/20.0);
   EngineConfig ec;
   ec.seed = 5;

@@ -166,7 +166,7 @@ TEST(ReplicationCarrefourTest, WrittenPagesAreNeverReplicated) {
       s.pfn = 0;
       s.written = true;
       s.rate_by_node.assign(8, 1.0);  // no dominant source
-      out->push_back(s);
+      out->assign(1, s);
     }
   } sampler;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -169,42 +170,49 @@ TEST(RngTest, GaussianBlockMatchesNextGaussianBitForBit) {
   }
 }
 
-TEST(RngTest, WeightedBoundCoversEveryDrawnGaussian) {
+// Every value of `block` lies in its signed bounds, which lie within
+// MaxMagnitude(), and UpperBounds() over the whole block bounds each
+// upper bound.
+void ExpectBlockBounded(GaussianBlock& block) {
+  std::vector<double> values(block.size());
+  block.Values(0, values.size(), values.data());
+  std::vector<double> uppers(block.size());
+  block.UpperBounds(0, uppers.size(), uppers.data());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const BoxMullerPair::Interval g = block.Bounds(i);
+    EXPECT_GE(uppers[i], g.hi) << "value " << i;
+    EXPECT_LE(uppers[i], g.hi + 1e-6 * std::abs(g.hi) + 1e-30) << "value " << i;
+    EXPECT_LE(g.lo, values[i]) << "value " << i;
+    EXPECT_GE(g.hi, values[i]) << "value " << i;
+    EXPECT_LE(std::abs(g.lo), block.MaxMagnitude()) << "value " << i;
+    EXPECT_LE(std::abs(g.hi), block.MaxMagnitude()) << "value " << i;
+  }
+}
+
+TEST(RngTest, BlockBoundsCoverEveryDrawnGaussian) {
   Rng rng(37);
   Rng pick(41);
   GaussianBlock block;
   for (int trial = 0; trial < 200; ++trial) {
-    const size_t n = 1 + static_cast<size_t>(pick.NextInt(200));
-    rng.DrawGaussians(n, &block);
-    std::vector<double> values(n);
-    block.Values(0, n, values.data());
-    for (size_t i = 0; i < n; ++i) {
-      const double one = 1.0;
-      EXPECT_GE(block.WeightedBound(i, 1, &one), std::abs(values[i]));
+    // An odd count now and then leaves a carried half for the next block.
+    if (pick.NextBool(0.3)) {
+      rng.NextGaussian();
     }
-    const size_t first = static_cast<size_t>(pick.NextInt(static_cast<int64_t>(n)));
-    const size_t count = 1 + static_cast<size_t>(pick.NextInt(static_cast<int64_t>(n - first)));
-    std::vector<double> weights(count);
-    double exact = 0.0;
-    for (size_t k = 0; k < count; ++k) {
-      weights[k] = pick.NextBool(0.2) ? 0.0 : (pick.NextDouble() - 0.3) * 8.0;
-      exact += std::abs(weights[k] * values[first + k]);
-    }
-    EXPECT_GE(block.WeightedBound(first, count, weights.data()), exact);
+    rng.DrawGaussians(static_cast<size_t>(pick.NextInt(200)), &block);
+    ExpectBlockBounded(block);
   }
 }
 
-// |normal| of a pair must stay within its radius bound and within the
-// product of its radius and angle bounds.
+// Both normals of a pair must lie in their signed bounds.
 void ExpectPairBounded(const BoxMullerPair& pair) {
   double normals[2] = {};
   pair.Normals(normals);
-  const double radius = BoxMullerPair::RadiusBound(pair.RadiusTier());
-  EXPECT_GE(radius, std::sqrt(-2.0 * std::log(pair.u1))) << pair.u1;
+  const int tier = pair.RadiusTier();
+  EXPECT_GE(BoxMullerPair::RadiusBound(tier), std::sqrt(-2.0 * std::log(pair.u1))) << pair.u1;
   for (int half = 0; half < 2; ++half) {
-    EXPECT_GE(radius * BoxMullerPair::AngleBound(pair.AngleSector(), half),
-              std::abs(normals[half]))
-        << "u1 " << pair.u1 << " u2 " << pair.u2 << " half " << half;
+    const BoxMullerPair::Interval g = BoxMullerPair::Bounds(tier, pair.AngleSector(), half);
+    EXPECT_LE(g.lo, normals[half]) << "u1 " << pair.u1 << " u2 " << pair.u2 << " half " << half;
+    EXPECT_GE(g.hi, normals[half]) << "u1 " << pair.u1 << " u2 " << pair.u2 << " half " << half;
   }
 }
 
@@ -215,12 +223,24 @@ TEST(RngTest, PairBoundsCoverBothNormals) {
     const double u1 = std::ldexp(0.5 + 0.5 * rng.NextDouble(), -static_cast<int>(rng.NextInt(54)));
     ExpectPairBounded(BoxMullerPair::FromUniforms(u1, rng.NextDouble()));
   }
-  // Angles at and next to every sector edge, where |cos| or |sin| peaks.
+  // u1 at and next to every tier edge, where the radius bounds are tight.
+  for (int tier = 0; tier <= BoxMullerPair::kClampedTier; ++tier) {
+    const double edge =
+        std::bit_cast<double>(0x3ff0000000000000ull - (static_cast<uint64_t>(tier) << 51));
+    for (const double u1 : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 1.0)}) {
+      if (u1 > 0.0 && u1 < 1.0) {
+        ExpectPairBounded(BoxMullerPair::FromUniforms(u1, rng.NextDouble()));
+      }
+    }
+  }
+  // Angles at and next to every sector edge, where cos or sin peaks or
+  // changes sign.
   for (int edge = 0; edge <= BoxMullerPair::kSectors; ++edge) {
     const double u2 = static_cast<double>(edge) / BoxMullerPair::kSectors;
     for (const double near : {std::nextafter(u2, 0.0), u2, std::nextafter(u2, 1.0)}) {
       if (near >= 0.0 && near < 1.0) {
         ExpectPairBounded(BoxMullerPair::FromUniforms(0.3, near));
+        ExpectPairBounded(BoxMullerPair::FromUniforms(0x1p-53, near));
       }
     }
   }
@@ -230,6 +250,44 @@ TEST(RngTest, PairBoundsCoverBothNormals) {
   // The smallest unclamped draw, 2^-53, has a radius of 8.5717.
   EXPECT_LT(BoxMullerPair::RadiusBound(BoxMullerPair::FromUniforms(0x1p-53, 0.0).RadiusTier()),
             8.62);
+}
+
+// A sector never straddles a quadrant: beyond the rounding slack, each bound
+// keeps one sign, so a normal's sign is known before it is transformed.
+TEST(RngTest, SectorsFixTheSignOfEachNormal) {
+  for (int tier = 0; tier <= BoxMullerPair::kClampedTier; ++tier) {
+    const double slack = 1e-8 * BoxMullerPair::RadiusBound(tier);
+    for (int sector = 0; sector < BoxMullerPair::kSectors; ++sector) {
+      for (int half = 0; half < 2; ++half) {
+        const BoxMullerPair::Interval g = BoxMullerPair::Bounds(tier, sector, half);
+        EXPECT_LE(g.lo, g.hi);
+        EXPECT_TRUE(g.lo >= -slack || g.hi <= slack)
+            << "tier " << tier << " sector " << sector << " half " << half;
+      }
+    }
+  }
+}
+
+// The draw reads tier and sector off the integers behind u1 and u2; they
+// must match the pair's own, including the clamped u1 = 0.
+TEST(RngTest, MantissaTierAndSectorMatchThePair) {
+  Rng rng(47);
+  for (int i = 0; i < 20000; ++i) {
+    // Mantissas with every count of leading zeros, and their neighbours.
+    const uint64_t m = (rng.NextU64() >> 11) >> rng.NextInt(54);
+    for (const uint64_t m1 : {m, m + 1, m > 0 ? m - 1 : 0}) {
+      if (m1 >> 53 != 0) {
+        continue;  // u = 1, which NextDouble() never returns
+      }
+      const BoxMullerPair pair = BoxMullerPair::FromUniforms(static_cast<double>(m1) * 0x1.0p-53,
+                                                             static_cast<double>(m1) * 0x1.0p-53);
+      EXPECT_EQ(BoxMullerPair::TierOfMantissa(m1), pair.RadiusTier()) << m1;
+      EXPECT_EQ(BoxMullerPair::SectorOfMantissa(m1), pair.AngleSector()) << m1;
+    }
+  }
+  EXPECT_EQ(BoxMullerPair::TierOfMantissa(0), BoxMullerPair::kClampedTier);
+  EXPECT_EQ(BoxMullerPair::TierOfMantissa(1), BoxMullerPair::kClampedTier - 1);
+  EXPECT_EQ(BoxMullerPair::SectorOfMantissa((uint64_t{1} << 53) - 1), BoxMullerPair::kSectors - 1);
 }
 
 TEST(RngTest, ClampedUniformIsBoundedInBlocksAndPairs) {
@@ -253,11 +311,11 @@ TEST(RngTest, ClampedUniformIsBoundedInBlocksAndPairs) {
   std::vector<double> values(3);
   block.Values(0, 3, values.data());
   EXPECT_GT(std::abs(values[0]), 37.0);
+  EXPECT_GE(block.MaxMagnitude(), 37.17);
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_TRUE(SameBits(values[i], reference.NextGaussian()));
-    const double one = 1.0;
-    EXPECT_GE(block.WeightedBound(i, 1, &one), std::abs(values[i]));
   }
+  ExpectBlockBounded(block);
   EXPECT_TRUE(SameBits(drawn.NextGaussian(), reference.NextGaussian()));
   EXPECT_EQ(drawn.NextU64(), reference.NextU64());
 }

@@ -15,6 +15,7 @@
 
 #include <fstream>
 
+#include "src/admission/solver.h"
 #include "src/common/flags.h"
 #include "src/core/experiment.h"
 #include "src/obs/obs.h"
@@ -309,6 +310,11 @@ int CmdChurn(const Flags& flags) {
   config.spec.max_pages = flags.GetInt("max_pages", 2048);
   config.spec.max_vcpus = static_cast<int>(flags.GetInt("vcpus", 6));
   const int nodes = static_cast<int>(flags.GetInt("nodes", 0));
+  if (nodes > kMaxAdmissionNodes) {
+    std::fprintf(stderr, "churn: --nodes %d exceeds the admission solver's %d-node limit\n",
+                 nodes, kMaxAdmissionNodes);
+    return 2;
+  }
   if (nodes > 0) {
     config.amd48 = false;
     config.nodes = nodes;
