@@ -1,13 +1,12 @@
-// Engine epoch-loop microbenchmark: epochs/second with the incremental
-// placement cache on vs. the full per-epoch rescan (EngineConfig::
-// incremental_placement = false, the pre-cache hot loop).
+// Engine epoch-loop microbenchmark: epochs/second of the incremental
+// placement cache, without and with observability attached.
 //
 // A multi-job mix (4 domains x 12 threads on Amd48) runs at several
 // footprints with allocator churn active, so dirty events flow every epoch.
-// The machine uses 1 MiB frames to reach page counts where the per-epoch
-// rescan dominates, exactly the regime the cache is for. Jobs never finish
-// within the measured window; every epoch exercises the full refresh +
-// distributions + fixed-point pipeline.
+// The machine uses 1 MiB frames to reach page counts where a per-epoch
+// rescan would dominate, exactly the regime the cache is for. Jobs never
+// finish within the measured window; every epoch exercises the full
+// refresh + distributions + fixed-point pipeline.
 //
 // Timing protocol: each (config, mode) pair runs twice — a 1-epoch run and
 // an N-epoch run on identically-seeded machines — and reports
@@ -75,8 +74,7 @@ struct RunStats {
   int64_t epochs = 0;
 };
 
-RunStats RunOnce(const AppProfile& app, bool incremental, int epochs,
-                 bool fault_armed = false, bool with_obs = false) {
+RunStats RunOnce(const AppProfile& app, int epochs, bool with_obs) {
   Topology topo = Topology::Amd48();
   Hypervisor hv(topo, kBytesPerFrame);
   // Full observability (metrics + tracing) attached before domains exist,
@@ -89,14 +87,7 @@ RunStats RunOnce(const AppProfile& app, bool incremental, int epochs,
   LatencyModel latency;
   EngineConfig ec;
   ec.seed = 7;
-  ec.incremental_placement = incremental;
   ec.max_sim_seconds = epochs * ec.epoch_seconds;
-  if (fault_armed) {
-    // The fault layer enabled at probability 0: every injection hook is
-    // reached but never draws. tools/run_bench.sh asserts this costs < 2%.
-    ec.fault.enabled = true;
-    ec.fault.seed = 99;
-  }
 
   std::vector<std::unique_ptr<GuestOs>> guests;
   Engine engine(hv, latency, ec);
@@ -131,14 +122,13 @@ RunStats RunOnce(const AppProfile& app, bool incremental, int epochs,
 
 // Steady-state epochs/second: a long run minus a 1-epoch run cancels init.
 // Best of 5 trials — the max rate is the least-interference estimate of the
-// true speed, and it keeps the overhead_pct gates in tools/run_bench.sh
+// true speed, and it keeps the obs overhead gate in tools/run_bench.sh
 // from tripping on scheduler noise.
-double EpochsPerSecond(const AppProfile& app, bool incremental, bool fault_armed = false,
-                       bool with_obs = false) {
+double EpochsPerSecond(const AppProfile& app, bool with_obs) {
   double best = 0.0;
   for (int trial = 0; trial < 5; ++trial) {
-    const RunStats one = RunOnce(app, incremental, 1, fault_armed, with_obs);
-    const RunStats many = RunOnce(app, incremental, kEpochs, fault_armed, with_obs);
+    const RunStats one = RunOnce(app, 1, with_obs);
+    const RunStats many = RunOnce(app, kEpochs, with_obs);
     const double dt = many.wall_s - one.wall_s;
     const int64_t de = many.epochs - one.epochs;
     const double rate = dt > 0.0 ? de / dt : 0.0;
@@ -232,21 +222,14 @@ int main() {
               kThreads, kEpochs);
   std::printf("  \"configs\": [\n");
   bool first = true;
-  double overhead_sum_pct = 0.0;
   double obs_overhead_sum_pct = 0.0;
   int overhead_samples = 0;
   for (const BenchConfig& cfg : configs) {
     const AppProfile app = BenchApp(cfg.footprint_mb);
     const int64_t pages = AppSimPages(app, kBytesPerFrame, EngineConfig{}.min_region_pages);
-    const double full = EpochsPerSecond(app, /*incremental=*/false);
-    const double incr = EpochsPerSecond(app, /*incremental=*/true);
-    const double fault_p0 =
-        EpochsPerSecond(app, /*incremental=*/true, /*fault_armed=*/true);
-    const double obs_on = EpochsPerSecond(app, /*incremental=*/true, /*fault_armed=*/false,
-                                          /*with_obs=*/true);
-    const double overhead_pct = incr > 0.0 ? (1.0 - fault_p0 / incr) * 100.0 : 0.0;
+    const double incr = EpochsPerSecond(app, /*with_obs=*/false);
+    const double obs_on = EpochsPerSecond(app, /*with_obs=*/true);
     const double obs_overhead_pct = incr > 0.0 ? (1.0 - obs_on / incr) * 100.0 : 0.0;
-    overhead_sum_pct += overhead_pct;
     obs_overhead_sum_pct += obs_overhead_pct;
     ++overhead_samples;
     if (!first) {
@@ -255,19 +238,13 @@ int main() {
     first = false;
     std::printf("    {\"name\": \"%s\", \"pages_per_job\": %lld,\n", cfg.name,
                 static_cast<long long>(pages));
-    std::printf("     \"full_rescan_epochs_per_s\": %.2f,\n", full);
     std::printf("     \"incremental_epochs_per_s\": %.2f,\n", incr);
-    std::printf("     \"fault_p0_epochs_per_s\": %.2f,\n", fault_p0);
-    std::printf("     \"fault_p0_overhead_pct\": %.2f,\n", overhead_pct);
     std::printf("     \"obs_epochs_per_s\": %.2f,\n", obs_on);
-    std::printf("     \"obs_overhead_pct\": %.2f,\n", obs_overhead_pct);
-    std::printf("     \"speedup\": %.2f}", full > 0.0 ? incr / full : 0.0);
+    std::printf("     \"obs_overhead_pct\": %.2f}", obs_overhead_pct);
     std::fflush(stdout);
   }
   std::printf("\n  ],\n");
 
-  std::printf("  \"fault_p0_mean_overhead_pct\": %.2f,\n",
-              overhead_samples > 0 ? overhead_sum_pct / overhead_samples : 0.0);
   std::printf("  \"obs_mean_overhead_pct\": %.2f,\n",
               overhead_samples > 0 ? obs_overhead_sum_pct / overhead_samples : 0.0);
 

@@ -50,10 +50,6 @@ class CarrefourSystemComponent {
 
   int num_nodes() const { return hv_->topology().num_nodes(); }
 
-  // Fault layer behind the migration service; lets the user component tell
-  // injected failures apart from genuine exhaustion and back off.
-  FaultInjector& fault_injector() { return hv_->fault_injector(); }
-
   int64_t migrations_performed() const { return migrations_; }
   int64_t replications_performed() const { return replications_; }
   int64_t translation_replications_performed() const {

@@ -11,7 +11,7 @@ CarrefourUserComponent::CarrefourUserComponent(CarrefourSystemComponent& system,
 void CarrefourUserComponent::set_observability(Observability* obs) {
   obs_ = obs;
   if (obs_ == nullptr) {
-    tick_count_ = backoff_skip_count_ = interleave_count_ = locality_count_ = nullptr;
+    tick_count_ = interleave_count_ = locality_count_ = nullptr;
     replication_count_ = translation_replication_count_ = nullptr;
     failed_migration_count_ = nullptr;
     scan_seconds_ = migrate_seconds_ = nullptr;
@@ -20,9 +20,6 @@ void CarrefourUserComponent::set_observability(Observability* obs) {
   MetricsRegistry& m = obs_->metrics();
   tick_count_ =
       m.RegisterCounter("carrefour.ticks", "ticks", "Carrefour decision periods run");
-  backoff_skip_count_ = m.RegisterCounter(
-      "carrefour.backoff_skips", "ticks",
-      "Decision periods sat out under the fault-recovery backoff");
   interleave_count_ = m.RegisterCounter("carrefour.interleave_migrations", "pages",
                                         "Hot pages moved by the interleave heuristic");
   locality_count_ = m.RegisterCounter("carrefour.locality_migrations", "pages",
@@ -47,20 +44,6 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
   if (tick_count_ != nullptr) {
     tick_count_->Increment();
   }
-  BackoffState& backoff = backoff_[domain];
-  if (backoff.skip_remaining > 0) {
-    // Recovery contract: after injected migration failures the daemon sits
-    // out a few decision periods instead of hammering a failing path.
-    --backoff.skip_remaining;
-    stats.skipped_by_backoff = true;
-    ++total_skipped_ticks_;
-    if (backoff_skip_count_ != nullptr) {
-      backoff_skip_count_->Increment();
-    }
-    return stats;
-  }
-  FaultInjector& fi = system_->fault_injector();
-  const int64_t injected_before = fi.stats().TotalInjected();
   const TrafficSnapshot& metrics = system_->ReadMetrics();
   if (metrics.mc_utilization.empty()) {
     return stats;  // No epoch committed yet.
@@ -167,27 +150,6 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
     failed_migration_count_->Increment(stats.failed_migrations);
   }
 
-  // Backoff bookkeeping, engaged only when an injection actually fired this
-  // tick so the fault-free path is untouched (genuine out-of-memory failures
-  // keep the original retry-next-tick behaviour, and a plan at rate 0 stays
-  // bit-identical to no plan at all).
-  if (fi.enabled()) {
-    if (stats.failed_migrations > 0 && fi.stats().TotalInjected() > injected_before) {
-      backoff.streak = std::min(backoff.streak + 1, 8);
-      backoff.skip_remaining = std::min(
-          config_.backoff_max_ticks, config_.backoff_base_ticks << (backoff.streak - 1));
-      backoff.had_failure = true;
-    } else {
-      if (backoff.had_failure &&
-          stats.locality_migrations + stats.interleave_migrations > 0) {
-        // Migrations flow again after a failing streak: the fault is ridden
-        // out, not fatal.
-        fi.NoteRecovered(FaultSite::kMigrate);
-        backoff.had_failure = false;
-      }
-      backoff.streak = 0;
-    }
-  }
   // Last so the copies also mirror this tick's own migrations — a refresh
   // before them would leave every migrated chunk stale for a full period.
   RefreshTranslation(domain, &stats);

@@ -16,7 +16,6 @@
 #ifndef XENNUMA_SRC_CARREFOUR_USER_COMPONENT_H_
 #define XENNUMA_SRC_CARREFOUR_USER_COMPONENT_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/carrefour/system_component.h"
@@ -52,11 +51,6 @@ struct CarrefourConfig {
   // replication this is not gated on interconnect saturation — a stale
   // translation replica taxes every walk from that node, saturated or not.
   bool replicate_translation = false;
-  // Fault recovery (docs/MODEL.md §10): after a tick in which migrations
-  // failed under fault injection, skip the next `base << (streak-1)` ticks
-  // for that domain (capped), doubling per consecutive failing tick.
-  int backoff_base_ticks = 1;
-  int backoff_max_ticks = 16;
 };
 
 struct CarrefourTickStats {
@@ -67,7 +61,6 @@ struct CarrefourTickStats {
   int failed_migrations = 0;
   bool mc_overloaded = false;
   bool interconnect_saturated = false;
-  bool skipped_by_backoff = false;
 };
 
 class CarrefourUserComponent {
@@ -85,8 +78,6 @@ class CarrefourUserComponent {
   int64_t total_locality_migrations() const { return total_locality_; }
   int64_t total_replications() const { return total_replications_; }
 
-  int64_t total_skipped_ticks() const { return total_skipped_ticks_; }
-
   // Optional metrics and scan/migrate profiling spans (carrefour.*).
   // nullptr detaches.
   void set_observability(Observability* obs);
@@ -97,28 +88,18 @@ class CarrefourUserComponent {
   // migrations so the copies mirror this tick's own mutations.
   void RefreshTranslation(DomainId domain, CarrefourTickStats* stats);
 
-  // Per-domain capped exponential backoff under injected migration failures.
-  struct BackoffState {
-    int streak = 0;          // consecutive ticks with failed migrations
-    int skip_remaining = 0;  // ticks left to sit out
-    bool had_failure = false;
-  };
-
   CarrefourSystemComponent* system_;
   CarrefourConfig config_;
   Rng rng_;
   int64_t total_interleave_ = 0;
   int64_t total_locality_ = 0;
   int64_t total_replications_ = 0;
-  int64_t total_skipped_ticks_ = 0;
-  std::unordered_map<DomainId, BackoffState> backoff_;
   // The last scan's hot pages; kept so every scan reuses their rate vectors.
   std::vector<PageAccessSample> hot_;
 
   // Observability (null = disabled).
   Observability* obs_ = nullptr;
   Counter* tick_count_ = nullptr;
-  Counter* backoff_skip_count_ = nullptr;
   Counter* interleave_count_ = nullptr;
   Counter* locality_count_ = nullptr;
   Counter* replication_count_ = nullptr;

@@ -3,7 +3,7 @@
 //
 // Each RunSpec is executed with RunSingleApp, which assembles a complete
 // private machine — topology, hypervisor, frame allocator, guests, engine,
-// seeded Rng, FaultInjector — for that run alone, so runs share nothing
+// seeded Rng — for that run alone, so runs share nothing
 // mutable (docs/MODEL.md §12). Outcomes are committed into a slot array
 // pre-sized to the spec list: outcome[i] always corresponds to specs[i],
 // and both ordering and content are bit-identical to the serial loop for

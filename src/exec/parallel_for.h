@@ -12,8 +12,8 @@
 // Isolation contract (docs/MODEL.md §12): the body invoked for index i may
 // only read shared immutable inputs (app profiles, stack configs, candidate
 // lists) and write state owned exclusively by index i. Anything stateful a
-// run needs — topology, hypervisor, guests, engine, Rng, FaultInjector,
-// Observability — must be constructed inside the body.
+// run needs — topology, hypervisor, guests, engine, Rng, Observability —
+// must be constructed inside the body.
 
 #ifndef XENNUMA_SRC_EXEC_PARALLEL_FOR_H_
 #define XENNUMA_SRC_EXEC_PARALLEL_FOR_H_

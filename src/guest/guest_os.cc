@@ -18,9 +18,7 @@ GuestOs::GuestOs(Hypervisor& hv, DomainId domain, Options options)
       [this](std::span<const PageQueueOp> ops) {
         return hv_->HypercallPageQueueFlush(domain_, ops);
       },
-      options_.queue_partition_bits, options_.queue_batch_size,
-      options_.queue_max_pending);
-  queue_->set_fault_injector(&hv.fault_injector());
+      options_.queue_partition_bits, options_.queue_batch_size);
   queue_->set_observability(hv.observability());
   if (options_.vnuma) {
     FetchVnuma();
@@ -214,31 +212,9 @@ Pfn GuestOs::AllocPhysPage(int vnode_pref) {
     XNUMA_CHECK(pfn != kInvalidPfn);  // all vnode freelists exhausted
   }
   if (options_.mode == KernelMode::kParavirt) {
-    RequeueDroppedQueueOps();
     queue_->PushAlloc(pfn);
   }
   return pfn;
-}
-
-void GuestOs::RequeueDroppedQueueOps() {
-  std::vector<PageQueueOp> dropped;
-  queue_->TakeDropped(&dropped);
-  if (dropped.empty()) {
-    return;
-  }
-  FaultInjector& fi = hv_->fault_injector();
-  for (const PageQueueOp& op : dropped) {
-    if (op.kind == PageQueueOp::Kind::kRelease && pfn_owner_[op.pfn].pid >= 0) {
-      // The page was reallocated after the drop: the release is stale, and
-      // replaying it would tear down a live mapping. Discarding it *is* the
-      // recovery — exactly what the in-batch latest-op rule (§4.2.4) would
-      // have done had the batch not been lost.
-      fi.NoteRecovered(FaultSite::kQueueDrop);
-      continue;
-    }
-    queue_->Requeue(op);
-    fi.NoteRecovered(FaultSite::kQueueDrop);
-  }
 }
 
 TouchResult GuestOs::TouchPage(int pid, Vpn vpn, CpuId cpu, VcpuId vcpu) {
@@ -264,24 +240,6 @@ TouchResult GuestOs::TouchPage(int pid, Vpn vpn, CpuId cpu, VcpuId vcpu) {
     // through the domain's NUMA policy.
     result.hv_fault = true;
     result.node = hv_->HandleGuestFault(domain_, pfn, cpu);
-    FaultInjector& fi = hv_->fault_injector();
-    if (result.node == kInvalidNode && fi.enabled()) {
-      // Injected failures may have defeated every fallback. A kernel does
-      // not surface that to the faulting process: retry a bounded number of
-      // times, then take the non-failable slow path (injection bypassed) so
-      // only genuine machine-wide exhaustion leaves the page unmapped.
-      for (int retry = 0; retry < 2 && result.node == kInvalidNode; ++retry) {
-        result.node = hv_->HandleGuestFault(domain_, pfn, cpu);
-      }
-      if (result.node == kInvalidNode) {
-        const FaultSite site = fi.last_injected_site();
-        FaultInjector::ScopedBypass bypass(fi);
-        result.node = hv_->HandleGuestFault(domain_, pfn, cpu);
-        if (result.node != kInvalidNode) {
-          fi.NoteRecovered(site);
-        }
-      }
-    }
   } else {
     result.node = be.NodeOf(pfn);
   }
@@ -327,24 +285,10 @@ void GuestOs::TouchRange(int pid, Vpn first, int64_t count, CpuId cpu,
       mapped = run.mapped;
     }
     if (!mapped) {
-      // Same trap-and-retry contract as TouchPage (the touch result's node
-      // is not needed here, only the fault's placement side effects).
+      // Same trap as TouchPage (the touch result's node is not needed here,
+      // only the fault's placement side effects).
       cost += hv_fault_s;
-      NodeId node = hv_->HandleGuestFault(domain_, pfn, cpu);
-      FaultInjector& fi = hv_->fault_injector();
-      if (node == kInvalidNode && fi.enabled()) {
-        for (int retry = 0; retry < 2 && node == kInvalidNode; ++retry) {
-          node = hv_->HandleGuestFault(domain_, pfn, cpu);
-        }
-        if (node == kInvalidNode) {
-          const FaultSite site = fi.last_injected_site();
-          FaultInjector::ScopedBypass bypass(fi);
-          node = hv_->HandleGuestFault(domain_, pfn, cpu);
-          if (node != kInvalidNode) {
-            fi.NoteRecovered(site);
-          }
-        }
-      }
+      hv_->HandleGuestFault(domain_, pfn, cpu);
     }
     if (guest_alloc || !mapped) {
       MarkVpageDirty(pid, vpn);
@@ -375,7 +319,6 @@ void GuestOs::ReleasePage(int pid, Vpn vpn) {
   ++stats_.releases;
 
   if (options_.mode == KernelMode::kParavirt) {
-    RequeueDroppedQueueOps();
     queue_->PushRelease(pfn);
   } else {
     // Native kernel: a freed page is unmapped synchronously, so the next

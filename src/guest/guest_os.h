@@ -47,9 +47,6 @@ class GuestOs {
     KernelMode mode = KernelMode::kParavirt;
     int queue_partition_bits = 2;  // §4.2.4: two LSBs of the frame number
     int queue_batch_size = 64;
-    // Cap on entries a queue partition may hold (0 = unbounded). Pushing
-    // past the cap drops the oldest entry for later guest-side replay.
-    int queue_max_pending = 0;
     // Before releasing, Linux fills the page with zeros (§4.4.2), which is
     // what makes all free pages interchangeable for first-touch.
     bool zero_on_free = true;
@@ -124,13 +121,6 @@ class GuestOs {
   // Mainstream kernels cannot do this after boot (NUMA data structures are
   // __init), which is why the migration experiments run without it.
   void RefreshVnuma();
-
-  // Recovery contract for dropped PV-queue batches: re-enqueues every
-  // dropped alloc, and every dropped release whose page is still free.
-  // A release whose page was reallocated since the drop is discarded —
-  // replaying it would invalidate a live page. Called automatically from
-  // the allocation/release paths; exposed for tests.
-  void RequeueDroppedQueueOps();
 
   // ---- Incremental placement tracking (simulator hot path). ----
   // One virtual page whose vpn->pfn mapping changed since the last drain.

@@ -4,17 +4,14 @@
 
 namespace xnuma {
 
-PvPageQueue::PvPageQueue(FlushFn flush, int partition_bits, int batch_size,
-                         int max_pending)
+PvPageQueue::PvPageQueue(FlushFn flush, int partition_bits, int batch_size)
     : flush_(std::move(flush)),
       batch_size_(batch_size),
-      max_pending_(max_pending),
       partitions_(1 << partition_bits),
       partition_mask_((1 << partition_bits) - 1) {
   XNUMA_CHECK(flush_ != nullptr);
   XNUMA_CHECK(partition_bits >= 0 && partition_bits <= 8);
   XNUMA_CHECK(batch_size_ >= 1);
-  XNUMA_CHECK(max_pending_ >= 0);
   for (Partition& p : partitions_) {
     p.ops.reserve(batch_size_);
   }
@@ -28,7 +25,7 @@ void PvPageQueue::set_observability(Observability* obs) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   obs_ = obs;
   if (obs_ == nullptr) {
-    push_count_ = flush_count_ = dropped_count_ = requeued_count_ = nullptr;
+    push_count_ = flush_count_ = nullptr;
     flush_batch_ = flush_wall_seconds_ = nullptr;
     return;
   }
@@ -37,10 +34,6 @@ void PvPageQueue::set_observability(Observability* obs) {
       m.RegisterCounter("pv.queue.pushes", "ops", "Alloc/release entries enqueued");
   flush_count_ =
       m.RegisterCounter("pv.queue.flushes", "calls", "Flush hypercalls issued");
-  dropped_count_ = m.RegisterCounter(
-      "pv.queue.dropped_ops", "ops", "Entries lost to injected drops or overflow");
-  requeued_count_ = m.RegisterCounter("pv.queue.requeued_ops", "ops",
-                                      "Dropped entries the guest re-enqueued");
   flush_batch_ = m.RegisterHistogram("pv.queue.flush_batch", "ops",
                                      "Entries delivered per flush hypercall",
                                      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
@@ -60,24 +53,6 @@ void PvPageQueue::PushRelease(Pfn pfn) {
 void PvPageQueue::Push(PageQueueOp op) {
   Partition& p = PartitionOf(op.pfn);
   std::lock_guard<std::mutex> lock(p.mu);
-  if (max_pending_ > 0 && static_cast<int>(p.ops.size()) >= max_pending_) {
-    // A full fixed-size ring overwrites its oldest entry; the victim goes to
-    // the dropped set so the guest can replay it later.
-    {
-      std::lock_guard<std::mutex> dlock(dropped_mu_);
-      dropped_.push_back(p.ops.front());
-      has_dropped_.store(true, std::memory_order_release);
-    }
-    p.ops.erase(p.ops.begin());
-    if (injector_ != nullptr) {
-      injector_->NoteInjected(FaultSite::kQueueOverflow);
-    }
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.dropped_ops;
-    if (dropped_count_ != nullptr) {
-      dropped_count_->Increment();
-    }
-  }
   p.ops.push_back(op);
   // One relaxed add instead of a second lock round-trip per push. The obs
   // counter update rides under the partition lock: an observed queue is
@@ -99,23 +74,6 @@ void PvPageQueue::FlushLocked(Partition& p) {
   if (p.ops.empty()) {
     return;
   }
-  if (injector_ != nullptr && injector_->FireQueueDrop()) {
-    // The flush hypercall was lost: the batch never reaches the hypervisor.
-    // Park it in the dropped set for guest-side replay.
-    {
-      std::lock_guard<std::mutex> dlock(dropped_mu_);
-      dropped_.insert(dropped_.end(), p.ops.begin(), p.ops.end());
-      has_dropped_.store(true, std::memory_order_release);
-    }
-    const int64_t n = static_cast<int64_t>(p.ops.size());
-    p.ops.clear();
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    stats_.dropped_ops += n;
-    if (dropped_count_ != nullptr) {
-      dropped_count_->Increment(n);
-    }
-    return;
-  }
   const int64_t batch = static_cast<int64_t>(p.ops.size());
   const double begin_us = obs_ != nullptr ? obs_->tracer().NowUs() : 0.0;
   const double hv_time = flush_(std::span<const PageQueueOp>(p.ops));
@@ -129,31 +87,6 @@ void PvPageQueue::FlushLocked(Partition& p) {
     flush_batch_->Observe(static_cast<double>(batch));
     flush_wall_seconds_->Observe((end_us - begin_us) * 1e-6);
   }
-}
-
-void PvPageQueue::TakeDropped(std::vector<PageQueueOp>* out) {
-  // The guest polls before every alloc/release; skip the lock entirely in
-  // the common no-drops case. A flag set concurrently with the load is
-  // picked up by the next poll, exactly as if this call had lost the lock
-  // race.
-  if (!has_dropped_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(dropped_mu_);
-  out->insert(out->end(), dropped_.begin(), dropped_.end());
-  dropped_.clear();
-  has_dropped_.store(false, std::memory_order_release);
-}
-
-void PvPageQueue::Requeue(PageQueueOp op) {
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.requeued_ops;
-    if (requeued_count_ != nullptr) {
-      requeued_count_->Increment();
-    }
-  }
-  Push(op);
 }
 
 void PvPageQueue::FlushAll() {

@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/fault/fault.h"
 #include "src/hv/hypervisor.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 
@@ -38,11 +38,8 @@ class PvPageQueue {
   using FlushFn = std::function<double(std::span<const PageQueueOp>)>;
 
   // `partition_bits` = 2 reproduces the paper's four queues; `batch_size` is
-  // the number of entries accumulated before a flush. `max_pending` caps the
-  // entries a partition may hold (0 = unbounded); pushing past the cap drops
-  // the oldest entry into the dropped set (see TakeDropped).
-  PvPageQueue(FlushFn flush, int partition_bits = 2, int batch_size = 64,
-              int max_pending = 0);
+  // the number of entries accumulated before a flush.
+  PvPageQueue(FlushFn flush, int partition_bits = 2, int batch_size = 64);
 
   PvPageQueue(const PvPageQueue&) = delete;
   PvPageQueue& operator=(const PvPageQueue&) = delete;
@@ -59,28 +56,15 @@ class PvPageQueue {
   // switch to first-touch).
   void FlushAll();
 
-  // Optional fault injection: when set, a flush may drop its whole batch
-  // (a lost hypercall) instead of delivering it. Dropped entries land in the
-  // dropped set; the guest recovers them via TakeDropped + Requeue.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-
   // Optional metrics (pv.queue.*). The queue is the one instrumentation
   // site driven from multiple guest threads, so every metric update happens
   // under stats_mu_ (and never touches the single-threaded trace ring).
   // nullptr detaches.
   void set_observability(Observability* obs);
 
-  // Moves every dropped entry into `out` (appended) and clears the set.
-  void TakeDropped(std::vector<PageQueueOp>* out);
-
-  // Re-enqueues an operation recovered from the dropped set.
-  void Requeue(PageQueueOp op);
-
   struct Stats {
     int64_t pushes = 0;
     int64_t flushes = 0;
-    int64_t dropped_ops = 0;   // entries lost to drops/overflow so far
-    int64_t requeued_ops = 0;  // dropped entries the guest re-enqueued
     double hypervisor_seconds = 0.0;  // simulated time spent in flushes
   };
   Stats GetStats() const;
@@ -99,16 +83,8 @@ class PvPageQueue {
 
   FlushFn flush_;
   int batch_size_;
-  int max_pending_;
   std::vector<Partition> partitions_;
   int partition_mask_;
-  FaultInjector* injector_ = nullptr;
-
-  std::mutex dropped_mu_;
-  std::vector<PageQueueOp> dropped_;
-  // True whenever `dropped_` is non-empty; lets TakeDropped (called before
-  // every push by the guest) skip the lock in the common no-drops case.
-  std::atomic<bool> has_dropped_{false};
 
   mutable std::mutex stats_mu_;
   Stats stats_;
@@ -120,8 +96,6 @@ class PvPageQueue {
   Observability* obs_ = nullptr;
   Counter* push_count_ = nullptr;
   Counter* flush_count_ = nullptr;
-  Counter* dropped_count_ = nullptr;
-  Counter* requeued_count_ = nullptr;
   Histogram* flush_batch_ = nullptr;
   Histogram* flush_wall_seconds_ = nullptr;
 };

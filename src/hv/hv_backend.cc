@@ -29,7 +29,7 @@ void HvPlacementBackend::set_observability(Observability* obs) {
       m.RegisterCounter("hv.backend.migrations", "pages", "Pages migrated between nodes");
   failed_migration_count_ = m.RegisterCounter(
       "hv.backend.failed_migrations", "pages",
-      "Migrations refused or rolled back (exhaustion, injected fault, remap race)");
+      "Migrations refused (unmapped page or full target node)");
   migrated_bytes_ =
       m.RegisterCounter("hv.backend.migrated_bytes", "bytes", "Bytes copied by migrations");
   replication_count_ = m.RegisterCounter("hv.backend.replications", "pages",
@@ -89,10 +89,6 @@ int64_t HvPlacementBackend::num_pages() const { return domain_->memory_pages(); 
 
 int HvPlacementBackend::num_nodes() const { return frames_->num_nodes(); }
 
-FaultInjector* HvPlacementBackend::fault_injector() const {
-  return frames_->fault_injector();
-}
-
 const std::vector<NodeId>& HvPlacementBackend::home_nodes() const {
   return domain_->home_nodes();
 }
@@ -134,10 +130,6 @@ bool HvPlacementBackend::MapOnNode(Pfn pfn, NodeId node) {
   if (domain_->p2m().IsValid(pfn)) {
     return false;
   }
-  FaultInjector* fi = frames_->fault_injector();
-  if (fi != nullptr && fi->FireMapFailure()) {
-    return false;  // injected hypercall failure before the allocation
-  }
   const Mfn mfn = frames_->AllocOnNode(node);
   if (mfn == kInvalidMfn) {
     return false;
@@ -164,17 +156,6 @@ bool HvPlacementBackend::MapRangeOnNode(Pfn first, int64_t count, NodeId node) {
   if (base == kInvalidMfn) {
     return false;
   }
-  FaultInjector* fi = frames_->fault_injector();
-  const int64_t fail_at =
-      fi != nullptr ? fi->FireMapRangeCommitFailure(count) : -1;
-  if (fail_at >= 0) {
-    // The commit died mid-range: mapping [0, fail_at) and then undoing it
-    // collapses to releasing the whole contiguous run — no partial range
-    // is ever observable.
-    frames_->FreeContiguous(base, count);
-    fi->NoteRecovered(FaultSite::kMapRange);
-    return false;
-  }
   domain_->p2m().MapRange(first, count, base);
   if (count >= DirtyLimit()) {
     MarkAllDirty();  // bulk placement: cheaper to signal a full rescan
@@ -193,10 +174,6 @@ bool HvPlacementBackend::Replicate(Pfn pfn) {
   P2mTable& p2m = domain_->p2m();
   if (!p2m.IsValid(pfn) || domain_->IsReplicated(pfn)) {
     return false;
-  }
-  FaultInjector* fi = frames_->fault_injector();
-  if (fi != nullptr && fi->FireReplicateFailure()) {
-    return false;  // injected failure before any copy is allocated
   }
   const NodeId primary = frames_->NodeOf(p2m.Lookup(pfn));
   std::vector<Mfn> replicas;
@@ -255,13 +232,6 @@ bool HvPlacementBackend::Migrate(Pfn pfn, NodeId node) {
     }
     return false;
   }
-  FaultInjector* fi = frames_->fault_injector();
-  if (fi != nullptr && fi->FireMigrateFailure()) {
-    if (failed_migration_count_ != nullptr) {
-      failed_migration_count_->Increment();
-    }
-    return false;  // injected failure before any state is touched
-  }
   if (domain_->IsReplicated(pfn)) {
     // A replicated page already serves every node locally; collapse before
     // moving the primary copy.
@@ -281,19 +251,7 @@ bool HvPlacementBackend::Migrate(Pfn pfn, NodeId node) {
   // §4.1: write-protect the entry so no store lands in the page while it is
   // being copied, copy, then commit the new mapping and drop protection.
   p2m.WriteProtect(pfn);
-  if (!p2m.TryRemap(pfn, new_mfn)) {
-    // Injected commit race: drop protection, release the copy target, and
-    // leave the page on its old node as if the migration never started.
-    p2m.WriteUnprotect(pfn);
-    frames_->Free(new_mfn);
-    if (fi != nullptr) {
-      fi->NoteRecovered(FaultSite::kP2mRemap);
-    }
-    if (failed_migration_count_ != nullptr) {
-      failed_migration_count_->Increment();
-    }
-    return false;
-  }
+  p2m.Remap(pfn, new_mfn);
   p2m.WriteUnprotect(pfn);
   frames_->Free(old_mfn);
 
@@ -329,10 +287,6 @@ void HvPlacementBackend::Invalidate(Pfn pfn) {
   if (invalidation_count_ != nullptr) {
     invalidation_count_->Increment();
   }
-}
-
-int64_t HvPlacementBackend::FreeFramesOnNode(NodeId node) const {
-  return frames_->FreeFrames(node);
 }
 
 HvPlacementBackend::MigrationWindow HvPlacementBackend::DrainMigrationWindow() {

@@ -22,7 +22,6 @@ class HvPlacementBackend : public PlacementBackend {
 
   int64_t num_pages() const override;
   int num_nodes() const override;
-  FaultInjector* fault_injector() const override;
   const std::vector<NodeId>& home_nodes() const override;
   bool IsMapped(Pfn pfn) const override;
   NodeId NodeOf(Pfn pfn) const override;
@@ -45,7 +44,6 @@ class HvPlacementBackend : public PlacementBackend {
   bool MapRangeOnNode(Pfn first, int64_t count, NodeId node) override;
   bool Migrate(Pfn pfn, NodeId node) override;
   void Invalidate(Pfn pfn) override;
-  int64_t FreeFramesOnNode(NodeId node) const override;
   bool guest_hints_active() const override { return domain_->vnuma_hints_active(); }
 
   // ---- Read-only replication (optional §3.4 extension). ----

@@ -15,12 +15,10 @@ Hypervisor::Hypervisor(const Topology& topo, int64_t bytes_per_frame)
   // BIOS and I/O holes fragment the edges of every node's memory (§3.3).
   frames_.FragmentEdgeRegions(/*holes_per_edge=*/4);
   cpu_reservations_.assign(topo.num_cpus(), 0);
-  frames_.set_fault_injector(&faults_);
 }
 
 void Hypervisor::set_observability(Observability* obs) {
   obs_ = obs;
-  faults_.set_observability(obs);
   for (auto& be : backends_) {
     be->set_observability(obs);
   }
@@ -261,7 +259,6 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
   auto dom = std::make_unique<Domain>(id, config.name, config.memory_pages);
   dom->set_is_dom0(config.is_dom0);
   dom->set_pci_passthrough(config.pci_passthrough);
-  dom->p2m().set_fault_injector(&faults_);
   dom->p2m().set_observability(obs_);
 
   // Pin vCPUs: explicit list, or pack onto the home nodes.
@@ -408,11 +405,8 @@ double Hypervisor::HypercallPageQueueFlush(DomainId id, std::span<const PageQueu
   ++stats.queue_flush_hypercalls;
   stats.queue_entries_seen += static_cast<int64_t>(ops.size());
 
-  // An injected slow completion models a preempted hypercall: the guest sees
-  // the same result, just later (§4.2.4 batching absorbs the latency).
   const double send_time = costs_.hypercall_base_s +
-                           costs_.queue_entry_send_s * static_cast<double>(ops.size()) +
-                           faults_.FireHypercallDelay();
+                           costs_.queue_entry_send_s * static_cast<double>(ops.size());
   double invalidate_time = 0.0;
 
   if (dom.policy()->traps_releases()) {

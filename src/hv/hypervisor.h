@@ -12,13 +12,13 @@
 
 #include "src/admission/solver.h"
 #include "src/common/types.h"
-#include "src/fault/fault.h"
 #include "src/hv/costs.h"
 #include "src/hv/domain.h"
 #include "src/hv/hv_backend.h"
 #include "src/hv/vnuma.h"
 #include "src/mm/frame_allocator.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 
@@ -105,17 +105,11 @@ class Hypervisor {
   FrameAllocator& frames() { return frames_; }
   const HvCosts& costs() const { return costs_; }
 
-  // Deterministic fault-injection layer (disabled by default). Owned here so
-  // every machine-memory mutation path — frame allocation, P2M commits,
-  // hypercalls — draws from one seeded plan.
-  FaultInjector& fault_injector() { return faults_; }
-  const FaultInjector& fault_injector() const { return faults_; }
-
   // Attaches (or detaches, with null) the externally owned observability
-  // context and propagates it to the fault injector, every existing backend
-  // and P2M table, and all domains created afterwards. Call before creating
-  // domains so instrumentation covers the whole machine lifetime. Null is
-  // the default and means zero instrumentation work on every hot path.
+  // context and propagates it to every existing backend and P2M table, and
+  // all domains created afterwards. Call before creating domains so
+  // instrumentation covers the whole machine lifetime. Null is the default
+  // and means zero instrumentation work on every hot path.
   void set_observability(Observability* obs);
   Observability* observability() const { return obs_; }
 
@@ -201,7 +195,6 @@ class Hypervisor {
 
  private:
   const Topology* topo_;
-  FaultInjector faults_;
   FrameAllocator frames_;
   AdmissionSolver admission_solver_;
   AdmissionVerdict last_admission_;

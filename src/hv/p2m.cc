@@ -66,21 +66,9 @@ void P2mTable::Remap(Pfn pfn, Mfn new_mfn) {
   XNUMA_CHECK((e & 1) != 0);
   e = (static_cast<uint64_t>(new_mfn) << 2) | (e & 3);
   TouchChunks(pfn, 1);
-}
-
-bool P2mTable::TryRemap(Pfn pfn, Mfn new_mfn) {
-  XNUMA_CHECK(IsValid(pfn));
-  if (injector_ != nullptr && injector_->FireP2mRemapFailure()) {
-    if (remap_race_count_ != nullptr) {
-      remap_race_count_->Increment();
-    }
-    return false;  // injected commit race: the entry keeps its old target
-  }
-  Remap(pfn, new_mfn);
   if (remap_count_ != nullptr) {
     remap_count_->Increment();
   }
-  return true;
 }
 
 Mfn P2mTable::Unmap(Pfn pfn) {
@@ -119,7 +107,7 @@ void P2mTable::set_observability(Observability* obs) {
   // this table's share from the old registry to the new one.
   AddToReplicaGauge(-replica_count());
   if (obs == nullptr) {
-    remap_count_ = remap_race_count_ = nullptr;
+    remap_count_ = nullptr;
     repl_gauge_ = nullptr;
     repl_invalidation_metric_ = repl_local_metric_ = repl_remote_metric_ = nullptr;
     return;
@@ -127,8 +115,6 @@ void P2mTable::set_observability(Observability* obs) {
   MetricsRegistry& m = obs->metrics();
   remap_count_ =
       m.RegisterCounter("p2m.remaps", "remaps", "Successful P2M remap commits");
-  remap_race_count_ = m.RegisterCounter(
-      "p2m.remap_races", "events", "P2M remaps lost to an (injected) commit race");
   repl_gauge_ = m.RegisterGauge(
       "p2m.repl.replicas", "replicas",
       "Live per-node P2M replicas summed over every domain (home nodes excluded)");

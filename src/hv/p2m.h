@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/fault/fault.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 
@@ -72,17 +72,8 @@ class P2mTable {
   // Atomically replaces the target of a valid entry (migration commit).
   void Remap(Pfn pfn, Mfn new_mfn);
 
-  // Remap that can lose the commit race injected through the fault layer:
-  // returns false (entry unchanged) when the injector fires, true after a
-  // successful remap. Identical to Remap() when no injector is attached.
-  bool TryRemap(Pfn pfn, Mfn new_mfn);
-
-  // Optional fault injection for TryRemap. nullptr detaches.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-
-  // Optional metrics (p2m.remaps, p2m.remap_races,
-  // p2m.repl.{replicas,invalidations,local_walks,remote_walks}). nullptr
-  // detaches.
+  // Optional metrics (p2m.remaps, p2m.repl.{replicas,invalidations,
+  // local_walks,remote_walks}). nullptr detaches.
   void set_observability(Observability* obs);
 
   // Drops a valid mapping; returns the machine frame that backed it.
@@ -225,9 +216,7 @@ class P2mTable {
   int64_t repl_local_walks_ = 0;
   int64_t repl_remote_walks_ = 0;
 
-  FaultInjector* injector_ = nullptr;
   Counter* remap_count_ = nullptr;
-  Counter* remap_race_count_ = nullptr;
   Gauge* repl_gauge_ = nullptr;
   Counter* repl_invalidation_metric_ = nullptr;
   Counter* repl_local_metric_ = nullptr;

@@ -169,9 +169,6 @@ int64_t FrameAllocator::FindFreeRun(int64_t lo, int64_t hi, int64_t count) const
 
 Mfn FrameAllocator::AllocOnNode(NodeId node) {
   XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
-  if (injector_ != nullptr && injector_->FireFrameAllocFailure(node)) {
-    return kInvalidMfn;  // injected transient failure or exhaustion window
-  }
   if (free_count_[node] == 0) {
     return kInvalidMfn;
   }
@@ -194,9 +191,6 @@ Mfn FrameAllocator::AllocOnNode(NodeId node) {
 Mfn FrameAllocator::AllocContiguous(NodeId node, int64_t count) {
   XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
   XNUMA_CHECK(count > 0);
-  if (injector_ != nullptr && injector_->FireFrameAllocFailure(node)) {
-    return kInvalidMfn;
-  }
   if (free_count_[node] < count) {
     return kInvalidMfn;
   }

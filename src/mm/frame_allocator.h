@@ -19,7 +19,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/fault/fault.h"
 #include "src/numa/topology.h"
 
 namespace xnuma {
@@ -43,12 +42,6 @@ class FrameAllocator {
   Mfn node_base(NodeId n) const { return node_bases_[n]; }
   int64_t total_frames() const { return total_frames_; }
   int num_nodes() const { return static_cast<int>(node_sizes_.size()); }
-
-  // Optional fault injection: when set, AllocOnNode/AllocContiguous consult
-  // the injector and fail with kInvalidMfn on an injected transient failure
-  // or node-exhaustion window. nullptr detaches.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   // Number of frames in a region of the given order at this scale (at least
   // one: regions smaller than a frame collapse onto the frame quantum).
@@ -140,7 +133,6 @@ class FrameAllocator {
   std::vector<uint64_t> used_;
   // Next-fit rover per node keeps single-frame allocation O(1) amortized.
   std::vector<int64_t> rover_;
-  FaultInjector* injector_ = nullptr;
 };
 
 }  // namespace xnuma

@@ -20,8 +20,6 @@
 
 namespace xnuma {
 
-class FaultInjector;
-
 class PlacementBackend {
  public:
   virtual ~PlacementBackend() = default;
@@ -31,12 +29,6 @@ class PlacementBackend {
 
   // Number of NUMA nodes in the machine backing this address space.
   virtual int num_nodes() const = 0;
-
-  // Fault-injection layer active behind this backend, or nullptr when the
-  // backend cannot fail spuriously. MapWithFallback consults it to decide
-  // whether an allocation failure is injected (and thus recoverable by
-  // retrying elsewhere) and to account the recovery.
-  virtual FaultInjector* fault_injector() const { return nullptr; }
 
   // Nodes this address space should prefer (Xen's home-nodes, §3.3). Never
   // empty; native backends report every node.
@@ -62,8 +54,6 @@ class PlacementBackend {
   // Drops the mapping of `pfn` so the next access traps (first-touch, §4.2).
   virtual void Invalidate(Pfn pfn) = 0;
 
-  virtual int64_t FreeFramesOnNode(NodeId node) const = 0;
-
   // Whether the guest behind this address space has fetched its vNUMA
   // topology tables (docs/VNUMA.md): the hybrid policy honours the vNUMA
   // partition only once hints are live, and delegates to its base policy
@@ -73,8 +63,8 @@ class PlacementBackend {
 };
 
 // First-touch fallback (§3.1): map on `preferred`; if that node is full,
-// walk the home nodes round-robin (cursor advances across calls), then any
-// node. Returns the node used, or kInvalidNode if memory is exhausted.
+// walk the home nodes round-robin (cursor advances across calls). Returns
+// the node used, or kInvalidNode when every home node is full.
 NodeId MapWithFallback(PlacementBackend& backend, Pfn pfn, NodeId preferred, int* rr_cursor);
 
 }  // namespace xnuma

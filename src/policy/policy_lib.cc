@@ -1,8 +1,6 @@
 #include <memory>
-#include <vector>
 
 #include "src/common/check.h"
-#include "src/fault/fault.h"
 #include "src/policy/first_touch.h"
 #include "src/policy/numa_policy.h"
 #include "src/policy/round_robin.h"
@@ -14,8 +12,6 @@ NodeId MapWithFallback(PlacementBackend& backend, Pfn pfn, NodeId preferred, int
   if (backend.IsMapped(pfn)) {
     return backend.NodeOf(pfn);
   }
-  FaultInjector* fi = backend.fault_injector();
-  const int64_t injected_before = fi != nullptr ? fi->stats().TotalInjected() : 0;
   if (preferred != kInvalidNode && backend.MapOnNode(pfn, preferred)) {
     return preferred;
   }
@@ -27,37 +23,8 @@ NodeId MapWithFallback(PlacementBackend& backend, Pfn pfn, NodeId preferred, int
       continue;
     }
     if (backend.MapOnNode(pfn, node)) {
-      if (fi != nullptr && fi->stats().TotalInjected() > injected_before) {
-        fi->NoteRecovered(fi->last_injected_site());
-      }
       return node;
     }
-  }
-  // Recovery contract: when an injected fault (not genuine exhaustion)
-  // caused the misses above, retry on the least-loaded nodes machine-wide.
-  // Gated on an injection having fired so the fault-free path is unchanged.
-  if (fi != nullptr && fi->enabled() && fi->stats().TotalInjected() > injected_before) {
-    const FaultSite site = fi->last_injected_site();
-    std::vector<bool> tried(backend.num_nodes(), false);
-    for (int round = 0; round < backend.num_nodes(); ++round) {
-      NodeId best = kInvalidNode;
-      int64_t best_free = 0;
-      for (NodeId n = 0; n < backend.num_nodes(); ++n) {
-        if (!tried[n] && backend.FreeFramesOnNode(n) > best_free) {
-          best = n;
-          best_free = backend.FreeFramesOnNode(n);
-        }
-      }
-      if (best == kInvalidNode) {
-        break;
-      }
-      tried[best] = true;
-      if (backend.MapOnNode(pfn, best)) {
-        fi->NoteRecovered(site);
-        return best;
-      }
-    }
-    fi->NoteAborted(site);
   }
   return kInvalidNode;
 }

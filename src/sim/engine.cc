@@ -193,10 +193,6 @@ struct Engine::JobState {
   double remote_walks_acc = 0.0;
   int64_t local_walks_reported = 0;
   int64_t remote_walks_reported = 0;
-  // Machine-wide fault counters snapshotted when the job finished.
-  int64_t faults_injected_at_finish = 0;
-  int64_t faults_recovered_at_finish = 0;
-  int64_t faults_aborted_at_finish = 0;
 
   int shared_region = 0;   // index of the DMA buffer region
   int private_region = 1;  // index of the churn target region
@@ -246,9 +242,6 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
       config_(config),
       rng_(config.seed),
       counters_(hv.topology()) {
-  // Install the fault plan before any placement work: eager policies map
-  // pages at domain creation, and those paths must already see the plan.
-  hv.fault_injector().Configure(config_.fault);
   const Topology& topo = hv.topology();
   const int nodes = topo.num_nodes();
   mc_util_.assign(nodes, 0.0);
@@ -555,9 +548,6 @@ void Engine::DeriveRegionMasses(JobState& job) {
 }
 
 void Engine::DrainPlacementEvents() {
-  if (!config_.incremental_placement) {
-    return;
-  }
   // Guest-side events name the affected vpage directly.
   for (size_t i = 0; i < jobs_.size(); ++i) {
     GuestOs* guest = jobs_[i]->spec.guest;
@@ -652,7 +642,7 @@ void Engine::DrainPlacementEvents() {
 }
 
 void Engine::RefreshPlacementTables(JobState& job) {
-  if (!config_.incremental_placement || job.needs_full_rescan) {
+  if (job.needs_full_rescan) {
     for (RegionState& region : job.regions) {
       FullRescanRegion(job, region);
     }
@@ -1068,7 +1058,7 @@ void Engine::SolveUtilizationFixedPoint() {
       link_new[l] /= capacity;
     }
 
-    const double damp = config_.utilization_damping;
+    const double damp = kUtilizationDamping;
     max_delta = 0.0;
     for (NodeId n = 0; n < nodes; ++n) {
       const double updated = (1.0 - damp) * mc_util_[n] + damp * mc_new[n];
@@ -1192,10 +1182,6 @@ bool Engine::ComputeDone(const JobState& job) const {
 void Engine::FinishJob(JobState& job, double now) {
   job.finished = true;
   job.finished_at = now;
-  const FaultStats& fs = hv_->fault_injector().stats();
-  job.faults_injected_at_finish = fs.TotalInjected();
-  job.faults_recovered_at_finish = fs.TotalRecovered();
-  job.faults_aborted_at_finish = fs.TotalAborted();
 }
 
 void Engine::RunAllocatorChurn(JobState& job, double dt, double now) {
@@ -1558,10 +1544,6 @@ void Engine::RecordTrace(double now) {
     link_sum += u;
   }
   sample.avg_link_util = link_util_.empty() ? 0.0 : link_sum / link_util_.size();
-  const FaultStats& fs = hv_->fault_injector().stats();
-  sample.faults_injected = fs.TotalInjected();
-  sample.faults_recovered = fs.TotalRecovered();
-  sample.faults_aborted = fs.TotalAborted();
   for (const auto& jptr : jobs_) {
     const JobState& job = *jptr;
     JobEpochSample js;
@@ -1602,22 +1584,6 @@ void Engine::EmitEpochObservability(double now) {
   sim_seconds_gauge_->Set(now);
   tracer.EmitCounter("max_mc_util", "engine", max_mc);
   tracer.EmitCounter("max_link_util", "engine", max_link);
-
-  // The CSV keeps cumulative fault totals; the Chrome trace carries the
-  // per-epoch deltas so a plot of injection activity needs no diffing.
-  const FaultStats& fs = hv_->fault_injector().stats();
-  const int64_t injected = fs.TotalInjected();
-  const int64_t recovered = fs.TotalRecovered();
-  const int64_t aborted = fs.TotalAborted();
-  tracer.EmitCounter("faults_injected_delta", "fault",
-                     static_cast<double>(injected - prev_faults_injected_));
-  tracer.EmitCounter("faults_recovered_delta", "fault",
-                     static_cast<double>(recovered - prev_faults_recovered_));
-  tracer.EmitCounter("faults_aborted_delta", "fault",
-                     static_cast<double>(aborted - prev_faults_aborted_));
-  prev_faults_injected_ = injected;
-  prev_faults_recovered_ = recovered;
-  prev_faults_aborted_ = aborted;
 }
 
 RunResult Engine::Run() {
@@ -1697,7 +1663,6 @@ RunResult Engine::Run() {
 
   RunResult result;
   result.sim_seconds = now;
-  result.faults = hv_->fault_injector().stats();
   for (auto& jptr : jobs_) {
     JobState& job = *jptr;
     JobResult jr;
@@ -1733,15 +1698,6 @@ RunResult Engine::Run() {
     }
     jr.local_walks = job.local_walks_reported;
     jr.remote_walks = job.remote_walks_reported;
-    if (job.finished) {
-      jr.faults_injected = job.faults_injected_at_finish;
-      jr.faults_recovered = job.faults_recovered_at_finish;
-      jr.faults_aborted = job.faults_aborted_at_finish;
-    } else {
-      jr.faults_injected = result.faults.TotalInjected();
-      jr.faults_recovered = result.faults.TotalRecovered();
-      jr.faults_aborted = result.faults.TotalAborted();
-    }
     result.jobs.push_back(std::move(jr));
   }
   return result;

@@ -33,7 +33,6 @@
 #include "src/carrefour/user_component.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/fault/fault.h"
 #include "src/guest/guest_os.h"
 #include "src/guest/sync_model.h"
 #include "src/hv/hypervisor.h"
@@ -56,20 +55,15 @@ namespace xnuma {
 // within the cap; it stops there and keeps its last iterate (docs/MODEL.md §3).
 inline constexpr double kFixedPointTolerance = 1e-7;
 inline constexpr int kFixedPointMaxIterations = 24;
+// Weight of each iteration's new utilization estimate. The rate/latency
+// fixed point has steep negative slope in the overload region (|d'| up to
+// ~8 with the default overload_slope), so the damped Picard iteration needs
+// damping < 2/(1+|d'|) to contract.
+inline constexpr double kUtilizationDamping = 0.15;
 
 struct EngineConfig {
   double epoch_seconds = 0.05;
   double carrefour_period_seconds = 0.10;
-  // The rate/latency fixed point has steep negative slope in the overload
-  // region (|d'| up to ~8 with the default overload_slope), so the damped
-  // Picard iteration needs damping < 2/(1+|d'|) to contract.
-  double utilization_damping = 0.15;
-  // Event-driven placement refresh (the default): the engine keeps per-page
-  // placement and mass aggregates incrementally from the backend/guest dirty
-  // sets. When false it rescans every page of every region each epoch — the
-  // pre-cache behavior, kept as the measurable baseline for
-  // bench/micro_engine_epoch. Both paths compute identical values.
-  bool incremental_placement = true;
   double max_sim_seconds = 600.0;
   uint64_t seed = 7;
 
@@ -102,9 +96,6 @@ struct EngineConfig {
 
   CarrefourConfig carrefour;
   AutoSelectorConfig auto_selector;
-  // Deterministic fault injection (disabled by default); installed into the
-  // hypervisor's injector when the engine is constructed.
-  FaultPlan fault;
 };
 
 struct JobSpec {
@@ -160,10 +151,6 @@ struct JobResult {
   // Auto-selector outcome (when enabled): policy at completion + switches.
   PolicyConfig final_policy;
   int policy_switches = 0;
-  // Machine-wide fault-layer counters at the moment this job finished.
-  int64_t faults_injected = 0;
-  int64_t faults_recovered = 0;
-  int64_t faults_aborted = 0;
   // Modeled page-walks split by locality (both zero unless the engine ran
   // with price_walks; docs/MODEL.md §18).
   int64_t local_walks = 0;
@@ -173,8 +160,6 @@ struct JobResult {
 struct RunResult {
   std::vector<JobResult> jobs;
   double sim_seconds = 0.0;
-  // Final fault-layer counters (all zero when injection is disabled).
-  FaultStats faults;
 };
 
 // Simulated pages the engine lays out for one region / a whole application,
@@ -208,7 +193,7 @@ class Engine : public PageAccessSource {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   // Optional hook invoked at the end of every epoch with the simulated time;
-  // the property-based fault tests use it to assert invariants mid-run.
+  // the property tests use it to assert invariants mid-run.
   void set_epoch_hook(std::function<void(double)> hook) { epoch_hook_ = std::move(hook); }
 
   // Optional vCPU scheduler: every `period_s` the scheduler rebalances the
@@ -278,9 +263,8 @@ class Engine : public PageAccessSource {
   bool ComputeDone(const JobState& job) const;
   void FinishJob(JobState& job, double now);
   void RecordTrace(double now);
-  // Per-epoch metrics/trace emission: utilization gauges, counter events for
-  // the Chrome trace (including per-epoch fault deltas — the cumulative
-  // totals stay in the CSV, see trace.h).
+  // Per-epoch metrics/trace emission: utilization gauges and counter events
+  // for the Chrome trace.
   void EmitEpochObservability(double now);
   void TickScheduler(double now);
 
@@ -398,10 +382,6 @@ class Engine : public PageAccessSource {
   Counter* sampler_candidates_ = nullptr;
   Counter* sampler_bounded_ = nullptr;
   Counter* sampler_scored_ = nullptr;
-  // Previous cumulative fault totals, for the per-epoch deltas in the trace.
-  int64_t prev_faults_injected_ = 0;
-  int64_t prev_faults_recovered_ = 0;
-  int64_t prev_faults_aborted_ = 0;
 };
 
 }  // namespace xnuma

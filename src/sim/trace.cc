@@ -7,28 +7,21 @@ namespace xnuma {
 
 std::string TraceRecorder::ToCsv() const {
   // Column conventions, spelled out because the two families differ:
-  //  * faults_* and migrations are CUMULATIVE totals as of the epoch's end
-  //    (monotone non-decreasing; diff adjacent rows for per-epoch activity);
+  //  * migrations is a CUMULATIVE total as of the epoch's end (monotone
+  //    non-decreasing; diff adjacent rows for per-epoch activity);
   //  * max_mc/max_link (and latency/rate/overhead) are INSTANTANEOUS values
   //    for that epoch alone.
-  // The Chrome trace export (--trace-json) carries the per-epoch fault
-  // deltas directly as counter events, so no diffing is needed there.
   std::string out =
-      "# faults_*,migrations: cumulative totals; max_mc,max_link,latency,rate,"
+      "# migrations: cumulative total; max_mc,max_link,latency,rate,"
       "overhead: instantaneous per-epoch values\n"
-      "time,app,latency_cycles,rate_per_s,overhead,migrations,max_mc,max_link,"
-      "faults_injected,faults_recovered,faults_aborted\n";
+      "time,app,latency_cycles,rate_per_s,overhead,migrations,max_mc,max_link\n";
   char line[320];
   for (const EpochSample& e : samples_) {
     for (const JobEpochSample& j : e.jobs) {
-      std::snprintf(line, sizeof(line),
-                    "%.3f,%s,%.1f,%.0f,%.4f,%lld,%.4f,%.4f,%lld,%lld,%lld\n",
+      std::snprintf(line, sizeof(line), "%.3f,%s,%.1f,%.0f,%.4f,%lld,%.4f,%.4f\n",
                     e.time_seconds, j.app.c_str(), j.avg_latency_cycles, j.total_rate,
                     j.overhead_fraction, static_cast<long long>(j.carrefour_migrations),
-                    e.max_mc_util, e.max_link_util,
-                    static_cast<long long>(e.faults_injected),
-                    static_cast<long long>(e.faults_recovered),
-                    static_cast<long long>(e.faults_aborted));
+                    e.max_mc_util, e.max_link_util);
       out += line;
     }
   }

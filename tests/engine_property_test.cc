@@ -1,9 +1,19 @@
 // Property-style tests on simulation invariants: determinism, work
-// conservation, monotonicity under contention, placement sanity.
+// conservation, monotonicity under contention, placement sanity, and
+// machine consistency while full nodes refuse work.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/experiment.h"
+#include "src/guest/guest_os.h"
+#include "src/hv/hv_backend.h"
+#include "src/hv/hypervisor.h"
+#include "src/numa/latency_model.h"
+#include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 
 namespace xnuma {
@@ -154,6 +164,132 @@ TEST(EnginePropertyTest, CarrefourMigratesOnlyWhenEnabled) {
   const JobResult on = RunSingleApp(app, XenPlusStack({StaticPolicy::kRound4k, true}), Opts());
   EXPECT_EQ(off.carrefour_migrations, 0);
   EXPECT_GT(on.carrefour_migrations, 0);
+}
+
+// A first-touch + Carrefour run with allocator churn on a machine whose
+// non-home nodes were filled before it started: every migration Carrefour
+// aims at them is refused by genuine exhaustion. Every 8 epochs:
+//  (a) every valid P2M entry is backed by an allocated machine frame with a
+//      home node, and a replicated page's replica set is consistent
+//      (allocated frames, no duplicate of the primary);
+//  (b) the engine's incremental placement aggregates match a full rescan;
+//  (c) every owned virtual page resolves to a mapped physical page.
+TEST(EnginePropertyTest, InvariantsHoldWhileFullNodesRefuseMigrations) {
+  AppProfile app;
+  app.name = "full-nodes";
+  app.cpu_cycles_per_access = 150;
+  app.nominal_seconds = 0.5;
+  app.release_rate_per_s = 20000.0;  // allocator churn: PV queue every epoch
+  app.disk_read_mb = 64.0;
+  RegionSpec shared;
+  shared.name = "shared";
+  shared.footprint_mb = 512;
+  shared.init = AllocPattern::kMasterInit;
+  shared.access_share = 0.6;
+  shared.hot_fraction = 0.25;
+  shared.hot_share = 0.8;
+  app.regions.push_back(shared);
+  RegionSpec priv;
+  priv.name = "private";
+  priv.footprint_mb = 256;
+  priv.init = AllocPattern::kOwnerPartitioned;
+  priv.access_share = 0.4;
+  priv.owner_affinity = 0.9;
+  app.regions.push_back(priv);
+
+  const Topology topo = Topology::Amd48();
+  Observability obs;  // outlives hv
+  Hypervisor hv(topo);
+  hv.set_observability(&obs);
+  const LatencyModel latency;
+  DomainConfig dc;
+  dc.name = "dom";
+  dc.num_vcpus = 12;
+  dc.memory_pages = 4096;
+  for (int i = 0; i < 12; ++i) {
+    dc.pinned_cpus.push_back(i);
+  }
+  dc.policy = {StaticPolicy::kFirstTouch, true};
+  const DomainId dom = hv.CreateDomain(dc);
+  GuestOs guest(hv, dom);
+  const std::vector<NodeId>& homes = hv.domain(dom).home_nodes();
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    if (std::find(homes.begin(), homes.end(), n) == homes.end()) {
+      while (hv.frames().AllocOnNode(n) != kInvalidMfn) {
+      }
+    }
+  }
+
+  EngineConfig ec;
+  ec.seed = 17;
+  ec.max_sim_seconds = 20.0;
+  Engine engine(hv, latency, ec);
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = 12;
+  engine.AddJob(spec);
+  const int64_t vpages = AppSimPages(app, hv.frames().bytes_per_frame(), ec.min_region_pages);
+
+  Domain& domain = hv.domain(dom);
+  HvPlacementBackend& be = hv.backend(dom);
+  const auto check_mappings = [&] {
+    for (Pfn pfn = 0; pfn < domain.memory_pages(); ++pfn) {
+      if (!be.IsMapped(pfn)) {
+        ASSERT_FALSE(domain.IsReplicated(pfn)) << "unmapped page " << pfn << " has replicas";
+        continue;
+      }
+      const Mfn mfn = domain.p2m().Lookup(pfn);
+      ASSERT_TRUE(hv.frames().IsAllocated(mfn)) << "page " << pfn;
+      const NodeId home = hv.frames().NodeOf(mfn);
+      ASSERT_GE(home, 0) << "page " << pfn;
+      ASSERT_LT(home, topo.num_nodes()) << "page " << pfn;
+      if (domain.IsReplicated(pfn)) {
+        const std::vector<Mfn>& replicas = domain.replicas().at(pfn);
+        ASSERT_FALSE(replicas.empty()) << "page " << pfn;
+        for (const Mfn replica : replicas) {
+          ASSERT_TRUE(hv.frames().IsAllocated(replica)) << "page " << pfn << " replica " << replica;
+          ASSERT_NE(replica, mfn) << "page " << pfn << " replicates its primary";
+        }
+      }
+    }
+  };
+  const auto check_owned_pages_mapped = [&] {
+    for (int pid = 0; pid < guest.num_processes(); ++pid) {
+      for (Vpn vpn = 0; vpn < vpages; ++vpn) {
+        const Pfn pfn = guest.PfnOfVpage(pid, vpn);
+        if (pfn != kInvalidPfn) {
+          ASSERT_TRUE(be.IsMapped(pfn)) << "pid " << pid << " vpn " << vpn << " pfn " << pfn;
+        }
+      }
+    }
+  };
+
+  int64_t epoch = 0;
+  engine.set_epoch_hook([&](double) {
+    if (++epoch % 8 != 0) {
+      return;  // a full sweep every epoch would dominate the test's runtime
+    }
+    check_mappings();
+    engine.DebugRefreshPlacement();
+    ASSERT_TRUE(engine.DebugVerifyPlacementCache()) << "epoch " << epoch;
+    check_owned_pages_mapped();
+  });
+
+  const RunResult r = engine.Run();
+  ASSERT_GT(epoch, 8) << "run too short to exercise the invariants";
+  check_mappings();
+  check_owned_pages_mapped();
+  ASSERT_FALSE(r.jobs.empty());
+  EXPECT_TRUE(r.jobs.back().finished);
+  int64_t failed_migrations = 0;
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == "carrefour.failed_migrations") {
+      failed_migrations = m.count;
+    }
+  }
+  EXPECT_GT(failed_migrations, 0) << "no migration was refused by a full node";
 }
 
 }  // namespace

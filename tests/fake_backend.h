@@ -68,8 +68,6 @@ class FakeBackend : public PlacementBackend {
     }
   }
 
-  int64_t FreeFramesOnNode(NodeId node) const override { return free_[node]; }
-
   std::map<NodeId, int64_t> NodeHistogram() const {
     std::map<NodeId, int64_t> hist;
     for (NodeId n : node_of_) {

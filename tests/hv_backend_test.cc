@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/fault/fault.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 namespace {
@@ -24,6 +24,7 @@ class HvBackendTest : public ::testing::Test {
   HvPlacementBackend& be() { return hv_.backend(id_); }
 
   Topology topo_;
+  Observability obs_;  // outlives hv_; attached only by tests that read metrics
   Hypervisor hv_;
   DomainId id_;
 };
@@ -114,104 +115,47 @@ TEST_F(HvBackendTest, HomeNodesComeFromDomain) {
   EXPECT_EQ(be().num_pages(), 64);
 }
 
-TEST_F(HvBackendTest, BackendExposesTopologyAndInjector) {
+TEST_F(HvBackendTest, BackendExposesTopology) {
   EXPECT_EQ(be().num_nodes(), topo_.num_nodes());
-  EXPECT_EQ(be().fault_injector(), &hv_.fault_injector());
 }
 
-TEST_F(HvBackendTest, InjectedMapFailureConsumesNoFrame) {
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.map_rate = 1.0;
-  hv_.fault_injector().Configure(plan);
-  const int64_t free_before = hv_.frames().FreeFrames(3);
+// Allocates every free frame of `node` straight from the allocator, the way
+// other domains' memory fills a node on a live machine.
+void FillNode(FrameAllocator& frames, NodeId node) {
+  while (frames.AllocOnNode(node) != kInvalidMfn) {
+  }
+  ASSERT_EQ(frames.FreeFrames(node), 0);
+}
+
+TEST_F(HvBackendTest, MapOnNodeOnFullNodeConsumesNoFrame) {
+  FillNode(hv_.frames(), 3);
+  const int64_t total_free_before = hv_.frames().TotalFreeFrames();
 
   EXPECT_FALSE(be().MapOnNode(0, 3));
   EXPECT_FALSE(be().IsMapped(0));
-  EXPECT_EQ(hv_.frames().FreeFrames(3), free_before);
-  EXPECT_EQ(hv_.fault_injector().stats().injected[static_cast<int>(FaultSite::kMap)], 1);
+  EXPECT_EQ(hv_.frames().FreeFrames(3), 0);
+  EXPECT_EQ(hv_.frames().TotalFreeFrames(), total_free_before);
 }
 
-TEST_F(HvBackendTest, MapRangeMidCommitFailureRollsBackCompletely) {
-  // The pinned partial-failure contract: a mid-commit injection must leave
-  // no page of the range mapped and return every frame of the contiguous run.
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.map_range_rate = 1.0;
-  plan.seed = 5;
-  hv_.fault_injector().Configure(plan);
-  const int64_t free_before = hv_.frames().FreeFrames(5);
-
-  EXPECT_FALSE(be().MapRangeOnNode(8, 8, 5));
-  for (int k = 0; k < 8; ++k) {
-    EXPECT_FALSE(be().IsMapped(8 + k)) << "page " << 8 + k;
-  }
-  EXPECT_EQ(hv_.frames().FreeFrames(5), free_before);
-  const FaultStats& stats = hv_.fault_injector().stats();
-  EXPECT_EQ(stats.injected[static_cast<int>(FaultSite::kMapRange)], 1);
-  EXPECT_EQ(stats.recovered[static_cast<int>(FaultSite::kMapRange)], 1);
-
-  // After the rollback the same range maps cleanly once injection stops.
-  hv_.fault_injector().Configure(FaultPlan());
-  EXPECT_TRUE(be().MapRangeOnNode(8, 8, 5));
-  EXPECT_EQ(hv_.frames().FreeFrames(5), free_before - 8);
-}
-
-TEST_F(HvBackendTest, InjectedMigrateFailureLeavesPageInPlace) {
+TEST_F(HvBackendTest, MigrateToFullNodeLeavesPageInPlace) {
+  hv_.set_observability(&obs_);
+  Counter* failed = obs_.metrics().RegisterCounter("hv.backend.failed_migrations", "pages", "");
   ASSERT_TRUE(be().MapOnNode(2, 0));
   const Mfn mfn = hv_.domain(id_).p2m().Lookup(2);
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.migrate_rate = 1.0;
-  hv_.fault_injector().Configure(plan);
+  FillNode(hv_.frames(), 4);
+  const int64_t free0_before = hv_.frames().FreeFrames(0);
+  const int64_t failed_before = failed->value();
 
   EXPECT_FALSE(be().Migrate(2, 4));
+  // The page keeps its frame, stays writable, and neither node gained or
+  // lost a frame.
   EXPECT_EQ(be().NodeOf(2), 0);
   EXPECT_EQ(hv_.domain(id_).p2m().Lookup(2), mfn);
-  EXPECT_EQ(hv_.fault_injector().stats().injected[static_cast<int>(FaultSite::kMigrate)], 1);
-}
-
-TEST_F(HvBackendTest, RemapRaceDuringMigrateRollsBackAndFreesNewFrame) {
-  ASSERT_TRUE(be().MapOnNode(2, 0));
-  const Mfn old_mfn = hv_.domain(id_).p2m().Lookup(2);
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.p2m_remap_rate = 1.0;  // the copy succeeds; the commit races
-  hv_.fault_injector().Configure(plan);
-  const int64_t free0_before = hv_.frames().FreeFrames(0);
-  const int64_t free4_before = hv_.frames().FreeFrames(4);
-
-  EXPECT_FALSE(be().Migrate(2, 4));
-  // The page still lives on its old frame, writable, and the aborted
-  // migration returned the destination frame.
-  EXPECT_EQ(be().NodeOf(2), 0);
-  EXPECT_EQ(hv_.domain(id_).p2m().Lookup(2), old_mfn);
   EXPECT_TRUE(hv_.domain(id_).p2m().IsWritable(2));
   EXPECT_EQ(hv_.frames().FreeFrames(0), free0_before);
-  EXPECT_EQ(hv_.frames().FreeFrames(4), free4_before);
-  const FaultStats& stats = hv_.fault_injector().stats();
-  EXPECT_EQ(stats.injected[static_cast<int>(FaultSite::kP2mRemap)], 1);
-  EXPECT_EQ(stats.recovered[static_cast<int>(FaultSite::kP2mRemap)], 1);
-
-  // A later retry without injection completes the move.
-  hv_.fault_injector().Configure(FaultPlan());
-  EXPECT_TRUE(be().Migrate(2, 4));
-  EXPECT_EQ(be().NodeOf(2), 4);
-}
-
-TEST_F(HvBackendTest, InjectedReplicateFailureLeavesNoReplica) {
-  ASSERT_TRUE(be().MapOnNode(7, 0));
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.replicate_rate = 1.0;
-  hv_.fault_injector().Configure(plan);
-  const int64_t free1_before = hv_.frames().FreeFrames(1);
-
-  EXPECT_FALSE(be().Replicate(7));
-  EXPECT_FALSE(hv_.domain(id_).IsReplicated(7));
-  EXPECT_EQ(hv_.frames().FreeFrames(1), free1_before);
-  EXPECT_EQ(hv_.fault_injector().stats().injected[static_cast<int>(FaultSite::kReplicate)],
-            1);
+  EXPECT_EQ(hv_.frames().FreeFrames(4), 0);
+  EXPECT_EQ(failed->value(), failed_before + 1);
+  EXPECT_EQ(be().DrainMigrationWindow().migrations, 0);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Differential test: a run with the observability layer attached must be
-// bit-identical to a run without it (same pattern as fault_differential_test
-// for the fault layer at probability zero).
+// bit-identical to a run without it.
 //
 // The instrumentation sits on every hot path — allocation faults, P2M
 // remaps, backend migrations, the PV queue flush, Carrefour ticks, the

@@ -36,9 +36,6 @@ inline void ExpectSameResult(const JobResult& a, const JobResult& b,
   EXPECT_EQ(a.carrefour_migrations, b.carrefour_migrations) << where;
   EXPECT_EQ(a.final_policy, b.final_policy) << where;
   EXPECT_EQ(a.policy_switches, b.policy_switches) << where;
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << where;
-  EXPECT_EQ(a.faults_recovered, b.faults_recovered) << where;
-  EXPECT_EQ(a.faults_aborted, b.faults_aborted) << where;
 }
 
 inline void ExpectSameOutcomes(const std::vector<RunOutcome>& a,

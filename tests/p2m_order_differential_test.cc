@@ -1,7 +1,6 @@
 // Differential tests for the page-order knob: a domain shaped for 1G
 // superpages (DomainConfig::p2m_max_order = k1G) must be bit-identical to
-// one at the default 4K maximum, for every placement policy, clean and
-// fault-armed.
+// one at the default 4K maximum, for every placement policy.
 //
 // The order never changes the P2M, which stores 4K entries only; it sets
 // the admission solver's preferred order and the policies' region geometry
@@ -14,7 +13,6 @@
 
 #include <string>
 
-#include "src/fault/fault.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
@@ -57,14 +55,12 @@ struct DiffCase {
   const char* label;
   StaticPolicy placement;
   bool carrefour;
-  double fault_rate;  // 0 = fault layer off; >0 = uniform chaos plan
 };
 
 class P2mOrderDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 struct DiffOutcome {
   JobResult job;
-  FaultStats faults;
   int64_t guest_minor_faults = 0;
   int64_t guest_releases = 0;
 };
@@ -73,9 +69,6 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_ord
   EngineConfig ec;
   ec.seed = 21;
   ec.max_sim_seconds = 20.0;
-  if (dc.fault_rate > 0.0) {
-    ec.fault = FaultPlan::Uniform(/*seed=*/99, dc.fault_rate);
-  }
 
   Topology topo = Topology::Amd48();
   Hypervisor hv(topo);
@@ -110,7 +103,6 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_ord
 
   DiffOutcome out;
   out.job = r.jobs.back();
-  out.faults = r.faults;
   out.guest_minor_faults = guest.stats().guest_minor_faults;
   out.guest_releases = guest.stats().releases;
   hv.domain(dom).p2m().AuditCounters();
@@ -130,16 +122,8 @@ void ExpectSameOutcome(const DiffOutcome& a, const DiffOutcome& b) {
   EXPECT_EQ(a.job.observed_disk_mb_per_s, b.job.observed_disk_mb_per_s);
   EXPECT_EQ(a.job.hv_page_faults, b.job.hv_page_faults);
   EXPECT_EQ(a.job.carrefour_migrations, b.job.carrefour_migrations);
-  EXPECT_EQ(a.job.faults_injected, b.job.faults_injected);
-  EXPECT_EQ(a.job.faults_recovered, b.job.faults_recovered);
-  EXPECT_EQ(a.job.faults_aborted, b.job.faults_aborted);
   EXPECT_EQ(a.guest_minor_faults, b.guest_minor_faults);
   EXPECT_EQ(a.guest_releases, b.guest_releases);
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    EXPECT_EQ(a.faults.injected[site], b.faults.injected[site]) << "site " << site;
-    EXPECT_EQ(a.faults.recovered[site], b.faults.recovered[site]) << "site " << site;
-    EXPECT_EQ(a.faults.aborted[site], b.faults.aborted[site]) << "site " << site;
-  }
 }
 
 TEST_P(P2mOrderDifferentialTest, OrderLadderIsBitIdentical) {
@@ -150,20 +134,14 @@ TEST_P(P2mOrderDifferentialTest, OrderLadderIsBitIdentical) {
   const DiffOutcome order = RunOnce(app, dc, PageOrder::k1G);
 
   ExpectSameOutcome(order, base);
-  if (dc.fault_rate > 0.0) {
-    // The armed cell is only meaningful if faults actually fired.
-    EXPECT_GT(base.faults.TotalInjected(), 0);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, P2mOrderDifferentialTest,
-    ::testing::Values(DiffCase{"first_touch", StaticPolicy::kFirstTouch, false, 0.0},
-                      DiffCase{"round_4k", StaticPolicy::kRound4k, false, 0.0},
-                      DiffCase{"round_1g", StaticPolicy::kRound1g, false, 0.0},
-                      DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, 0.0},
-                      DiffCase{"first_touch_faults", StaticPolicy::kFirstTouch, false, 0.02},
-                      DiffCase{"round_1g_faults", StaticPolicy::kRound1g, false, 0.02}),
+    ::testing::Values(DiffCase{"first_touch", StaticPolicy::kFirstTouch, false},
+                      DiffCase{"round_4k", StaticPolicy::kRound4k, false},
+                      DiffCase{"round_1g", StaticPolicy::kRound1g, false},
+                      DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return std::string(info.param.label);
     });

@@ -1,15 +1,15 @@
 // Pinned results of whole simulations over the per-page P2M, for every
-// placement policy, clean and fault-armed.
+// placement policy.
 //
 // How the P2M stores its translations must never alter which frame a page
 // maps to, which faults fire, or the order in which floating-point costs
 // accumulate. These cells once ran each policy under an extent-compressed
 // table, a 2M/1G superpage hierarchy with a promotion daemon, and a
 // per-page reference, and required all three to agree. The digests below
-// were recorded with those representations in place; the per-page table
-// that replaced them must reproduce every field bit for bit. A fault-armed
-// cell (uniform nonzero rates) also drives the rollback paths of a MapRange
-// that fails mid-flight.
+// were recorded with those representations in place (and rehashed without
+// the fault counters, zero in every cell, when the fault layer was
+// deleted); the per-page table that replaced them must reproduce every
+// field bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include <ostream>
 #include <string>
 
-#include "src/fault/fault.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
@@ -61,7 +60,6 @@ struct PinnedCase {
   const char* label;
   StaticPolicy placement;
   bool carrefour;
-  double fault_rate;  // 0 = fault layer off; >0 = uniform chaos plan
   PageOrder max_order;
   bool ft_superpage;
   uint64_t digest;
@@ -94,16 +92,12 @@ uint64_t MixString(uint64_t digest, const std::string& s) {
   return digest;
 }
 
-// FNV-1a over every JobResult field, every per-site fault counter and every
-// guest statistic.
+// FNV-1a over every JobResult field and every guest statistic.
 uint64_t RunDigest(const PinnedCase& pc) {
   const AppProfile app = ChurnApp();
   EngineConfig ec;
   ec.seed = 21;
   ec.max_sim_seconds = 20.0;
-  if (pc.fault_rate > 0.0) {
-    ec.fault = FaultPlan::Uniform(/*seed=*/99, pc.fault_rate);
-  }
 
   Topology topo = Topology::Amd48();
   Hypervisor hv(topo);
@@ -133,10 +127,6 @@ uint64_t RunDigest(const PinnedCase& pc) {
 
   const JobResult& job = r.jobs.back();
   EXPECT_TRUE(job.finished);
-  if (pc.fault_rate > 0.0) {
-    // The armed cell is only meaningful if faults actually fired.
-    EXPECT_GT(r.faults.TotalInjected(), 0);
-  }
 
   uint64_t d = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   d = MixString(d, job.app);
@@ -157,16 +147,8 @@ uint64_t RunDigest(const PinnedCase& pc) {
   d = Mix(d, job.final_policy.carrefour ? 1 : 0);
   d = Mix(d, job.final_policy.vnuma ? 1 : 0);
   d = Mix(d, static_cast<uint64_t>(job.policy_switches));
-  d = Mix(d, static_cast<uint64_t>(job.faults_injected));
-  d = Mix(d, static_cast<uint64_t>(job.faults_recovered));
-  d = Mix(d, static_cast<uint64_t>(job.faults_aborted));
   d = Mix(d, static_cast<uint64_t>(job.local_walks));
   d = Mix(d, static_cast<uint64_t>(job.remote_walks));
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    d = Mix(d, static_cast<uint64_t>(r.faults.injected[site]));
-    d = Mix(d, static_cast<uint64_t>(r.faults.recovered[site]));
-    d = Mix(d, static_cast<uint64_t>(r.faults.aborted[site]));
-  }
   const GuestOsStats& gs = guest.stats();
   d = Mix(d, static_cast<uint64_t>(gs.guest_minor_faults));
   d = Mix(d, static_cast<uint64_t>(gs.releases));
@@ -185,24 +167,20 @@ TEST_P(P2mPinnedTest, DigestIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, P2mPinnedTest,
     ::testing::Values(
-        PinnedCase{"first_touch", StaticPolicy::kFirstTouch, false, 0.0, PageOrder::k4K, false,
-                   0x1a1c24e0b674925aull},
-        PinnedCase{"round_4k", StaticPolicy::kRound4k, false, 0.0, PageOrder::k4K, false,
-                   0x58fccf53be277965ull},
-        PinnedCase{"round_1g", StaticPolicy::kRound1g, false, 0.0, PageOrder::k4K, false,
-                   0x1a6f5baf7dc74176ull},
-        PinnedCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, 0.0, PageOrder::k4K,
-                   false, 0x511ac40dc8a77aeeull},
-        PinnedCase{"first_touch_faults", StaticPolicy::kFirstTouch, false, 0.02, PageOrder::k4K,
-                   false, 0xbb8137b25b20f8c5ull},
-        PinnedCase{"round_1g_faults", StaticPolicy::kRound1g, false, 0.02, PageOrder::k4K, false,
-                   0x31086614cda673ddull},
+        PinnedCase{"first_touch", StaticPolicy::kFirstTouch, false, PageOrder::k4K, false,
+                   0x37b443e05687037aull},
+        PinnedCase{"round_4k", StaticPolicy::kRound4k, false, PageOrder::k4K, false,
+                   0x5f2db3510ecc5c25ull},
+        PinnedCase{"round_1g", StaticPolicy::kRound1g, false, PageOrder::k4K, false,
+                   0x101aa2c8ded10516ull},
+        PinnedCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, PageOrder::k4K,
+                   false, 0x1cc9097ec934dd8eull},
         // p2m_max_order = 1G: the order rule sets the policies' geometry,
         // and with ft_superpage a first-touch fault maps a whole 1G block.
-        PinnedCase{"round_1g_order_1g", StaticPolicy::kRound1g, false, 0.0, PageOrder::k1G, false,
-                   0x1a6f5baf7dc74176ull},
-        PinnedCase{"first_touch_ft_superpage", StaticPolicy::kFirstTouch, false, 0.0,
-                   PageOrder::k1G, true, 0x2479e8b370edcf98ull}),
+        PinnedCase{"round_1g_order_1g", StaticPolicy::kRound1g, false, PageOrder::k1G, false,
+                   0x101aa2c8ded10516ull},
+        PinnedCase{"first_touch_ft_superpage", StaticPolicy::kFirstTouch, false,
+                   PageOrder::k1G, true, 0x33b5849d14913f78ull}),
     [](const ::testing::TestParamInfo<PinnedCase>& info) {
       return std::string(info.param.label);
     });

@@ -19,8 +19,8 @@
 namespace xnuma {
 namespace {
 
-// The 8-run matrix from the ISSUE: 2 apps x 2 stacks x 2 seeds, one cell
-// fault-armed, short nominal runtimes so the whole matrix stays fast.
+// The 8-run matrix: 2 apps x 2 stacks x 2 seeds, one cell with Carrefour
+// enabled, short nominal runtimes so the whole matrix stays fast.
 std::vector<RunSpec> TestMatrix() {
   std::vector<RunSpec> specs;
   for (const char* name : {"cg.C", "kmeans"}) {
@@ -40,12 +40,10 @@ std::vector<RunSpec> TestMatrix() {
       }
     }
   }
-  // One fault-armed cell: the injector is per-run state, so arming it in
-  // one spec must not perturb any other cell of the matrix.
-  specs[3].options.engine.fault.enabled = true;
-  specs[3].options.engine.fault.seed = 99;
-  specs[3].options.engine.fault.frame_alloc_rate = 0.01;
-  specs[3].label += "/fault";
+  // One Carrefour cell: its hot-page sampler draws from per-run state, so
+  // enabling it in one spec must not perturb any other cell of the matrix.
+  specs[3].stack = XenPlusStack({StaticPolicy::kRound1g, true});
+  specs[3].label += "/carrefour";
   return specs;
 }
 
@@ -72,9 +70,9 @@ TEST(ParallelRunnerTest, BitIdenticalAcrossJobs1_4_16) {
     EXPECT_TRUE(out.result.finished) << out.label;
     EXPECT_GT(out.result.completion_seconds, 0.0) << out.label;
   }
-  // The fault-armed cell actually exercised the injector.
-  EXPECT_GT(serial[3].result.faults_injected, 0) << serial[3].label;
-  EXPECT_EQ(serial[0].result.faults_injected, 0) << serial[0].label;
+  // The Carrefour cell actually sampled and migrated pages.
+  EXPECT_GT(serial[3].result.carrefour_migrations, 0) << serial[3].label;
+  EXPECT_EQ(serial[0].result.carrefour_migrations, 0) << serial[0].label;
 
   for (int jobs : {4, 16}) {
     ParallelRunner::Options opt;

@@ -267,45 +267,6 @@ TEST(PlacementCacheTest, RandomizedChurnMatchesFullRescanExactly) {
   }
 }
 
-// Both refresh modes must produce identical simulation results: the
-// incremental path is exact, not approximate.
-TEST(PlacementCacheTest, IncrementalAndFullRescanModesAreBitIdentical) {
-  AppProfile app = ChurnApp("mode-eq");
-  app.release_rate_per_s = 20000.0;  // allocator churn every epoch
-  app.disk_read_mb = 64.0;           // DMA into the shared region
-  PolicyConfig policy;
-  policy.placement = StaticPolicy::kFirstTouch;
-  policy.carrefour = true;  // migrations + replication + hot-page sampling
-
-  JobResult results[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    EngineConfig ec;
-    ec.seed = 21;
-    ec.max_sim_seconds = 20.0;
-    ec.incremental_placement = (mode == 0);
-    CacheMachine m(ec, policy, 4096);
-    JobSpec spec;
-    spec.app = &app;
-    spec.domain = m.dom;
-    spec.guest = m.guest.get();
-    spec.threads = 12;
-    spec.vcpu_migration_period_s = 0.2;
-    m.engine->AddJob(spec);
-    RunResult r = m.engine->Run();
-    results[mode] = r.jobs.back();
-  }
-  EXPECT_TRUE(results[0].finished);
-  EXPECT_TRUE(results[1].finished);
-  EXPECT_EQ(results[0].completion_seconds, results[1].completion_seconds);
-  EXPECT_EQ(results[0].init_seconds, results[1].init_seconds);
-  EXPECT_EQ(results[0].imbalance_pct, results[1].imbalance_pct);
-  EXPECT_EQ(results[0].interconnect_pct, results[1].interconnect_pct);
-  EXPECT_EQ(results[0].avg_mc_util_pct, results[1].avg_mc_util_pct);
-  EXPECT_EQ(results[0].avg_latency_cycles, results[1].avg_latency_cycles);
-  EXPECT_EQ(results[0].hv_page_faults, results[1].hv_page_faults);
-  EXPECT_EQ(results[0].carrefour_migrations, results[1].carrefour_migrations);
-}
-
 // End-to-end run with XNUMA_VERIFY_PLACEMENT_CACHE=1: every refresh
 // cross-checks the aggregates against a full rescan (XNUMA_CHECK aborts on
 // mismatch, so finishing the run is the assertion).

@@ -8,10 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/fault/fault.h"
-#include "src/guest/guest_os.h"
-#include "src/numa/topology.h"
-
 namespace xnuma {
 namespace {
 
@@ -171,150 +167,6 @@ TEST(PvQueueTest, ConcurrentSamePartitionKeepsBatchBound) {
     EXPECT_LE(batch.size(), 8u);
   }
   EXPECT_EQ(rec.TotalOps(), 4000);
-}
-
-TEST(PvQueueFaultTest, InjectedDropParksBatchThenRequeueDelivers) {
-  Recorder rec;
-  FaultInjector fi;
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.queue_drop_rate = 1.0;
-  fi.Configure(plan);
-  PvPageQueue q(rec.Fn(), /*partition_bits=*/0, /*batch_size=*/4);
-  q.set_fault_injector(&fi);
-
-  for (Pfn p = 0; p < 4; ++p) {
-    q.PushRelease(p);
-  }
-  // The flush hypercall was lost: nothing delivered, whole batch parked.
-  EXPECT_TRUE(rec.batches.empty());
-  EXPECT_EQ(q.GetStats().flushes, 0);
-  EXPECT_EQ(q.GetStats().dropped_ops, 4);
-  EXPECT_EQ(fi.stats().injected[static_cast<int>(FaultSite::kQueueDrop)], 1);
-
-  std::vector<PageQueueOp> dropped;
-  q.TakeDropped(&dropped);
-  ASSERT_EQ(dropped.size(), 4u);
-  // Second take is empty: the set moved out.
-  std::vector<PageQueueOp> again;
-  q.TakeDropped(&again);
-  EXPECT_TRUE(again.empty());
-
-  // Stop injecting and replay the parked ops: all four arrive.
-  plan.queue_drop_rate = 0.0;
-  fi.Configure(plan);
-  for (const PageQueueOp& op : dropped) {
-    q.Requeue(op);
-  }
-  EXPECT_EQ(rec.TotalOps(), 4);
-  EXPECT_EQ(q.GetStats().requeued_ops, 4);
-}
-
-TEST(PvQueueFaultTest, OverflowDropsOldestEntryForReplay) {
-  Recorder rec;
-  FaultInjector fi;
-  FaultPlan plan;
-  plan.enabled = true;  // no rates: overflow is deterministic, not drawn
-  fi.Configure(plan);
-  PvPageQueue q(rec.Fn(), /*partition_bits=*/0, /*batch_size=*/64,
-                /*max_pending=*/2);
-  q.set_fault_injector(&fi);
-
-  q.PushRelease(10);
-  q.PushRelease(11);
-  q.PushRelease(12);  // ring full: pfn 10 is overwritten
-  EXPECT_EQ(q.GetStats().dropped_ops, 1);
-  EXPECT_EQ(fi.stats().injected[static_cast<int>(FaultSite::kQueueOverflow)], 1);
-
-  std::vector<PageQueueOp> dropped;
-  q.TakeDropped(&dropped);
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_EQ(dropped[0].pfn, 10);
-
-  q.FlushAll();
-  ASSERT_EQ(rec.batches.size(), 1u);
-  EXPECT_EQ(rec.batches[0][0].pfn, 11);
-  EXPECT_EQ(rec.batches[0][1].pfn, 12);
-}
-
-GuestOs MakeParavirtGuest(Hypervisor& hv, DomainId* id) {
-  DomainConfig dc;
-  dc.name = "dom";
-  dc.num_vcpus = 1;
-  dc.memory_pages = 64;
-  dc.policy.placement = StaticPolicy::kFirstTouch;
-  dc.pinned_cpus = {0};
-  *id = hv.CreateDomain(dc);
-  GuestOs::Options gopts;
-  gopts.queue_batch_size = 1;  // flush (and thus possibly drop) per push
-  return GuestOs(hv, *id, gopts);
-}
-
-TEST(PvQueueFaultTest, GuestDiscardsStaleDroppedRelease) {
-  Topology topo = Topology::Amd48();
-  Hypervisor hv(topo);
-  DomainId id;
-  GuestOs guest = MakeParavirtGuest(hv, &id);
-  const int pid = guest.CreateProcess(8);
-
-  // Map a page normally, then lose a release for it while it is still owned
-  // (modeling a release that was parked long enough for the page to be
-  // reallocated before replay).
-  ASSERT_NE(guest.TouchPage(pid, 0, 0).node, kInvalidNode);
-  const Pfn pfn = guest.PfnOfVpage(pid, 0);
-  ASSERT_NE(pfn, kInvalidPfn);
-
-  FaultPlan drop;
-  drop.enabled = true;
-  drop.queue_drop_rate = 1.0;
-  hv.fault_injector().Configure(drop);
-  guest.pv_queue().PushRelease(pfn);
-  ASSERT_EQ(guest.pv_queue().GetStats().dropped_ops, 1);
-
-  FaultPlan calm;
-  calm.enabled = true;
-  hv.fault_injector().Configure(calm);
-  guest.RequeueDroppedQueueOps();
-
-  // The stale release was discarded, not replayed: the live mapping
-  // survives, and the discard is accounted as the recovery.
-  EXPECT_EQ(guest.pv_queue().GetStats().requeued_ops, 0);
-  EXPECT_TRUE(hv.backend(id).IsMapped(pfn));
-  EXPECT_EQ(guest.PfnOfVpage(pid, 0), pfn);
-  EXPECT_EQ(
-      hv.fault_injector().stats().recovered[static_cast<int>(FaultSite::kQueueDrop)], 1);
-}
-
-TEST(PvQueueFaultTest, GuestReplaysDroppedBatchesAndStaysConsistent) {
-  Topology topo = Topology::Amd48();
-  Hypervisor hv(topo);
-  DomainId id;
-  GuestOs guest = MakeParavirtGuest(hv, &id);
-  const int pid = guest.CreateProcess(8);
-
-  FaultPlan drop;
-  drop.enabled = true;
-  drop.queue_drop_rate = 1.0;
-  hv.fault_injector().Configure(drop);
-  // Both the alloc and the release hypercalls are lost.
-  ASSERT_NE(guest.TouchPage(pid, 0, 0).node, kInvalidNode);
-  guest.ReleasePage(pid, 0);
-  EXPECT_GE(guest.pv_queue().GetStats().dropped_ops, 2);
-
-  FaultPlan calm;
-  calm.enabled = true;
-  hv.fault_injector().Configure(calm);
-  // The next allocation path first replays the dropped ops, then proceeds;
-  // the guest must end up with a live, mapped page.
-  ASSERT_NE(guest.TouchPage(pid, 1, 0).node, kInvalidNode);
-
-  const Pfn pfn = guest.PfnOfVpage(pid, 1);
-  ASSERT_NE(pfn, kInvalidPfn);
-  EXPECT_TRUE(hv.backend(id).IsMapped(pfn));
-  EXPECT_EQ(guest.PfnOfVpage(pid, 0), kInvalidPfn);  // vpn 0 stays released
-  EXPECT_GE(guest.pv_queue().GetStats().requeued_ops, 2);
-  EXPECT_GE(
-      hv.fault_injector().stats().recovered[static_cast<int>(FaultSite::kQueueDrop)], 2);
 }
 
 class PvQueuePartitionTest : public ::testing::TestWithParam<int> {};

@@ -2,7 +2,7 @@
 // replicas are generation mirrors, never placement, so running a domain
 // with replication enabled — including the Carrefour translation-refresh
 // extension — must be bit-identical to running without it, for every
-// placement policy, clean and fault-armed, as long as walk pricing is off.
+// placement policy, as long as walk pricing is off.
 // A teeth check then pins that pricing DOES move results, so the
 // equivalence above is not vacuous.
 
@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "src/fault/fault.h"
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/p2m.h"
@@ -67,14 +66,12 @@ struct DiffCase {
   const char* label;
   StaticPolicy placement;
   bool carrefour;
-  double fault_rate;  // 0 = fault layer off; >0 = uniform chaos plan
 };
 
 class ReplicationDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 struct DiffOutcome {
   JobResult job;
-  FaultStats faults;
   int64_t guest_minor_faults = 0;
   int64_t guest_releases = 0;
   // Replication-side diagnostics (allowed — required, even — to differ).
@@ -89,9 +86,6 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, bool replication,
   ec.max_sim_seconds = 20.0;
   ec.price_walks = price_walks;
   ec.carrefour.replicate_translation = replication;
-  if (dc.fault_rate > 0.0) {
-    ec.fault = FaultPlan::Uniform(/*seed=*/99, dc.fault_rate);
-  }
 
   Topology topo = Topology::Amd48();
   Hypervisor hv(topo);
@@ -120,7 +114,6 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, bool replication,
 
   DiffOutcome out;
   out.job = r.jobs.back();
-  out.faults = r.faults;
   out.guest_minor_faults = guest.stats().guest_minor_faults;
   out.guest_releases = guest.stats().releases;
   out.replica_count = hv.domain(dom).p2m().replica_count();
@@ -142,16 +135,8 @@ void ExpectSameOutcome(const DiffOutcome& a, const DiffOutcome& b) {
   EXPECT_EQ(a.job.observed_disk_mb_per_s, b.job.observed_disk_mb_per_s);
   EXPECT_EQ(a.job.hv_page_faults, b.job.hv_page_faults);
   EXPECT_EQ(a.job.carrefour_migrations, b.job.carrefour_migrations);
-  EXPECT_EQ(a.job.faults_injected, b.job.faults_injected);
-  EXPECT_EQ(a.job.faults_recovered, b.job.faults_recovered);
-  EXPECT_EQ(a.job.faults_aborted, b.job.faults_aborted);
   EXPECT_EQ(a.guest_minor_faults, b.guest_minor_faults);
   EXPECT_EQ(a.guest_releases, b.guest_releases);
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    EXPECT_EQ(a.faults.injected[site], b.faults.injected[site]) << "site " << site;
-    EXPECT_EQ(a.faults.recovered[site], b.faults.recovered[site]) << "site " << site;
-    EXPECT_EQ(a.faults.aborted[site], b.faults.aborted[site]) << "site " << site;
-  }
 }
 
 TEST_P(ReplicationDifferentialTest, ReplicationWithoutPricingIsBitIdentical) {
@@ -183,9 +168,6 @@ TEST_P(ReplicationDifferentialTest, ReplicationWithoutPricingIsBitIdentical) {
   if (dc.placement == StaticPolicy::kFirstTouch) {
     EXPECT_GT(on.replica_invalidations, 0);
   }
-  if (dc.fault_rate > 0.0) {
-    EXPECT_GT(off.faults.TotalInjected(), 0);
-  }
 }
 
 TEST(ReplicationDifferentialTeethTest, PricingMovesResultsAndCountsWalks) {
@@ -193,7 +175,7 @@ TEST(ReplicationDifferentialTeethTest, PricingMovesResultsAndCountsWalks) {
   // Carrefour is on in every run so the translation-refresh extension gets
   // to tick in the replicated one; replication itself never perturbs
   // Carrefour (the parameterized equivalence above pins that).
-  const DiffCase dc{"teeth", StaticPolicy::kFirstTouch, true, 0.0};
+  const DiffCase dc{"teeth", StaticPolicy::kFirstTouch, true};
 
   const DiffOutcome unpriced = RunOnce(app, dc, /*replication=*/false,
                                        /*price_walks=*/false);
@@ -215,12 +197,10 @@ TEST(ReplicationDifferentialTeethTest, PricingMovesResultsAndCountsWalks) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, ReplicationDifferentialTest,
     ::testing::Values(
-        DiffCase{"first_touch", StaticPolicy::kFirstTouch, false, 0.0},
-        DiffCase{"round_4k", StaticPolicy::kRound4k, false, 0.0},
-        DiffCase{"round_1g", StaticPolicy::kRound1g, false, 0.0},
-        DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, 0.0},
-        DiffCase{"first_touch_faults", StaticPolicy::kFirstTouch, false, 0.02},
-        DiffCase{"round_1g_faults", StaticPolicy::kRound1g, false, 0.02}),
+        DiffCase{"first_touch", StaticPolicy::kFirstTouch, false},
+        DiffCase{"round_4k", StaticPolicy::kRound4k, false},
+        DiffCase{"round_1g", StaticPolicy::kRound1g, false},
+        DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return std::string(info.param.label);
     });

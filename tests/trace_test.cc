@@ -42,8 +42,12 @@ TEST(TraceRecorderTest, CsvHasHeaderAndRows) {
   s.jobs.push_back(j);
   trace.Record(s);
   const std::string csv = trace.ToCsv();
-  EXPECT_NE(csv.find("time,app,latency_cycles"), std::string::npos);
-  EXPECT_NE(csv.find("0.050,demo,123.4"), std::string::npos);
+  const std::string header =
+      "# migrations: cumulative total; max_mc,max_link,latency,rate,overhead: "
+      "instantaneous per-epoch values\n"
+      "time,app,latency_cycles,rate_per_s,overhead,migrations,max_mc,max_link\n";
+  EXPECT_EQ(csv.substr(0, header.size()), header);
+  EXPECT_EQ(csv.substr(header.size()), "0.050,demo,123.4,1000000,0.0000,0,0.0000,0.0000\n");
 }
 
 TEST(TraceEngineTest, EngineFillsTrace) {

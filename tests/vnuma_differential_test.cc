@@ -7,8 +7,7 @@
 // fault path of every configured domain, so any accidental divergence
 // (an extra rng draw, a reordered fallback, a float rounded differently)
 // would contaminate every vNUMA experiment's baseline. Same discipline as
-// fault_differential_test (rate zero) and obs_differential_test (attached
-// observer).
+// obs_differential_test (attached observer).
 //
 // A second teeth-check proves the test CAN see the difference: the same
 // machine with a topology-aware guest takes a different allocation path

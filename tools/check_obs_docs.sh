@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
-# Doc-lint for the observability layer: every metric name registered in the
-# source tree must be documented in docs/OBSERVABILITY.md.
+# Doc-lint for the observability layer, in both directions:
+#  * every metric name registered in the source tree must be documented in
+#    docs/OBSERVABILITY.md;
+#  * every name in the first column of that file's tables (metrics, spans,
+#    counter tracks) must still exist in the source: registered as a metric,
+#    or emitted by `XNUMA_TRACE_SCOPE(obs, "name", ...)` or
+#    `EmitCounter("name", ...)`.
 #
-# Registration sites are required to pass the name as a string literal
-# (`RegisterCounter("pv.queue.pushes", ...)`), which is what makes this
-# lint — and grep-ability in general — work. Runs as ctest `obs_doc_lint`.
+# Registration and emission sites are required to pass the name as a string
+# literal (`RegisterCounter("pv.queue.pushes", ...)`), which is what makes
+# this lint — and grep-ability in general — work. Runs as ctest
+# `obs_doc_lint`.
 #
 # Usage: tools/check_obs_docs.sh [repo-root]   (default: script's parent)
 set -euo pipefail
@@ -18,16 +24,21 @@ if [[ ! -f "$DOC" ]]; then
 fi
 
 # Registrations are often line-wrapped by clang-format
-# (`RegisterCounter(\n    "name", ...`), so collapse each file to one line
+# (`RegisterCounter(\n    "name", ...`), so collapse the sources to one line
 # before matching.
-names=$(find "$ROOT/src" "$ROOT/bench" "$ROOT/tools" \
-          \( -name '*.cc' -o -name '*.h' \) -print0 2>/dev/null |
-        xargs -0 cat | tr '\n' ' ' |
-        grep -oE 'Register(Counter|Gauge|Histogram)\( *"[^"]+"' |
-        sed -E 's/.*"([^"]+)"/\1/' | sort -u)
+source_text=$(find "$ROOT/src" "$ROOT/bench" "$ROOT/tools" \
+                \( -name '*.cc' -o -name '*.h' \) -print0 2>/dev/null |
+              xargs -0 cat | tr '\n' ' ')
 
-if [[ -z "$names" ]]; then
-  echo "FAIL: found no metric registrations under src/ (lint is miswired?)"
+names=$(grep -oE 'Register(Counter|Gauge|Histogram)\( *"[^"]+"' <<< "$source_text" |
+        sed -E 's/.*"([^"]+)"/\1/' | sort -u || true)
+spans=$(grep -oE 'XNUMA_TRACE_SCOPE\([^,"]*, *"[^"]+"' <<< "$source_text" |
+        sed -E 's/.*"([^"]+)"/\1/' | sort -u || true)
+tracks=$(grep -oE 'EmitCounter\( *"[^"]+"' <<< "$source_text" |
+         sed -E 's/.*"([^"]+)"/\1/' | sort -u || true)
+
+if [[ -z "$names" || -z "$spans" || -z "$tracks" ]]; then
+  echo "FAIL: found no metric registrations, spans or counter tracks under src/ (lint is miswired?)"
   exit 1
 fi
 
@@ -41,8 +52,36 @@ while IFS= read -r name; do
   fi
 done <<< "$names"
 
-if [[ "$missing" -gt 0 ]]; then
-  echo "FAIL: $missing of $total metric names undocumented"
+# First-column names of the doc's tables: rows shaped "| `name` | ...".
+documented=$(grep -oE '^\| `[^`]+` \|' "$DOC" | sed -E 's/^\| `([^`]+)` \|/\1/' | sort -u)
+if [[ -z "$documented" ]]; then
+  echo "FAIL: docs/OBSERVABILITY.md has no table rows (lint is miswired?)"
   exit 1
 fi
-echo "OK: all $total registered metric names documented in docs/OBSERVABILITY.md"
+
+stale=0
+resolved=0
+n_metrics=0
+n_spans=0
+n_tracks=0
+while IFS= read -r name; do
+  if grep -qxF "$name" <<< "$names"; then
+    n_metrics=$((n_metrics + 1))
+  elif grep -qxF "$name" <<< "$spans"; then
+    n_spans=$((n_spans + 1))
+  elif grep -qxF "$name" <<< "$tracks"; then
+    n_tracks=$((n_tracks + 1))
+  else
+    echo "FAIL: docs/OBSERVABILITY.md documents '$name', which the source neither registers nor emits"
+    stale=$((stale + 1))
+    continue
+  fi
+  resolved=$((resolved + 1))
+done <<< "$documented"
+
+if [[ "$missing" -gt 0 || "$stale" -gt 0 ]]; then
+  echo "FAIL: $missing of $total registered metric names undocumented; $stale documented names no longer in the source"
+  exit 1
+fi
+echo "OK: all $total registered metric names documented in docs/OBSERVABILITY.md;" \
+     "all $resolved documented names resolve ($n_metrics metrics, $n_spans spans, $n_tracks tracks)"

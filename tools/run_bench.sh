@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds and runs the engine epoch-loop microbenchmark, recording the JSON
-# result (epochs/sec with the incremental placement cache vs the full
-# per-epoch rescan) into BENCH_engine.json at the repo root, plus a metrics
+# result (epochs/sec of the incremental placement cache, without and with
+# observability) into BENCH_engine.json at the repo root, plus a metrics
 # snapshot from a representative CLI run into BENCH_metrics.json.
 #
 # Usage: tools/run_bench.sh [build-dir]   (default: ./build)
@@ -43,21 +43,6 @@ mv "$ROOT/BENCH_engine.json.tmp" "$ROOT/BENCH_engine.json"
 # can be cross-read against what the machine was actually doing.
 "$BUILD/tools/xnuma" run --app cg.C --stack xen+ --policy first-touch --carrefour \
   --seconds 10 --metrics-json "$ROOT/BENCH_metrics.json" >/dev/null
-
-# The fault-injection layer armed at probability 0 must cost < 2% epochs/sec
-# (mean over configs): its hooks sit on the allocation/mapping/queue hot
-# paths and are supposed to be branch-only when they never fire.
-awk -F': ' '/"fault_p0_mean_overhead_pct"/ {
-  gsub(/[,}]/, "", $2); overhead = $2 + 0
-  if (overhead >= 2.0) {
-    printf "FAIL: fault layer at p=0 costs %.2f%% epochs/sec (budget: 2%%)\n", overhead
-    exit 1
-  }
-  printf "OK: fault layer at p=0 costs %.2f%% epochs/sec (budget: 2%%)\n", overhead
-  found = 1
-}
-END { if (!found) { print "FAIL: fault_p0_mean_overhead_pct missing from bench output"; exit 1 } }
-' "$ROOT/BENCH_engine.json"
 
 # Full observability (metrics registry + event tracer) attached must cost
 # < 3% epochs/sec (mean over configs): instrument handles are plain pointer

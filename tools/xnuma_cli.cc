@@ -40,7 +40,6 @@ int Usage() {
                "  options: --seconds N --threads N --seed N --csv --trace FILE.csv\n"
                "           --jobs N   (sweep: fan the policy matrix across N worker\n"
                "            threads; results are bit-identical to --jobs 1)\n"
-               "           --fault_rate P --fault_seed N  (seeded chaos injection)\n"
                "           --p2m_max_order 4k|2m|1g  (largest superpage order the\n"
                "            domain's admission and policy geometry align to)\n"
                "           --ft_superpage (first-touch maps whole aligned\n"
@@ -94,11 +93,6 @@ RunOptions LoadOptions(const Flags& flags) {
   RunOptions opts;
   opts.threads = static_cast<int>(flags.GetInt("threads", 48));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const double fault_rate = flags.GetDouble("fault_rate", 0.0);
-  const uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
-  if (fault_rate > 0.0) {
-    opts.engine.fault = FaultPlan::Uniform(fault_seed, fault_rate);
-  }
   opts.engine.price_walks = flags.GetBool("price_walks", false);
   return opts;
 }
@@ -147,16 +141,6 @@ StackConfig WithVnumaOptions(StackConfig stack, const Flags& flags) {
   }
   stack.label += stack.vnuma == VnumaMode::kHybrid ? "/vNUMA-hybrid" : "/vNUMA";
   return stack;
-}
-
-void PrintFaultSummary(const Flags& flags, const JobResult& r) {
-  if (flags.GetBool("csv", false) || r.faults_injected == 0) {
-    return;
-  }
-  std::printf("faults: injected %lld  recovered %lld  aborted %lld\n",
-              static_cast<long long>(r.faults_injected),
-              static_cast<long long>(r.faults_recovered),
-              static_cast<long long>(r.faults_aborted));
 }
 
 StackConfig LoadStack(const Flags& flags) {
@@ -233,7 +217,6 @@ int CmdRun(const Flags& flags) {
   }
   const JobResult r = RunSingleApp(app, stack, opts);
   PrintResult(flags, stack.label, r);
-  PrintFaultSummary(flags, r);
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     out << trace.ToCsv();
