@@ -1,6 +1,8 @@
 // Differential tests for the page-order knob: a domain shaped for 1G
 // superpages (DomainConfig::p2m_max_order = k1G) must be bit-identical to
-// one at the default 4K maximum, for every placement policy.
+// one at the default 4K maximum, for every placement policy, on an idle
+// machine and on one whose non-home nodes were filled before the run, so
+// that Carrefour's migrations meet genuine refusals.
 //
 // The order never changes the P2M, which stores 4K entries only; it sets
 // the admission solver's preferred order and the policies' region geometry
@@ -11,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/guest/guest_os.h"
 #include "src/hv/hypervisor.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 #include "src/workload/app_profile.h"
 
@@ -55,6 +61,9 @@ struct DiffCase {
   const char* label;
   StaticPolicy placement;
   bool carrefour;
+  // Share of each non-home node's free frames allocated before the run
+  // (0 = none, 1 = the node is full).
+  double non_home_fill;
 };
 
 class P2mOrderDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
@@ -63,6 +72,7 @@ struct DiffOutcome {
   JobResult job;
   int64_t guest_minor_faults = 0;
   int64_t guest_releases = 0;
+  int64_t failed_migrations = 0;  // carrefour.failed_migrations
 };
 
 DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_order) {
@@ -71,7 +81,9 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_ord
   ec.max_sim_seconds = 20.0;
 
   Topology topo = Topology::Amd48();
+  Observability obs;  // outlives hv
   Hypervisor hv(topo);
+  hv.set_observability(&obs);
   LatencyModel latency;
   DomainConfig cfg;
   cfg.name = "dom";
@@ -91,6 +103,20 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_ord
   EXPECT_EQ(geom.pages_per_2m, PolicyGeometry{}.pages_per_2m);
   EXPECT_EQ(geom.ft_fault_map_pages, PolicyGeometry{}.ft_fault_map_pages);
   GuestOs guest(hv, dom);
+  const std::vector<NodeId>& homes = hv.domain(dom).home_nodes();
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    if (std::find(homes.begin(), homes.end(), n) != homes.end()) {
+      continue;
+    }
+    const auto fill = static_cast<int64_t>(dc.non_home_fill *
+                                           static_cast<double>(hv.frames().FreeFrames(n)));
+    for (int64_t i = 0; i < fill; ++i) {
+      if (hv.frames().AllocOnNode(n) == kInvalidMfn) {
+        ADD_FAILURE() << "node " << n << " ran out of frames while filling";
+        break;
+      }
+    }
+  }
   Engine engine(hv, latency, ec);
   JobSpec spec;
   spec.app = &app;
@@ -105,6 +131,11 @@ DiffOutcome RunOnce(const AppProfile& app, const DiffCase& dc, PageOrder max_ord
   out.job = r.jobs.back();
   out.guest_minor_faults = guest.stats().guest_minor_faults;
   out.guest_releases = guest.stats().releases;
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == "carrefour.failed_migrations") {
+      out.failed_migrations = m.count;
+    }
+  }
   hv.domain(dom).p2m().AuditCounters();
   return out;
 }
@@ -124,6 +155,7 @@ void ExpectSameOutcome(const DiffOutcome& a, const DiffOutcome& b) {
   EXPECT_EQ(a.job.carrefour_migrations, b.job.carrefour_migrations);
   EXPECT_EQ(a.guest_minor_faults, b.guest_minor_faults);
   EXPECT_EQ(a.guest_releases, b.guest_releases);
+  EXPECT_EQ(a.failed_migrations, b.failed_migrations);
 }
 
 TEST_P(P2mOrderDifferentialTest, OrderLadderIsBitIdentical) {
@@ -134,14 +166,21 @@ TEST_P(P2mOrderDifferentialTest, OrderLadderIsBitIdentical) {
   const DiffOutcome order = RunOnce(app, dc, PageOrder::k1G);
 
   ExpectSameOutcome(order, base);
+  if (dc.non_home_fill > 0.0) {
+    // The filled cells are only meaningful if a full node refused a move.
+    EXPECT_GT(base.failed_migrations, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, P2mOrderDifferentialTest,
-    ::testing::Values(DiffCase{"first_touch", StaticPolicy::kFirstTouch, false},
-                      DiffCase{"round_4k", StaticPolicy::kRound4k, false},
-                      DiffCase{"round_1g", StaticPolicy::kRound1g, false},
-                      DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true}),
+    ::testing::Values(
+        DiffCase{"first_touch", StaticPolicy::kFirstTouch, false, 0.0},
+        DiffCase{"round_4k", StaticPolicy::kRound4k, false, 0.0},
+        DiffCase{"round_1g", StaticPolicy::kRound1g, false, 0.0},
+        DiffCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, 0.0},
+        DiffCase{"first_touch_carrefour_full_nodes", StaticPolicy::kFirstTouch, true, 1.0},
+        DiffCase{"round_1g_carrefour_full_nodes", StaticPolicy::kRound1g, true, 1.0}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return std::string(info.param.label);
     });
