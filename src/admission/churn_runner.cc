@@ -215,13 +215,16 @@ ChurnReport ChurnRunner::Run(const std::vector<ChurnEvent>& trace,
     }
     if (churn_events_ != nullptr) {
       churn_events_->Increment();
-      churn_live_domains_->Set(static_cast<double>(live_.size()));
-      churn_fragmentation_->Set(MachineFragmentation(hv_->NodeSpaces()));
     }
   }
 
   report.final_live_domains = static_cast<int>(live_.size());
   report.final_fragmentation = MachineFragmentation(hv_->NodeSpaces());
+  if (churn_events_ != nullptr) {
+    // Gauges hold the state after the last event.
+    churn_live_domains_->Set(static_cast<double>(report.final_live_domains));
+    churn_fragmentation_->Set(report.final_fragmentation);
+  }
 
   std::vector<double> sorted(solve_us_.begin() + first_sample, solve_us_.end());
   std::sort(sorted.begin(), sorted.end());

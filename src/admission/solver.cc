@@ -195,8 +195,19 @@ void AdmissionSolver::RefreshSpaces() const {
     if (space_generation_[node] != generation) {
       spaces_[node] = ComputeNodeSpace(*frames_, node);
       space_generation_[node] = generation;
+      if (space_refreshes_ != nullptr) {
+        space_refreshes_->Increment();
+      }
     }
   }
+}
+
+void AdmissionSolver::set_observability(Observability* obs) {
+  space_refreshes_ =
+      obs == nullptr ? nullptr
+                     : obs->metrics().RegisterCounter(
+                           "admission.space_refreshes", "nodes",
+                           "Per-node free-extent summaries (NodeSpace) recomputed");
 }
 
 void AdmissionSolver::SolveExhaustive(const AdmissionRequest& request,

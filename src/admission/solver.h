@@ -26,6 +26,7 @@
 #include "src/common/types.h"
 #include "src/mm/frame_allocator.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 
 namespace xnuma {
 
@@ -110,6 +111,10 @@ class AdmissionSolver {
   // frames moved since it last looked.
   const std::vector<NodeSpace>& NodeSpaces() const;
 
+  // Optional metric admission.space_refreshes (NodeSpaces recomputed).
+  // nullptr detaches.
+  void set_observability(Observability* obs);
+
  private:
   // Brings spaces_ up to date: re-runs ComputeNodeSpace for exactly the
   // nodes whose allocator generation moved since their last computation.
@@ -134,6 +139,7 @@ class AdmissionSolver {
   static constexpr uint64_t kStale = ~uint64_t{0};
   mutable std::vector<NodeSpace> spaces_;
   mutable std::vector<uint64_t> space_generation_;
+  Counter* space_refreshes_ = nullptr;
   // Exhaustive-regime scratch, reused across solves: free-CPU and
   // free-frame totals per node mask, and the node list being scored.
   mutable std::vector<int> mask_cpus_;

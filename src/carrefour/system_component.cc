@@ -13,11 +13,13 @@ const TrafficSnapshot& CarrefourSystemComponent::ReadMetrics() const {
 void CarrefourSystemComponent::ReadHotPages(DomainId domain, int max_pages,
                                             std::vector<PageAccessSample>* out) {
   sampler_->SampleHotPages(domain, max_pages, out);
-  // Resolve each sample's current node through the backend's run lookup.
+  // Resolve each sample's current node from its P2M entry. The read stands
+  // for a walk by vCPU 0, which re-stamps that vCPU's replica (§18).
   const HvPlacementBackend& be = hv_->backend(domain);
+  const P2mTable& p2m = hv_->domain(domain).p2m();
   for (PageAccessSample& s : *out) {
-    const HvPlacementBackend::PlacementRun run = be.NodeOfRange(s.pfn);
-    s.current_node = run.mapped ? run.node : kInvalidNode;
+    p2m.RestampReplica(s.pfn, /*vcpu=*/0);
+    s.current_node = be.NodeOf(s.pfn);
   }
 }
 

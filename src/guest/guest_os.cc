@@ -10,9 +10,7 @@ namespace xnuma {
 GuestOs::GuestOs(Hypervisor& hv, DomainId domain, Options options)
     : hv_(&hv), domain_(domain), options_(options) {
   const int64_t pages = hv.domain(domain).memory_pages();
-  for (Pfn pfn = 0; pfn < pages; ++pfn) {
-    free_list_.push_back(pfn);
-  }
+  free_list_ = FreePageList(0, pages);
   pfn_owner_.assign(pages, VpageEvent{});
   queue_ = std::make_unique<PvPageQueue>(
       [this](std::span<const PageQueueOp> ops) {
@@ -37,20 +35,23 @@ void GuestOs::FetchVnuma() {
   std::string error;
   XNUMA_CHECK(DeserializeVnumaInfo(wire, &vnuma_, &error));
 
-  // Partition the free pages into per-vnode LIFO freelists. The initial
-  // single list is ascending, so draining it in order keeps "pop_back =
-  // most recently freed / highest pfn" within every vnode.
-  pfn_vnode_.assign(pfn_owner_.size(), 0);
-  for (const VnumaMemrange& mr : vnuma_.memranges) {
-    for (Pfn pfn = mr.start; pfn < mr.end; ++pfn) {
-      pfn_vnode_[pfn] = mr.vnode;
-    }
+  // Partition the free pages into per-vnode LIFO freelists. The boot list
+  // is ascending and the canonical memranges give vnode v the contiguous
+  // range memranges[v] (docs/VNUMA.md §3), so vnode v's list is that range:
+  // "pop_back = most recently freed / highest pfn" within every vnode.
+  const int64_t pages = static_cast<int64_t>(pfn_owner_.size());
+  XNUMA_CHECK(free_list_.size() == pages);
+  XNUMA_CHECK(static_cast<int32_t>(vnuma_.memranges.size()) == vnuma_.nr_vnodes);
+  vnode_free_.clear();
+  Pfn expected_start = 0;
+  for (int32_t v = 0; v < vnuma_.nr_vnodes; ++v) {
+    const VnumaMemrange& mr = vnuma_.memranges[v];
+    XNUMA_CHECK(mr.vnode == v && mr.start == expected_start);
+    vnode_free_.emplace_back(mr.start, mr.end);
+    expected_start = mr.end;
   }
-  vnode_free_.assign(vnuma_.nr_vnodes, {});
-  for (Pfn pfn : free_list_) {
-    vnode_free_[pfn_vnode_[pfn]].push_back(pfn);
-  }
-  free_list_.clear();
+  XNUMA_CHECK(expected_start == pages);
+  free_list_ = FreePageList();
 
   // Distance-ordered fallback: for vnode v, try v first, then the others by
   // increasing virtual distance (ties to the lower vnode).
@@ -108,6 +109,14 @@ void GuestOs::RefreshVnuma() {
       cpu_vnode_[cpu] = vnuma_.vcpu_to_vnode[v];
     }
   }
+}
+
+int GuestOs::VnodeOf(Pfn pfn) const {
+  // The memranges are sorted and gap-free (FetchVnuma checked them).
+  const auto it = std::upper_bound(
+      vnuma_.memranges.begin(), vnuma_.memranges.end(), pfn,
+      [](Pfn p, const VnumaMemrange& mr) { return p < mr.end; });
+  return static_cast<int>(it - vnuma_.memranges.begin());
 }
 
 int GuestOs::PreferredVnode(CpuId cpu, VcpuId vcpu) const {
@@ -185,8 +194,7 @@ Pfn GuestOs::AllocPhysPage(int vnode_pref) {
   Pfn pfn = kInvalidPfn;
   if (!vnuma_active_) {
     XNUMA_CHECK(!free_list_.empty());
-    pfn = free_list_.back();
-    free_list_.pop_back();
+    pfn = free_list_.pop_back();
   } else {
     // Local-first, then the other vnodes by increasing virtual distance.
     XNUMA_CHECK(vnode_pref >= 0 && vnode_pref < vnuma_.nr_vnodes);
@@ -194,8 +202,7 @@ Pfn GuestOs::AllocPhysPage(int vnode_pref) {
       if (vnode_free_[v].empty()) {
         continue;
       }
-      pfn = vnode_free_[v].back();
-      vnode_free_[v].pop_back();
+      pfn = vnode_free_[v].pop_back();
       if (v == vnode_pref) {
         ++stats_.vnuma_local_allocs;
         if (vnuma_local_counter_ != nullptr) {
@@ -257,9 +264,13 @@ void GuestOs::TouchRange(int pid, Vpn first, int64_t count, CpuId cpu,
   XNUMA_CHECK(first >= 0 && count > 0 &&
               first + count <= static_cast<Vpn>(proc.vpage_to_pfn.size()));
   HvPlacementBackend& be = hv_->backend(domain_);
+  const P2mTable& p2m = hv_->domain(domain_).p2m();
   // Run memo: consecutive touches land on contiguous pfns (the free list
-  // hands them out in order), so one placement run answers many pages. The
+  // hands them out in order), so one mapped run answers many pages. The
   // generation check drops the memo the moment a fault mutates placement.
+  // A page outside the memo reads its own entry first: the free list hands
+  // pfns out from the top down, so an unmapped page's run lookup would walk
+  // the rest of its invalid run only for the fault to discard it.
   HvPlacementBackend::PlacementRun run;
   uint64_t run_gen = 0;
   bool run_cached = false;
@@ -274,15 +285,17 @@ void GuestOs::TouchRange(int pid, Vpn first, int64_t count, CpuId cpu,
       ++stats_.guest_minor_faults;
       cost += minor_fault_s;
     }
-    bool mapped;
-    if (run_cached && run_gen == be.placement_generation() &&
-        pfn >= run.first && pfn < run.first + run.count) {
-      mapped = run.mapped;
-    } else {
-      run = be.NodeOfRange(pfn, cpu);
-      run_gen = be.placement_generation();
-      run_cached = true;
-      mapped = run.mapped;
+    bool mapped = true;
+    if (!run_cached || run_gen != be.placement_generation() || pfn < run.first ||
+        pfn >= run.first + run.count) {
+      if (p2m.IsValid(pfn)) {
+        run = be.NodeOfRange(pfn, vcpu);
+        run_gen = be.placement_generation();
+        run_cached = true;
+      } else {
+        p2m.RestampReplica(pfn, vcpu);  // the faulting walk
+        mapped = false;
+      }
     }
     if (!mapped) {
       // Same trap as TouchPage (the touch result's node is not needed here,
@@ -312,7 +325,7 @@ void GuestOs::ReleasePage(int pid, Vpn vpn) {
     ++stats_.pages_zeroed;
   }
   if (vnuma_active_) {
-    vnode_free_[pfn_vnode_[pfn]].push_back(pfn);
+    vnode_free_[VnodeOf(pfn)].push_back(pfn);
   } else {
     free_list_.push_back(pfn);
   }
@@ -350,8 +363,7 @@ std::vector<Pfn> GuestOs::TakeFreePages(int64_t count) {
         if (list.empty()) {
           continue;
         }
-        taken.push_back(list.front());
-        list.pop_front();
+        taken.push_back(list.pop_front());
         progress = true;
       }
     }
@@ -360,8 +372,7 @@ std::vector<Pfn> GuestOs::TakeFreePages(int64_t count) {
   while (static_cast<int64_t>(taken.size()) < count && !free_list_.empty()) {
     // Take from the front (cold end): recently-freed pages at the back are
     // about to be reallocated.
-    taken.push_back(free_list_.front());
-    free_list_.pop_front();
+    taken.push_back(free_list_.pop_front());
   }
   return taken;
 }
@@ -369,7 +380,7 @@ std::vector<Pfn> GuestOs::TakeFreePages(int64_t count) {
 void GuestOs::ReturnFreePages(const std::vector<Pfn>& pages) {
   for (Pfn pfn : pages) {
     if (vnuma_active_) {
-      vnode_free_[pfn_vnode_[pfn]].push_front(pfn);
+      vnode_free_[VnodeOf(pfn)].push_front(pfn);
     } else {
       free_list_.push_front(pfn);
     }
@@ -378,11 +389,11 @@ void GuestOs::ReturnFreePages(const std::vector<Pfn>& pages) {
 
 int64_t GuestOs::free_pages() const {
   if (!vnuma_active_) {
-    return static_cast<int64_t>(free_list_.size());
+    return free_list_.size();
   }
   int64_t total = 0;
-  for (const auto& list : vnode_free_) {
-    total += static_cast<int64_t>(list.size());
+  for (const FreePageList& list : vnode_free_) {
+    total += list.size();
   }
   return total;
 }

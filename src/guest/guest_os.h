@@ -9,11 +9,11 @@
 #ifndef XENNUMA_SRC_GUEST_GUEST_OS_H_
 #define XENNUMA_SRC_GUEST_GUEST_OS_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/guest/free_page_list.h"
 #include "src/guest/pv_queue.h"
 #include "src/hv/hypervisor.h"
 
@@ -85,8 +85,9 @@ class GuestOs {
   // simulated cost is accumulated into *cost_seconds in exactly the order
   // the per-page loop would use (bit-identical floating-point sums):
   // touch_cost_s per page, plus minor_fault_s per guest minor fault and
-  // hv_fault_s per hypervisor fault. Mapped-ness is resolved run-at-a-time
-  // through the P2M run lookup instead of page-at-a-time.
+  // hv_fault_s per hypervisor fault. A mapped page resolves its whole P2M
+  // run, which answers the next pages of the run; an unmapped one reads
+  // only its entry. Either is a walk by `vcpu` (P2mTable::LookupRun).
   void TouchRange(int pid, Vpn vpn, int64_t count, CpuId cpu,
                   double touch_cost_s, double minor_fault_s, double hv_fault_s,
                   double* cost_seconds, VcpuId vcpu = kInvalidVcpu);
@@ -161,17 +162,17 @@ class GuestOs {
   DomainId domain_;
   Options options_;
   std::vector<Process> processes_;
-  std::deque<Pfn> free_list_;  // LIFO: recently freed pages are reused first
+  FreePageList free_list_;  // LIFO: recently freed pages are reused first
   std::unique_ptr<PvPageQueue> queue_;
   GuestOsStats stats_;
 
-  // vNUMA allocator state (empty unless Options::vnuma). The single
-  // free_list_ is drained into vnode_free_ at fetch time, preserving the
+  // vNUMA allocator state (empty unless Options::vnuma). The boot-time
+  // free_list_ is split into vnode_free_ at fetch time, preserving the
   // per-vnode LIFO recency order.
+  int VnodeOf(Pfn pfn) const;
   bool vnuma_active_ = false;
   VnumaInfo vnuma_;
-  std::vector<std::deque<Pfn>> vnode_free_;      // [nr_vnodes]
-  std::vector<int32_t> pfn_vnode_;               // [domain pages]
+  std::vector<FreePageList> vnode_free_;          // [nr_vnodes]
   std::vector<std::vector<int32_t>> vnode_order_;  // distance-sorted fallback
   std::vector<int32_t> cpu_vnode_;  // boot-time pcpu -> vnode snapshot, -1 unknown
   Counter* vnuma_local_counter_ = nullptr;

@@ -3,9 +3,7 @@
 namespace xnuma {
 
 Domain::Domain(DomainId id, std::string name, int64_t memory_pages)
-    : id_(id), name_(std::move(name)), p2m_(memory_pages) {
-  flush_visited_.assign(memory_pages, 0);
-}
+    : id_(id), name_(std::move(name)), p2m_(memory_pages) {}
 
 void Domain::ConfigureVnuma(bool enabled) {
   vnuma_enabled_ = enabled;

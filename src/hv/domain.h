@@ -145,8 +145,14 @@ class Domain {
   // ---- Flush-walk scratch (hypervisor page-queue hypercall). ----
   // The latest-op-per-page walk (§4.2.4) dedups pfns against a per-page
   // generation stamp instead of building a hash set per flush; comparing to
-  // a bumped generation makes "clear the visited set" free.
-  std::vector<uint32_t>& flush_visited() { return flush_visited_; }
+  // a bumped generation makes "clear the visited set" free. Only
+  // release-trapping domains flush, so the stamps are sized on first use.
+  std::vector<uint32_t>& flush_visited() {
+    if (flush_visited_.empty()) {
+      flush_visited_.assign(memory_pages(), 0);
+    }
+    return flush_visited_;
+  }
   uint32_t BumpFlushGeneration() {
     if (++flush_gen_ == 0) {  // wrapped: drop every stale stamp once
       flush_visited_.assign(flush_visited_.size(), 0);

@@ -1,49 +1,43 @@
 #include "src/hv/hv_backend.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/check.h"
 
 namespace xnuma {
 
 HvPlacementBackend::HvPlacementBackend(Domain& domain, FrameAllocator& frames)
-    : domain_(&domain), frames_(&frames) {
-  dirty_flag_.assign(domain.memory_pages(), 0);
-}
+    : domain_(&domain), frames_(&frames) {}
 
-void HvPlacementBackend::set_observability(Observability* obs) {
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    map_count_ = map_range_count_ = migration_count_ = failed_migration_count_ = nullptr;
-    migrated_bytes_ = replication_count_ = collapse_count_ = invalidation_count_ = nullptr;
-    vnuma_drift_count_ = nullptr;
-    migrate_seconds_ = nullptr;
+HvPlacementBackend::Metrics::Metrics(Observability* context) : obs(context) {
+  if (obs == nullptr) {
     return;
   }
-  MetricsRegistry& m = obs_->metrics();
-  map_count_ =
-      m.RegisterCounter("hv.backend.maps", "pages", "Pages mapped through MapOnNode");
-  map_range_count_ = m.RegisterCounter("hv.backend.map_ranges", "ranges",
-                                       "Contiguous ranges committed by MapRangeOnNode");
-  migration_count_ =
+  MetricsRegistry& m = obs->metrics();
+  maps = m.RegisterCounter("hv.backend.maps", "pages",
+                           "Pages mapped through MapOnNode or MapRoundRobin");
+  map_ranges = m.RegisterCounter("hv.backend.map_ranges", "ranges",
+                                 "Contiguous ranges committed by MapRangeOnNode");
+  migrations =
       m.RegisterCounter("hv.backend.migrations", "pages", "Pages migrated between nodes");
-  failed_migration_count_ = m.RegisterCounter(
+  failed_migrations = m.RegisterCounter(
       "hv.backend.failed_migrations", "pages",
       "Migrations refused (unmapped page or full target node)");
-  migrated_bytes_ =
+  migrated_bytes =
       m.RegisterCounter("hv.backend.migrated_bytes", "bytes", "Bytes copied by migrations");
-  replication_count_ = m.RegisterCounter("hv.backend.replications", "pages",
-                                         "Pages replicated across home nodes");
-  collapse_count_ = m.RegisterCounter("hv.backend.collapses", "pages",
-                                      "Replica sets collapsed back to one copy");
-  invalidation_count_ = m.RegisterCounter(
+  replications = m.RegisterCounter("hv.backend.replications", "pages",
+                                   "Pages replicated across home nodes");
+  collapses = m.RegisterCounter("hv.backend.collapses", "pages",
+                                "Replica sets collapsed back to one copy");
+  invalidations = m.RegisterCounter(
       "hv.backend.invalidations", "pages",
-      "P2M entries invalidated (releases re-arming the first-touch trap)");
-  vnuma_drift_count_ = m.RegisterCounter(
+      "P2M entries invalidated (releases re-arming the first-touch trap, teardown)");
+  vnuma_drift = m.RegisterCounter(
       "hv.backend.vnuma_drift", "migrations",
       "Cross-node page migrations that staled a vNUMA snapshot (docs/VNUMA.md)");
-  migrate_seconds_ = m.RegisterHistogram("hv.backend.migrate_seconds", "s",
-                                         "Wall-clock cost of one page migration");
+  migrate_seconds = m.RegisterHistogram("hv.backend.migrate_seconds", "s",
+                                        "Wall-clock cost of one page migration");
 }
 
 int64_t HvPlacementBackend::DirtyLimit() const {
@@ -54,12 +48,15 @@ int64_t HvPlacementBackend::DirtyLimit() const {
 
 void HvPlacementBackend::MarkDirty(Pfn pfn) {
   ++placement_generation_;
-  if (dirty_overflow_ || dirty_flag_[pfn] != 0) {
+  if (dirty_overflow_ || (!dirty_flag_.empty() && dirty_flag_[pfn] != 0)) {
     return;
   }
   if (static_cast<int64_t>(dirty_pfns_.size()) >= DirtyLimit()) {
     MarkAllDirty();
     return;
+  }
+  if (dirty_flag_.empty()) {
+    dirty_flag_.assign(num_pages(), 0);
   }
   dirty_flag_[pfn] = 1;
   dirty_pfns_.push_back(pfn);
@@ -86,8 +83,6 @@ bool HvPlacementBackend::DrainDirtyPfns(std::vector<Pfn>* out) {
 }
 
 int64_t HvPlacementBackend::num_pages() const { return domain_->memory_pages(); }
-
-int HvPlacementBackend::num_nodes() const { return frames_->num_nodes(); }
 
 const std::vector<NodeId>& HvPlacementBackend::home_nodes() const {
   return domain_->home_nodes();
@@ -136,8 +131,8 @@ bool HvPlacementBackend::MapOnNode(Pfn pfn, NodeId node) {
   }
   domain_->p2m().Map(pfn, mfn);
   MarkDirty(pfn);
-  if (map_count_ != nullptr) {
-    map_count_->Increment();
+  if (metrics_.maps != nullptr) {
+    metrics_.maps->Increment();
   }
   return true;
 }
@@ -164,10 +159,51 @@ bool HvPlacementBackend::MapRangeOnNode(Pfn first, int64_t count, NodeId node) {
       MarkDirty(first + k);
     }
   }
-  if (map_range_count_ != nullptr) {
-    map_range_count_->Increment();
+  if (metrics_.map_ranges != nullptr) {
+    metrics_.map_ranges->Increment();
   }
   return true;
+}
+
+int64_t HvPlacementBackend::MapRoundRobin(Pfn first, int64_t count, int cursor, Pfn* next) {
+  P2mTable& p2m = domain_->p2m();
+  const std::vector<NodeId>& homes = home_nodes();
+  const int64_t num_homes = static_cast<int64_t>(homes.size());
+  XNUMA_CHECK(num_homes > 0 && cursor >= 0);
+  // Home position j receives the unmapped pages k = offset(j) + m *
+  // num_homes, m = 0, 1, ...; its node (home nodes are distinct) runs dry
+  // at m = its free frames. The bulk prefix ends at the earliest such page.
+  const auto offset = [&](int64_t j) { return (j - cursor % num_homes + num_homes) % num_homes; };
+  const int64_t unmapped = count > 0 ? p2m.CountInvalid(first, count) : 0;
+  int64_t prefix = unmapped;
+  for (int64_t j = 0; j < num_homes; ++j) {
+    XNUMA_CHECK(std::find(homes.begin(), homes.begin() + j, homes[j]) == homes.begin() + j);
+    prefix = std::min(prefix, offset(j) + frames_->FreeFrames(homes[j]) * num_homes);
+  }
+  // The prefix is dealt out one P2M chunk's worth of pages at a time, so no
+  // pages-sized buffer is needed: each node's sweeps continue where its
+  // last one stopped, taking the frames one sweep would.
+  std::array<Mfn, P2mTable::kChunkPages> block;
+  Pfn end = first;
+  for (int64_t lo = 0; lo < prefix; lo += P2mTable::kChunkPages) {
+    const int64_t hi = std::min<int64_t>(prefix, lo + P2mTable::kChunkPages);
+    for (int64_t j = 0; j < num_homes; ++j) {
+      const int64_t k = lo + (offset(j) - lo % num_homes + num_homes) % num_homes;
+      if (k < hi) {
+        frames_->AllocManyOnNode(homes[j], (hi - 1 - k) / num_homes + 1, &block[k - lo],
+                                 num_homes);
+      }
+    }
+    end = p2m.MapInvalid(end, std::span<const Mfn>(block.data(), hi - lo));
+  }
+  *next = prefix == unmapped ? first + count : end;
+  if (prefix > 0) {
+    MarkAllDirty();  // bulk placement: one full-rescan signal
+    if (metrics_.maps != nullptr) {
+      metrics_.maps->Increment(prefix);
+    }
+  }
+  return prefix;
 }
 
 bool HvPlacementBackend::Replicate(Pfn pfn) {
@@ -196,8 +232,8 @@ bool HvPlacementBackend::Replicate(Pfn pfn) {
   domain_->mutable_replicas()[pfn] = std::move(replicas);
   ++domain_->stats().pages_replicated;
   MarkDirty(pfn);
-  if (replication_count_ != nullptr) {
-    replication_count_->Increment();
+  if (metrics_.replications != nullptr) {
+    metrics_.replications->Increment();
   }
   return true;
 }
@@ -216,19 +252,19 @@ void HvPlacementBackend::CollapseReplicas(Pfn pfn) {
   }
   ++domain_->stats().replicas_collapsed;
   MarkDirty(pfn);
-  if (collapse_count_ != nullptr) {
-    collapse_count_->Increment();
+  if (metrics_.collapses != nullptr) {
+    metrics_.collapses->Increment();
   }
 }
 
 bool HvPlacementBackend::IsReplicated(Pfn pfn) const { return domain_->IsReplicated(pfn); }
 
 bool HvPlacementBackend::Migrate(Pfn pfn, NodeId node) {
-  const double begin_us = obs_ != nullptr ? obs_->tracer().NowUs() : 0.0;
+  const double begin_us = metrics_.obs != nullptr ? metrics_.obs->tracer().NowUs() : 0.0;
   P2mTable& p2m = domain_->p2m();
   if (!p2m.IsValid(pfn)) {
-    if (failed_migration_count_ != nullptr) {
-      failed_migration_count_->Increment();
+    if (metrics_.failed_migrations != nullptr) {
+      metrics_.failed_migrations->Increment();
     }
     return false;
   }
@@ -243,8 +279,8 @@ bool HvPlacementBackend::Migrate(Pfn pfn, NodeId node) {
   }
   const Mfn new_mfn = frames_->AllocOnNode(node);
   if (new_mfn == kInvalidMfn) {
-    if (failed_migration_count_ != nullptr) {
-      failed_migration_count_->Increment();
+    if (metrics_.failed_migrations != nullptr) {
+      metrics_.failed_migrations->Increment();
     }
     return false;
   }
@@ -264,14 +300,14 @@ bool HvPlacementBackend::Migrate(Pfn pfn, NodeId node) {
     // The page left the node the guest's cached topology implies: any vNUMA
     // snapshot taken before this migration is now stale (docs/MODEL.md §16).
     domain_->NoteVnumaPlacementDrift();
-    if (vnuma_drift_count_ != nullptr) {
-      vnuma_drift_count_->Increment();
+    if (metrics_.vnuma_drift != nullptr) {
+      metrics_.vnuma_drift->Increment();
     }
   }
-  if (obs_ != nullptr) {
-    migration_count_->Increment();
-    migrated_bytes_->Increment(frames_->bytes_per_frame());
-    migrate_seconds_->Observe((obs_->tracer().NowUs() - begin_us) * 1e-6);
+  if (metrics_.obs != nullptr) {
+    metrics_.migrations->Increment();
+    metrics_.migrated_bytes->Increment(frames_->bytes_per_frame());
+    metrics_.migrate_seconds->Observe((metrics_.obs->tracer().NowUs() - begin_us) * 1e-6);
   }
   return true;
 }
@@ -284,9 +320,30 @@ void HvPlacementBackend::Invalidate(Pfn pfn) {
   CollapseReplicas(pfn);
   frames_->Free(p2m.Unmap(pfn));
   MarkDirty(pfn);
-  if (invalidation_count_ != nullptr) {
-    invalidation_count_->Increment();
+  if (metrics_.invalidations != nullptr) {
+    metrics_.invalidations->Increment();
   }
+}
+
+int64_t HvPlacementBackend::ReleaseAll() {
+  XNUMA_CHECK(domain_->replicas().empty());
+  P2mTable& p2m = domain_->p2m();
+  // One P2M chunk at a time, so no pages-sized buffer is needed.
+  const int64_t released = p2m.valid_count();
+  std::vector<Mfn> mfns;
+  mfns.reserve(P2mTable::kChunkPages);
+  for (Pfn pfn = 0; p2m.valid_count() > 0; pfn += P2mTable::kChunkPages) {
+    mfns.clear();
+    p2m.UnmapValid(pfn, std::min(P2mTable::kChunkPages, num_pages() - pfn), &mfns);
+    frames_->FreeMany(mfns);
+  }
+  if (released > 0) {
+    MarkAllDirty();
+    if (metrics_.invalidations != nullptr) {
+      metrics_.invalidations->Increment(released);
+    }
+  }
+  return released;
 }
 
 HvPlacementBackend::MigrationWindow HvPlacementBackend::DrainMigrationWindow() {

@@ -21,7 +21,6 @@ class HvPlacementBackend : public PlacementBackend {
   HvPlacementBackend(Domain& domain, FrameAllocator& frames);
 
   int64_t num_pages() const override;
-  int num_nodes() const override;
   const std::vector<NodeId>& home_nodes() const override;
   bool IsMapped(Pfn pfn) const override;
   NodeId NodeOf(Pfn pfn) const override;
@@ -42,8 +41,16 @@ class HvPlacementBackend : public PlacementBackend {
   PlacementRun NodeOfRange(Pfn pfn, int32_t vcpu = 0) const;
   bool MapOnNode(Pfn pfn, NodeId node) override;
   bool MapRangeOnNode(Pfn first, int64_t count, NodeId node) override;
+  // Next-fit sweeps per home node (FrameAllocator::AllocManyOnNode), one
+  // P2M pass and one full-rescan signal.
+  int64_t MapRoundRobin(Pfn first, int64_t count, int cursor, Pfn* next) override;
   bool Migrate(Pfn pfn, NodeId node) override;
   void Invalidate(Pfn pfn) override;
+  // Domain teardown: drops every mapping and returns its frames to the
+  // allocator in bulk, with one full-rescan signal. Equivalent to
+  // Invalidate() on every mapped page once no page is replicated (the
+  // caller collapses replicas first). Returns the pages released.
+  int64_t ReleaseAll();
   bool guest_hints_active() const override { return domain_->vnuma_hints_active(); }
 
   // ---- Read-only replication (optional §3.4 extension). ----
@@ -76,9 +83,27 @@ class HvPlacementBackend : public PlacementBackend {
   // that case and the caller must rescan the whole address space.
   bool DrainDirtyPfns(std::vector<Pfn>* out);
 
-  // Optional metrics for every placement mutation (hv.backend.*) plus the
-  // per-page migrate wall-clock histogram. nullptr detaches.
-  void set_observability(Observability* obs);
+  // Metric handles for every placement mutation (hv.backend.*) plus the
+  // per-page migrate wall-clock histogram, and the context whose clock
+  // times migrations. Registration looks each name up in the registry, so
+  // the hypervisor registers once per context and copies the handles into
+  // every backend. Default-constructed: detached.
+  struct Metrics {
+    Metrics() = default;
+    explicit Metrics(Observability* obs);
+    Observability* obs = nullptr;
+    Counter* maps = nullptr;
+    Counter* map_ranges = nullptr;
+    Counter* migrations = nullptr;
+    Counter* failed_migrations = nullptr;
+    Counter* migrated_bytes = nullptr;
+    Counter* replications = nullptr;
+    Counter* collapses = nullptr;
+    Counter* invalidations = nullptr;
+    Counter* vnuma_drift = nullptr;
+    Histogram* migrate_seconds = nullptr;
+  };
+  void set_metrics(const Metrics& metrics) { metrics_ = metrics; }
 
  private:
   void MarkDirty(Pfn pfn);
@@ -91,21 +116,10 @@ class HvPlacementBackend : public PlacementBackend {
 
   uint64_t placement_generation_ = 0;
   std::vector<Pfn> dirty_pfns_;
-  std::vector<uint8_t> dirty_flag_;  // [num_pages] dedup bitmap
+  std::vector<uint8_t> dirty_flag_;  // [num_pages] dedup bitmap, sized on first use
   bool dirty_overflow_ = false;
 
-  // Observability (null = disabled).
-  Observability* obs_ = nullptr;
-  Counter* map_count_ = nullptr;
-  Counter* map_range_count_ = nullptr;
-  Counter* migration_count_ = nullptr;
-  Counter* failed_migration_count_ = nullptr;
-  Counter* migrated_bytes_ = nullptr;
-  Counter* replication_count_ = nullptr;
-  Counter* collapse_count_ = nullptr;
-  Counter* invalidation_count_ = nullptr;
-  Counter* vnuma_drift_count_ = nullptr;
-  Histogram* migrate_seconds_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace xnuma

@@ -15,15 +15,35 @@ Hypervisor::Hypervisor(const Topology& topo, int64_t bytes_per_frame)
   // BIOS and I/O holes fragment the edges of every node's memory (§3.3).
   frames_.FragmentEdgeRegions(/*holes_per_edge=*/4);
   cpu_reservations_.assign(topo.num_cpus(), 0);
+  free_cpus_per_node_.resize(topo.num_nodes());
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    free_cpus_per_node_[n] = static_cast<int>(topo.node(n).cpus.size());
+  }
+}
+
+void Hypervisor::ReserveCpu(CpuId cpu) {
+  if (cpu_reservations_[cpu]++ == 0) {
+    --free_cpus_per_node_[topo_->node_of_cpu(cpu)];
+  }
+}
+
+void Hypervisor::ReleaseCpu(CpuId cpu) {
+  XNUMA_CHECK(cpu_reservations_[cpu] > 0);
+  if (--cpu_reservations_[cpu] == 0) {
+    ++free_cpus_per_node_[topo_->node_of_cpu(cpu)];
+  }
 }
 
 void Hypervisor::set_observability(Observability* obs) {
   obs_ = obs;
+  admission_solver_.set_observability(obs);
+  backend_metrics_ = HvPlacementBackend::Metrics(obs);
+  p2m_metrics_ = P2mTable::Metrics(obs);
   for (auto& be : backends_) {
-    be->set_observability(obs);
+    be->set_metrics(backend_metrics_);
   }
   for (auto& dom : domains_) {
-    dom->p2m().set_observability(obs);
+    dom->p2m().set_metrics(p2m_metrics_);
   }
   if (obs_ == nullptr) {
     set_policy_calls_ = queue_flush_calls_ = page_fault_count_ = nullptr;
@@ -81,18 +101,6 @@ HvPlacementBackend& Hypervisor::backend(DomainId id) {
   return *backends_[id];
 }
 
-std::vector<int> Hypervisor::FreeCpusPerNode() const {
-  std::vector<int> free_cpus(topo_->num_nodes(), 0);
-  for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
-    for (CpuId c : topo_->node(n).cpus) {
-      if (cpu_reservations_[c] == 0) {
-        ++free_cpus[n];
-      }
-    }
-  }
-  return free_cpus;
-}
-
 std::vector<NodeId> Hypervisor::PackHomeNodes(int num_vcpus, int64_t memory_pages) const {
   // "Pack on the minimal number of underloaded NUMA nodes" (§3.3), solved
   // exactly: the admission solver scores every minimal-cardinality fitting
@@ -103,7 +111,7 @@ std::vector<NodeId> Hypervisor::PackHomeNodes(int num_vcpus, int64_t memory_page
   AdmissionRequest request;
   request.num_vcpus = num_vcpus;
   request.memory_pages = memory_pages;
-  const AdmissionResult result = admission_solver_.Solve(request, FreeCpusPerNode());
+  const AdmissionResult result = admission_solver_.Solve(request, free_cpus_per_node_);
   if (result.decision == AdmissionDecision::kAdmit) {
     return result.nodes;
   }
@@ -117,7 +125,7 @@ std::vector<NodeId> Hypervisor::PackHomeNodes(int num_vcpus, int64_t memory_page
 
 const Hypervisor::AdmissionVerdict& Hypervisor::AdmitDomain(const AdmissionRequest& request) {
   const auto begin = std::chrono::steady_clock::now();
-  last_admission_.result = admission_solver_.Solve(request, FreeCpusPerNode());
+  last_admission_.result = admission_solver_.Solve(request, free_cpus_per_node_);
   last_admission_.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   if (admission_requests_ != nullptr) {
@@ -145,37 +153,24 @@ void Hypervisor::DestroyDomain(DomainId id) {
   if (dom.destroyed()) {
     return;
   }
+  XNUMA_TRACE_SCOPE(obs_, "domain_destroy", "hv");
   HvPlacementBackend& be = *backends_[id];
-  // Release every machine frame the domain holds, walking placement runs
-  // rather than pages so large mapped runs cost one lookup each.
-  // Invalidate collapses replicas before unmapping, so replica frames are
-  // returned too.
-  for (Pfn pfn = 0; pfn < dom.memory_pages();) {
-    const HvPlacementBackend::PlacementRun run = be.NodeOfRange(pfn);
-    if (run.mapped) {
-      for (Pfn p = run.first; p < run.first + run.count; ++p) {
-        be.Invalidate(p);
-      }
-    }
-    pfn = run.first + run.count;
-  }
-  // Pages released while replicated keep their replica frames in the
-  // domain's replica map (the run walk above only sees mapped runs); free
-  // them through the same collapse path so stats and counters agree.
+  // Collapse every replica set first (returning the replica frames, with
+  // the stats and counters of a per-page teardown), then release every
+  // mapped frame in one pass over the P2M.
   while (!dom.replicas().empty()) {
     be.CollapseReplicas(dom.replicas().begin()->first);
   }
+  be.ReleaseAll();
   // And drop the per-node P2M replicas with their stamp arrays.
   dom.p2m().DisableReplication();
   for (const VcpuDesc& vcpu : dom.vcpus()) {
-    XNUMA_CHECK(cpu_reservations_[vcpu.pinned_cpu] > 0);
-    --cpu_reservations_[vcpu.pinned_cpu];
+    ReleaseCpu(vcpu.pinned_cpu);
   }
   dom.mutable_vcpus().clear();
   dom.set_destroyed();
   if (domains_destroyed_ != nullptr) {
     domains_destroyed_->Increment();
-    EmitEvent(obs_, "domain_destroy", "hv");
   }
 }
 
@@ -241,6 +236,7 @@ P2mOrders ResolveP2mOrders(PageOrder max_order, int64_t pages_per_2m, int64_t pa
 }
 
 DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
+  XNUMA_TRACE_SCOPE(obs_, "domain_create", "hv");
   XNUMA_CHECK(config.num_vcpus > 0);
   XNUMA_CHECK(config.memory_pages > 0);
   if (config.memory_pages > frames_.TotalFreeFrames()) {
@@ -259,11 +255,12 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
   auto dom = std::make_unique<Domain>(id, config.name, config.memory_pages);
   dom->set_is_dom0(config.is_dom0);
   dom->set_pci_passthrough(config.pci_passthrough);
-  dom->p2m().set_observability(obs_);
+  dom->p2m().set_metrics(p2m_metrics_);
 
   // Pin vCPUs: explicit list, or pack onto the home nodes.
   std::vector<CpuId> pins = config.pinned_cpus;
   std::vector<NodeId> homes;
+  pins.reserve(config.num_vcpus);
   if (pins.empty()) {
     // Route automatic packing through the admission solver so the verdict
     // (and its latency) is recorded even on the legacy path; strict mode
@@ -313,9 +310,10 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
   }
   dom->set_home_nodes(std::move(homes));
   dom->p2m().SetHomeNode(dom->home_nodes().empty() ? 0 : dom->home_nodes().front());
+  dom->mutable_vcpus().reserve(config.num_vcpus);
   for (int v = 0; v < config.num_vcpus; ++v) {
     dom->mutable_vcpus().push_back({v, pins[v]});
-    ++cpu_reservations_[pins[v]];
+    ReserveCpu(pins[v]);
   }
   if (config.p2m_replication) {
     dom->p2m().EnableReplication(topo_->num_nodes(), dom->p2m().home_node(),
@@ -330,7 +328,7 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
 
   domains_.push_back(std::move(dom));
   backends_.push_back(std::make_unique<HvPlacementBackend>(*domains_.back(), frames_));
-  backends_.back()->set_observability(obs_);
+  backends_.back()->set_metrics(backend_metrics_);
 
   // Eager policies (round-4K, round-1G) allocate the machine memory of the
   // domain at creation time (§3.3).

@@ -119,9 +119,10 @@ class Hypervisor {
   DomainId TryCreateDomain(const DomainConfig& config);  // kInvalidDomain on failure
 
   // Tears a domain down: collapses replicas, invalidates every P2M entry
-  // (releasing the machine frames), drops the vCPU pCPU reservations and
-  // marks the domain destroyed. Ids are stable handles, so domain(id)
-  // remains addressable; num_domains() never shrinks. Idempotent.
+  // (releasing the machine frames in one bulk pass), drops the vCPU pCPU
+  // reservations and marks the domain destroyed. Ids are stable handles,
+  // so domain(id) remains addressable; num_domains() never shrinks.
+  // Idempotent.
   void DestroyDomain(DomainId id);
   bool DomainAlive(DomainId id) const;
   int num_live_domains() const;
@@ -187,8 +188,9 @@ class Hypervisor {
   // Verdict of the most recent AdmitDomain call (e.g. the one an enclosing
   // TryCreateDomain issued); zero-initialized before the first call.
   const AdmissionVerdict& last_admission() const { return last_admission_; }
-  // Unreserved pCPUs per node — the solver's CPU-side input.
-  std::vector<int> FreeCpusPerNode() const;
+  // Unreserved pCPUs per node — the solver's CPU-side input, kept current
+  // on every reservation and release.
+  const std::vector<int>& FreeCpusPerNode() const { return free_cpus_per_node_; }
   // Every node's free-extent summary, from the admission solver's
   // generation-checked cache (AdmissionSolver::NodeSpaces).
   const std::vector<NodeSpace>& NodeSpaces() const { return admission_solver_.NodeSpaces(); }
@@ -201,10 +203,18 @@ class Hypervisor {
   HvCosts costs_;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<std::unique_ptr<HvPlacementBackend>> backends_;
-  std::vector<int> cpu_reservations_;  // reserved pCPUs (for packing)
+  // vCPUs reserved on each pCPU (for packing), and per node the pCPUs with
+  // none; ReserveCpu/ReleaseCpu keep the two in step.
+  void ReserveCpu(CpuId cpu);
+  void ReleaseCpu(CpuId cpu);
+  std::vector<int> cpu_reservations_;
+  std::vector<int> free_cpus_per_node_;
 
   // Observability (null = disabled; handles valid only while obs_ != null).
+  // Every backend and P2M table gets copies of the same registered handles.
   Observability* obs_ = nullptr;
+  HvPlacementBackend::Metrics backend_metrics_;
+  P2mTable::Metrics p2m_metrics_;
   Counter* set_policy_calls_ = nullptr;
   Counter* queue_flush_calls_ = nullptr;
   Counter* page_fault_count_ = nullptr;

@@ -18,28 +18,41 @@ void P2mTable::CheckRange(Pfn pfn, int64_t count) const {
 
 void P2mTable::TouchChunks(Pfn pfn, int64_t count) {
   for (int64_t ci = pfn >> kChunkShift; ci <= (pfn + count - 1) >> kChunkShift; ++ci) {
-    const uint32_t gen = ++gens_[ci];
-    if (!repl_enabled_) {
+    TouchChunk(ci);
+  }
+}
+
+void P2mTable::TouchChunk(int64_t ci) {
+  const uint32_t gen = ++gens_[ci];
+  if (!repl_enabled_) {
+    return;
+  }
+  for (auto& rp : replicas_) {
+    Replica* r = rp.get();
+    if (r == nullptr) {
       continue;
     }
-    for (auto& rp : replicas_) {
-      Replica* r = rp.get();
-      if (r == nullptr) {
-        continue;
-      }
-      // Only a copy that was current (stamped with the generation this
-      // mutation just superseded) transitions to invalid; stale and empty
-      // copies were already uncounted, so valid_chunks stays exact.
-      if (r->stamps[ci].load(std::memory_order_relaxed) == gen - 1) {
-        r->stamps[ci].store(kStampEmpty, std::memory_order_relaxed);
-        r->valid_chunks.fetch_sub(1, std::memory_order_relaxed);
-        ++repl_invalidations_;
-        if (repl_invalidation_metric_ != nullptr) {
-          repl_invalidation_metric_->Increment();
-        }
+    // Only a copy that was current (stamped with the generation this
+    // mutation just superseded) transitions to invalid; stale and empty
+    // copies were already uncounted, so valid_chunks stays exact.
+    if (r->stamps[ci].load(std::memory_order_relaxed) == gen - 1) {
+      r->stamps[ci].store(kStampEmpty, std::memory_order_relaxed);
+      r->valid_chunks.fetch_sub(1, std::memory_order_relaxed);
+      ++repl_invalidations_;
+      if (metrics_.invalidations != nullptr) {
+        metrics_.invalidations->Increment();
       }
     }
   }
+}
+
+int64_t P2mTable::CountInvalid(Pfn pfn, int64_t count) const {
+  CheckRange(pfn, count);
+  if (count == num_pages()) {
+    return count - valid_count_;
+  }
+  return std::count_if(entries_.begin() + pfn, entries_.begin() + pfn + count,
+                       [](uint64_t e) { return (e & 1) == 0; });
 }
 
 // ---- Mapping mutators ----------------------------------------------------
@@ -66,8 +79,48 @@ void P2mTable::Remap(Pfn pfn, Mfn new_mfn) {
   XNUMA_CHECK((e & 1) != 0);
   e = (static_cast<uint64_t>(new_mfn) << 2) | (e & 3);
   TouchChunks(pfn, 1);
-  if (remap_count_ != nullptr) {
-    remap_count_->Increment();
+  if (metrics_.remaps != nullptr) {
+    metrics_.remaps->Increment();
+  }
+}
+
+Pfn P2mTable::MapInvalid(Pfn pfn, std::span<const Mfn> mfns) {
+  int64_t touched = -1;  // the last chunk whose generation this call bumped
+  for (const Mfn mfn : mfns) {
+    XNUMA_CHECK(mfn != kInvalidMfn);
+    while (true) {
+      CheckRange(pfn, 1);
+      if (entries_[pfn] == 0) {
+        break;
+      }
+      ++pfn;
+    }
+    entries_[pfn] = PackEntry(mfn, true);
+    if (pfn >> kChunkShift != touched) {
+      touched = pfn >> kChunkShift;
+      TouchChunk(touched);
+    }
+    ++pfn;
+  }
+  valid_count_ += static_cast<int64_t>(mfns.size());
+  return pfn;
+}
+
+void P2mTable::UnmapValid(Pfn pfn, int64_t count, std::vector<Mfn>* out) {
+  CheckRange(pfn, count);
+  int64_t touched = -1;  // the last chunk whose generation this call bumped
+  for (Pfn p = pfn; p < pfn + count; ++p) {
+    const uint64_t e = entries_[p];
+    if ((e & 1) == 0) {
+      continue;
+    }
+    out->push_back(static_cast<Mfn>(e >> 2));
+    entries_[p] = 0;
+    --valid_count_;
+    if (p >> kChunkShift != touched) {
+      touched = p >> kChunkShift;
+      TouchChunk(touched);
+    }
   }
 }
 
@@ -102,31 +155,31 @@ void P2mTable::WriteUnprotect(Pfn pfn) { SetWritable(pfn, 1, true); }
 void P2mTable::WriteProtectRange(Pfn pfn, int64_t count) { SetWritable(pfn, count, false); }
 void P2mTable::WriteUnprotectRange(Pfn pfn, int64_t count) { SetWritable(pfn, count, true); }
 
-void P2mTable::set_observability(Observability* obs) {
-  // The replica gauge sums every attached table's live replicas, so move
-  // this table's share from the old registry to the new one.
-  AddToReplicaGauge(-replica_count());
+P2mTable::Metrics::Metrics(Observability* obs) {
   if (obs == nullptr) {
-    remap_count_ = nullptr;
-    repl_gauge_ = nullptr;
-    repl_invalidation_metric_ = repl_local_metric_ = repl_remote_metric_ = nullptr;
     return;
   }
   MetricsRegistry& m = obs->metrics();
-  remap_count_ =
-      m.RegisterCounter("p2m.remaps", "remaps", "Successful P2M remap commits");
-  repl_gauge_ = m.RegisterGauge(
+  remaps = m.RegisterCounter("p2m.remaps", "remaps", "Successful P2M remap commits");
+  replicas = m.RegisterGauge(
       "p2m.repl.replicas", "replicas",
       "Live per-node P2M replicas summed over every domain (home nodes excluded)");
-  repl_invalidation_metric_ = m.RegisterCounter(
+  invalidations = m.RegisterCounter(
       "p2m.repl.invalidations", "copies",
       "P2M replica copies dropped by master mutations or wholesale drops");
-  repl_local_metric_ = m.RegisterCounter(
+  local_walks = m.RegisterCounter(
       "p2m.repl.local_walks", "walks",
       "Modeled page-walks served by the walking vCPU's local table or replica");
-  repl_remote_metric_ = m.RegisterCounter(
+  remote_walks = m.RegisterCounter(
       "p2m.repl.remote_walks", "walks",
       "Modeled page-walks that crossed the interconnect to the master table");
+}
+
+void P2mTable::set_metrics(const Metrics& metrics) {
+  // The replica gauge sums every attached table's live replicas, so move
+  // this table's share from the old gauge to the new one.
+  AddToReplicaGauge(-replica_count());
+  metrics_ = metrics;
   AddToReplicaGauge(replica_count());
 }
 
@@ -160,26 +213,33 @@ P2mTable::Run P2mTable::LookupRun(Pfn pfn, int32_t vcpu) const {
     }
     run = Run{lo, hi - lo, static_cast<Mfn>(e[lo] >> 2), true, (e[lo] & 2) != 0};
   }
-  if (repl_enabled_) {
-    // The walk read the master table; re-copy the chunk it resolved into
-    // the walking node's replica (Mitosis' walk-driven fill). Only an
-    // already-instantiated replica is stamped — a const lookup never
-    // allocates.
-    const int node = vcpu_nodes_[VcpuSlot(vcpu)];
-    Replica* r = node != home_node_ && node < repl_nodes_ ? replicas_[node].get() : nullptr;
-    const uint32_t gen = gens_[ci];
-    if (r != nullptr && r->stamps[ci].exchange(gen, std::memory_order_relaxed) != gen) {
-      r->valid_chunks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  RestampReplica(pfn, vcpu);
   return run;
+}
+
+void P2mTable::RestampReplica(Pfn pfn, int32_t vcpu) const {
+  if (!repl_enabled_) {
+    return;
+  }
+  // The walk read the master table; re-copy the chunk it resolved into the
+  // walking node's replica (Mitosis' walk-driven fill). Only an
+  // already-instantiated replica is stamped — a const walk never
+  // allocates.
+  CheckRange(pfn, 1);
+  const int64_t ci = pfn >> kChunkShift;
+  const int node = vcpu_nodes_[VcpuSlot(vcpu)];
+  Replica* r = node != home_node_ && node < repl_nodes_ ? replicas_[node].get() : nullptr;
+  const uint32_t gen = gens_[ci];
+  if (r != nullptr && r->stamps[ci].exchange(gen, std::memory_order_relaxed) != gen) {
+    r->valid_chunks.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 // ---- Per-node replication (docs/MODEL.md §18) ----------------------------
 
 void P2mTable::AddToReplicaGauge(int64_t delta) {
-  if (repl_gauge_ != nullptr && delta != 0) {
-    repl_gauge_->Add(static_cast<double>(delta));
+  if (metrics_.replicas != nullptr && delta != 0) {
+    metrics_.replicas->Add(static_cast<double>(delta));
   }
 }
 
@@ -250,8 +310,8 @@ void P2mTable::InvalidateReplicas(int node) {
     r->valid_chunks.store(0, std::memory_order_relaxed);
   }
   ++repl_invalidations_;
-  if (repl_invalidation_metric_ != nullptr) {
-    repl_invalidation_metric_->Increment();
+  if (metrics_.invalidations != nullptr) {
+    metrics_.invalidations->Increment();
   }
 }
 
@@ -273,11 +333,11 @@ double P2mTable::ReplicaCoverage(int node) const {
 void P2mTable::NoteWalks(int64_t local, int64_t remote) {
   repl_local_walks_ += local;
   repl_remote_walks_ += remote;
-  if (repl_local_metric_ != nullptr && local > 0) {
-    repl_local_metric_->Increment(local);
+  if (metrics_.local_walks != nullptr && local > 0) {
+    metrics_.local_walks->Increment(local);
   }
-  if (repl_remote_metric_ != nullptr && remote > 0) {
-    repl_remote_metric_->Increment(remote);
+  if (metrics_.remote_walks != nullptr && remote > 0) {
+    metrics_.remote_walks->Increment(remote);
   }
 }
 

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -53,13 +54,23 @@ class P2mTable {
     return (e & 1) != 0 ? static_cast<Mfn>(e >> 2) : kInvalidMfn;
   }
 
-  // Resolves the maximal run containing `pfn` (see Run). `vcpu` names the
-  // walking vCPU (ids fold modulo the vCPU count given to
-  // EnableReplication; negative ids fold to 0): under replication, a walk
-  // from a node other than the home node re-stamps that node's copy of the
-  // chunk. The returned run is a snapshot: any mutation of its chunk
-  // invalidates it.
+  // Resolves the maximal run containing `pfn` (see Run), for callers that
+  // walk runs; a caller that needs one page's state reads its entry
+  // (IsValid/Lookup). `vcpu` names the walking vCPU: the lookup re-stamps
+  // its node's replica (RestampReplica). The returned run is a snapshot:
+  // any mutation of its chunk invalidates it.
   Run LookupRun(Pfn pfn, int32_t vcpu = 0) const;
+
+  // The replica side of a walk resolving `pfn`: under replication, a walk
+  // from a node other than the home node re-copies the page's chunk into
+  // that node's replica. `vcpu` names the walking vCPU (ids fold modulo the
+  // vCPU count given to EnableReplication; negative ids fold to 0). A point
+  // reader standing in for a walk (a first-touch trap, a hot-page sample)
+  // calls it next to its entry read. No-op while replication is off.
+  void RestampReplica(Pfn pfn, int32_t vcpu = 0) const;
+
+  // Number of invalid entries in [pfn, pfn+count).
+  int64_t CountInvalid(Pfn pfn, int64_t count) const;
 
   // Installs a mapping; the entry must currently be invalid.
   void Map(Pfn pfn, Mfn mfn);
@@ -69,12 +80,37 @@ class P2mTable {
   // count Map() calls.
   void MapRange(Pfn pfn, int64_t count, Mfn mfn);
 
+  // Maps the invalid entries from `pfn` on, in ascending order, to the
+  // frames of `mfns`, one each, skipping valid entries; that many must
+  // exist. Returns the pfn after the last one mapped (`pfn` when `mfns` is
+  // empty). Equivalent to one Map() per frame, but bumps each touched
+  // chunk's generation once.
+  Pfn MapInvalid(Pfn pfn, std::span<const Mfn> mfns);
+
+  // Drops every valid mapping in [pfn, pfn+count), appending the frames
+  // that backed them to *out in ascending pfn order (domain teardown).
+  // Equivalent to Unmap() on each valid entry, but bumps each touched
+  // chunk's generation once.
+  void UnmapValid(Pfn pfn, int64_t count, std::vector<Mfn>* out);
+
   // Atomically replaces the target of a valid entry (migration commit).
   void Remap(Pfn pfn, Mfn new_mfn);
 
-  // Optional metrics (p2m.remaps, p2m.repl.{replicas,invalidations,
-  // local_walks,remote_walks}). nullptr detaches.
-  void set_observability(Observability* obs);
+  // Metric handles (p2m.remaps, p2m.repl.{replicas,invalidations,
+  // local_walks,remote_walks}). The hypervisor registers them once per
+  // observability context and copies them into every table;
+  // default-constructed: detached. set_metrics moves this table's live
+  // replicas from the old replica gauge to the new one.
+  struct Metrics {
+    Metrics() = default;
+    explicit Metrics(Observability* obs);
+    Counter* remaps = nullptr;
+    Gauge* replicas = nullptr;
+    Counter* invalidations = nullptr;
+    Counter* local_walks = nullptr;
+    Counter* remote_walks = nullptr;
+  };
+  void set_metrics(const Metrics& metrics);
 
   // Drops a valid mapping; returns the machine frame that backed it.
   Mfn Unmap(Pfn pfn);
@@ -191,6 +227,7 @@ class P2mTable {
   // Bumps the generation of every chunk [pfn, pfn+count) overlaps and drops
   // those chunks' copies from every replica holding a current one.
   void TouchChunks(Pfn pfn, int64_t count);
+  void TouchChunk(int64_t ci);
   int64_t num_chunks() const { return static_cast<int64_t>(gens_.size()); }
   // Folds a vCPU id onto vcpu_nodes_ (see LookupRun).
   int VcpuSlot(int32_t vcpu) const {
@@ -216,11 +253,7 @@ class P2mTable {
   int64_t repl_local_walks_ = 0;
   int64_t repl_remote_walks_ = 0;
 
-  Counter* remap_count_ = nullptr;
-  Gauge* repl_gauge_ = nullptr;
-  Counter* repl_invalidation_metric_ = nullptr;
-  Counter* repl_local_metric_ = nullptr;
-  Counter* repl_remote_metric_ = nullptr;
+  Metrics metrics_;
 };
 
 }  // namespace xnuma

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -18,6 +19,15 @@ FrameAllocator::FrameAllocator(const Topology& topo, int64_t bytes_per_frame)
     node_bases_.push_back(total_frames_);
     node_sizes_.push_back(frames);
     total_frames_ += frames;
+  }
+  node_bases_.push_back(total_frames_);
+  bucket_shift_ = std::bit_width(static_cast<uint64_t>(
+                      *std::min_element(node_sizes_.begin(), node_sizes_.end()))) -
+                  1;
+  for (NodeId node = 0; node < topo.num_nodes(); ++node) {
+    while (static_cast<int64_t>(bucket_node_.size() << bucket_shift_) < node_bases_[node + 1]) {
+      bucket_node_.push_back(node);
+    }
   }
   free_count_ = node_sizes_;
   generation_.assign(topo.num_nodes(), 0);
@@ -39,14 +49,6 @@ int64_t FrameAllocator::FramesPerOrder(PageOrder order) const {
       break;
   }
   return std::max<int64_t>(1, bytes / bytes_per_frame_);
-}
-
-NodeId FrameAllocator::NodeOf(Mfn mfn) const {
-  XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
-  // The per-node ranges are contiguous and sorted; a binary search keeps
-  // this correct even with heterogeneous node sizes.
-  auto it = std::upper_bound(node_bases_.begin(), node_bases_.end(), mfn);
-  return static_cast<NodeId>(it - node_bases_.begin()) - 1;
 }
 
 int64_t FrameAllocator::FindFreeBit(int64_t lo, int64_t hi) const {
@@ -188,6 +190,65 @@ Mfn FrameAllocator::AllocOnNode(NodeId node) {
   return found;
 }
 
+void FrameAllocator::AllocManyOnNode(NodeId node, int64_t count, Mfn* out, int64_t stride) {
+  XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
+  XNUMA_CHECK(count >= 0 && count <= free_count_[node]);
+  if (count == 0) {
+    return;
+  }
+  const int64_t size = node_sizes_[node];
+  const int64_t base = node_bases_[node];
+  const int64_t rover = base + rover_[node];
+  // Repeated AllocOnNode calls take the free frames of [rover, end) in
+  // ascending order, then wrap to [base, rover): one sweep over both
+  // stretches, claiming each word's taken bits with one store.
+  int64_t left = count;
+  Mfn last = kInvalidMfn;
+  for (const auto& [lo, hi] : {std::pair{rover, base + size}, std::pair{base, rover}}) {
+    for (int64_t i = lo; i < hi && left > 0;) {
+      const int64_t avail = std::min<int64_t>(64 - (i & 63), hi - i);
+      uint64_t free_bits = ~used_[i >> 6] >> (i & 63);
+      if (avail < 64) {
+        free_bits &= (uint64_t{1} << avail) - 1;
+      }
+      uint64_t taken = 0;
+      for (; free_bits != 0 && left > 0; --left) {
+        const int bit = std::countr_zero(free_bits);
+        free_bits &= free_bits - 1;
+        taken |= uint64_t{1} << bit;
+        last = i + bit;
+        *out = last;
+        out += stride;
+      }
+      used_[i >> 6] |= taken << (i & 63);
+      i += avail;
+    }
+  }
+  XNUMA_CHECK(left == 0);  // free_count_ said there were enough free frames.
+  free_count_[node] -= count;
+  ++generation_[node];
+  rover_[node] = (last - base + 1) % size;
+}
+
+void FrameAllocator::SetRun(int64_t lo, int64_t count) {
+  for (int64_t i = lo; i < lo + count;) {
+    const int64_t avail = std::min<int64_t>(64 - (i & 63), lo + count - i);
+    const uint64_t mask = (avail < 64 ? (uint64_t{1} << avail) - 1 : ~uint64_t{0}) << (i & 63);
+    used_[i >> 6] |= mask;
+    i += avail;
+  }
+}
+
+void FrameAllocator::ClearRun(int64_t lo, int64_t count) {
+  for (int64_t i = lo; i < lo + count;) {
+    const int64_t avail = std::min<int64_t>(64 - (i & 63), lo + count - i);
+    const uint64_t mask = (avail < 64 ? (uint64_t{1} << avail) - 1 : ~uint64_t{0}) << (i & 63);
+    XNUMA_CHECK((used_[i >> 6] & mask) == mask);  // every frame must be allocated
+    used_[i >> 6] &= ~mask;
+    i += avail;
+  }
+}
+
 Mfn FrameAllocator::AllocContiguous(NodeId node, int64_t count) {
   XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
   XNUMA_CHECK(count > 0);
@@ -199,9 +260,7 @@ Mfn FrameAllocator::AllocContiguous(NodeId node, int64_t count) {
   if (first < 0) {
     return kInvalidMfn;
   }
-  for (int64_t k = 0; k < count; ++k) {
-    SetBit(first + k);
-  }
+  SetRun(first, count);
   free_count_[node] -= count;
   ++generation_[node];
   return first;
@@ -217,8 +276,31 @@ void FrameAllocator::Free(Mfn mfn) {
 }
 
 void FrameAllocator::FreeContiguous(Mfn first, int64_t count) {
-  for (int64_t k = 0; k < count; ++k) {
-    Free(first + k);
+  // A run may straddle a node boundary: clear it one node's stretch at a
+  // time.
+  for (Mfn lo = first; lo < first + count;) {
+    const NodeId node = NodeOf(lo);
+    const Mfn hi = std::min<Mfn>(first + count, node_bases_[node] + node_sizes_[node]);
+    ClearRun(lo, hi - lo);
+    free_count_[node] += hi - lo;
+    ++generation_[node];
+    lo = hi;
+  }
+}
+
+void FrameAllocator::FreeMany(std::span<const Mfn> mfns) {
+  std::vector<int64_t> freed(node_sizes_.size(), 0);
+  for (const Mfn mfn : mfns) {
+    XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
+    XNUMA_CHECK(TestBit(mfn));
+    ClearBit(mfn);
+    ++freed[NodeOf(mfn)];
+  }
+  for (size_t node = 0; node < freed.size(); ++node) {
+    if (freed[node] > 0) {
+      free_count_[node] += freed[node];
+      ++generation_[node];
+    }
   }
 }
 

@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/numa/topology.h"
@@ -47,17 +49,32 @@ class FrameAllocator {
   // one: regions smaller than a frame collapse onto the frame quantum).
   int64_t FramesPerOrder(PageOrder order) const;
 
-  NodeId NodeOf(Mfn mfn) const;
+  NodeId NodeOf(Mfn mfn) const {
+    XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
+    const NodeId node = bucket_node_[mfn >> bucket_shift_];
+    return mfn >= node_bases_[node + 1] ? node + 1 : node;
+  }
 
   // Allocates one frame from `node`. Returns kInvalidMfn when the node is
   // exhausted (callers fall back per their policy, e.g. §3.1 round-robin).
   Mfn AllocOnNode(NodeId node);
+
+  // Allocates `count` frames from `node` in one next-fit sweep and writes
+  // the i-th to out[i * stride]: exactly the frames, in the same order,
+  // that `count` AllocOnNode calls would return (cyclic from the rover), so
+  // consecutive sweeps continue where the last one stopped. `count` must
+  // not exceed FreeFrames(node).
+  void AllocManyOnNode(NodeId node, int64_t count, Mfn* out, int64_t stride = 1);
 
   // Allocates `count` physically contiguous frames from `node`.
   Mfn AllocContiguous(NodeId node, int64_t count);
 
   void Free(Mfn mfn);
   void FreeContiguous(Mfn first, int64_t count);
+  // Frees every frame of `mfns` (each must be allocated). The resulting
+  // state does not depend on the order of `mfns`; each node whose frames
+  // were freed has its generation bumped once.
+  void FreeMany(std::span<const Mfn> mfns);
 
   bool IsAllocated(Mfn mfn) const;
   int64_t FreeFrames(NodeId node) const;
@@ -110,6 +127,10 @@ class FrameAllocator {
   bool TestBit(int64_t i) const { return (used_[i >> 6] >> (i & 63)) & 1; }
   void SetBit(int64_t i) { used_[i >> 6] |= uint64_t{1} << (i & 63); }
   void ClearBit(int64_t i) { used_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+  // Word-wise forms over the frames [lo, lo + count): SetRun marks them
+  // used; ClearRun checks that each is used and marks it free.
+  void SetRun(int64_t lo, int64_t count);
+  void ClearRun(int64_t lo, int64_t count);
   // First free frame in [lo, hi), or -1. Skips fully-used words with one
   // compare each instead of probing per frame.
   int64_t FindFreeBit(int64_t lo, int64_t hi) const;
@@ -124,8 +145,13 @@ class FrameAllocator {
   const Topology* topo_;
   int64_t bytes_per_frame_;
   int64_t total_frames_ = 0;
-  std::vector<int64_t> node_bases_;
+  std::vector<int64_t> node_bases_;  // one per node, then total_frames_
   std::vector<int64_t> node_sizes_;
+  // NodeOf's lookup: machine frames in buckets of 2^bucket_shift_, no
+  // larger than the smallest node, so a bucket holds frames of at most two
+  // nodes; bucket_node_[b] is the node of bucket b's first frame.
+  int bucket_shift_ = 0;
+  std::vector<NodeId> bucket_node_;
   std::vector<int64_t> free_count_;
   std::vector<uint64_t> generation_;
   // Bitmap, bit mfn set = frame allocated (or reserved as a hole). Packed

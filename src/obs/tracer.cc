@@ -6,9 +6,9 @@
 
 namespace xnuma {
 
-EventTracer::EventTracer(size_t capacity) : epoch_(std::chrono::steady_clock::now()) {
+EventTracer::EventTracer(size_t capacity)
+    : capacity_(capacity), epoch_(std::chrono::steady_clock::now()) {
   XNUMA_CHECK(capacity > 0);
-  ring_.resize(capacity);
 }
 
 double EventTracer::NowUs() const {
@@ -18,13 +18,13 @@ double EventTracer::NowUs() const {
 }
 
 void EventTracer::Push(const TraceEvent& ev) {
-  if (size_ == ring_.size()) {
-    ++dropped_;  // the slot we overwrite held the oldest event
-  } else {
-    ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);
+    return;
   }
+  ++dropped_;  // the slot we overwrite held the oldest event
   ring_[head_] = ev;
-  head_ = (head_ + 1) % ring_.size();
+  head_ = (head_ + 1) % capacity_;
 }
 
 void EventTracer::EmitInstant(const char* name, const char* category) {
@@ -62,12 +62,10 @@ void EventTracer::EmitSpan(const char* name, const char* category, double begin_
 
 std::vector<TraceEvent> EventTracer::Events() const {
   std::vector<TraceEvent> out;
-  out.reserve(size_);
-  // Oldest event: when full, head_ points at it; otherwise the ring starts
-  // at slot 0.
-  const size_t start = size_ == ring_.size() ? head_ : 0;
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+  out.reserve(ring_.size());
+  // Oldest event: head_ points at it (slot 0 until the ring wraps).
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(head_ + i) % ring_.size()]);
   }
   return out;
 }

@@ -1,6 +1,8 @@
 // Structured event/span tracer: a fixed-capacity ring buffer of trace
 // events exportable as Chrome trace_event JSON (chrome://tracing or
-// https://ui.perfetto.dev). Complements the per-epoch CSV from
+// https://ui.perfetto.dev). The ring grows as events arrive, up to its
+// capacity, so constructing a tracer does not zero-fill a full ring (3 MiB
+// at the default capacity). Complements the per-epoch CSV from
 // TraceRecorder: the CSV answers "what did the machine look like each
 // epoch", the trace answers "where did the time go inside an epoch".
 //
@@ -49,8 +51,8 @@ class EventTracer {
   // Used by ScopedSpan; begin_us/end_us come from NowUs().
   void EmitSpan(const char* name, const char* category, double begin_us, double end_us);
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t size() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
   // Events that fell off the ring because it wrapped.
   int64_t dropped() const { return dropped_; }
 
@@ -66,9 +68,9 @@ class EventTracer {
  private:
   void Push(const TraceEvent& ev);
 
-  std::vector<TraceEvent> ring_;
-  size_t head_ = 0;  // next write slot
-  size_t size_ = 0;
+  size_t capacity_;
+  std::vector<TraceEvent> ring_;  // grows to capacity_, then wraps
+  size_t head_ = 0;  // next write slot once the ring is full
   int64_t dropped_ = 0;
   double sim_s_ = 0.0;
   std::chrono::steady_clock::time_point epoch_;

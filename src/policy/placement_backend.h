@@ -6,10 +6,11 @@
 // physical page to a new node. Invalidate() supports the first-touch trap:
 // an invalid entry makes the next access fault into the placement layer.
 //
-// Two implementations exist: HvPlacementBackend (hypervisor page table /
-// P2M, src/hv) and NativePlacementBackend (a native OS page table, src/core)
-// — the same policy code runs in both, mirroring the paper's claim that the
-// classical OS policies transplant into the hypervisor unchanged.
+// HvPlacementBackend (the hypervisor page table / P2M, src/hv) implements it
+// for every run, native Linux ones included, and the policy unit tests'
+// FakeBackend (tests/fake_backend.h) implements it over a flat page table:
+// the policies see only this interface, mirroring the paper's claim that
+// the classical OS policies transplant into the hypervisor unchanged.
 
 #ifndef XENNUMA_SRC_POLICY_PLACEMENT_BACKEND_H_
 #define XENNUMA_SRC_POLICY_PLACEMENT_BACKEND_H_
@@ -27,9 +28,6 @@ class PlacementBackend {
   // Size of the physical address space being placed, in pages.
   virtual int64_t num_pages() const = 0;
 
-  // Number of NUMA nodes in the machine backing this address space.
-  virtual int num_nodes() const = 0;
-
   // Nodes this address space should prefer (Xen's home-nodes, §3.3). Never
   // empty; native backends report every node.
   virtual const std::vector<NodeId>& home_nodes() const = 0;
@@ -46,6 +44,17 @@ class PlacementBackend {
   // Backs pages [first, first + count) with *contiguous* machine pages of
   // `node`, all-or-nothing. Used by round-1G's large-region allocation.
   virtual bool MapRangeOnNode(Pfn first, int64_t count, NodeId node) = 0;
+
+  // Eager round-robin placement in bulk: backs the unmapped pages of
+  // [first, first + count) in ascending order, the k-th of them (from 0) on
+  // home_nodes()[(cursor + k) % size], and stops before the first page
+  // whose node has no free frame. Returns the number of pages mapped and
+  // sets *next to where a per-page continuation resumes: first + count
+  // when every page was placed, else a pfn at or before the page that did
+  // not fit with only mapped pages before it. The default maps page by
+  // page through MapOnNode, which is the contract; a backend may override
+  // it to allocate and map each node's share in one sweep.
+  virtual int64_t MapRoundRobin(Pfn first, int64_t count, int cursor, Pfn* next);
 
   // The migration mechanism (§4.1): write-protect, copy, remap. Fails when
   // the destination node is out of memory or the page is unmapped.

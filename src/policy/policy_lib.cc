@@ -29,6 +29,24 @@ NodeId MapWithFallback(PlacementBackend& backend, Pfn pfn, NodeId preferred, int
   return kInvalidNode;
 }
 
+int64_t PlacementBackend::MapRoundRobin(Pfn first, int64_t count, int cursor, Pfn* next) {
+  const std::vector<NodeId>& homes = home_nodes();
+  const int64_t num_homes = static_cast<int64_t>(homes.size());
+  int64_t placed = 0;
+  for (Pfn pfn = first; pfn < first + count; ++pfn) {
+    if (IsMapped(pfn)) {
+      continue;
+    }
+    if (!MapOnNode(pfn, homes[(cursor + placed) % num_homes])) {
+      *next = pfn;
+      return placed;
+    }
+    ++placed;
+  }
+  *next = first + count;
+  return placed;
+}
+
 std::unique_ptr<NumaPolicy> MakePolicy(StaticPolicy kind) {
   return MakePolicy(kind, PolicyGeometry{});
 }

@@ -6,17 +6,38 @@
 
 namespace xnuma {
 
-void Round4kPolicy::Initialize(PlacementBackend& backend) {
+namespace {
+
+// Places the unmapped pages of [first, end) round-robin over the home
+// nodes: each takes homes[*cursor % size] and advances *cursor, and a page
+// whose node is full falls back through MapWithFallback(*fallback_cursor).
+// The pages up to the first one that does not fit go through one bulk
+// MapRoundRobin call; the per-page loop continues from there, so every
+// later page sees the frames a fallback consumed. Returns the pages placed.
+int64_t PlaceRoundRobin(PlacementBackend& backend, Pfn first, Pfn end, int* cursor,
+                        int* fallback_cursor) {
   const auto& homes = backend.home_nodes();
   XNUMA_CHECK(!homes.empty());
-  for (Pfn pfn = 0; pfn < backend.num_pages(); ++pfn) {
+  Pfn pfn = first;
+  int64_t placed = backend.MapRoundRobin(first, end - first, *cursor, &pfn);
+  *cursor += static_cast<int>(placed);
+  for (; pfn < end; ++pfn) {
     if (backend.IsMapped(pfn)) {
       continue;
     }
-    const NodeId preferred = homes[cursor_ % homes.size()];
-    ++cursor_;
-    MapWithFallback(backend, pfn, preferred, &cursor_);
+    const NodeId preferred = homes[*cursor % homes.size()];
+    ++*cursor;
+    if (MapWithFallback(backend, pfn, preferred, fallback_cursor) != kInvalidNode) {
+      ++placed;
+    }
   }
+  return placed;
+}
+
+}  // namespace
+
+void Round4kPolicy::Initialize(PlacementBackend& backend) {
+  PlaceRoundRobin(backend, 0, backend.num_pages(), &cursor_, &cursor_);
 }
 
 NodeId Round4kPolicy::OnFirstTouch(PlacementBackend& backend, Pfn pfn, NodeId toucher_node) {
@@ -67,7 +88,9 @@ void Round1gPolicy::PlaceRegion(PlacementBackend& backend, Pfn first, int64_t co
     }
   }
 
-  if (region_pages > pages_per_2m_ && count > pages_per_2m_) {
+  // One-page 2M regions would each go straight to the 4 KiB loop below, so
+  // the loop takes the whole range at once.
+  if (region_pages > pages_per_2m_ && count > pages_per_2m_ && pages_per_2m_ > 1) {
     for (Pfn sub = first; sub < first + count; sub += pages_per_2m_) {
       const int64_t sub_count = std::min(pages_per_2m_, first + count - sub);
       PlaceRegion(backend, sub, sub_count, pages_per_2m_);
@@ -75,17 +98,8 @@ void Round1gPolicy::PlaceRegion(PlacementBackend& backend, Pfn first, int64_t co
     return;
   }
 
-  // 4 KiB granularity: page by page, round-robin with fallback.
-  for (Pfn pfn = first; pfn < first + count; ++pfn) {
-    if (backend.IsMapped(pfn)) {
-      continue;
-    }
-    const NodeId preferred = homes[cursor_ % homes.size()];
-    ++cursor_;
-    if (MapWithFallback(backend, pfn, preferred, &fallback_cursor_) != kInvalidNode) {
-      ++placed_4k_;
-    }
-  }
+  // 4 KiB granularity: round-robin with fallback.
+  placed_4k_ += PlaceRoundRobin(backend, first, first + count, &cursor_, &fallback_cursor_);
 }
 
 NodeId Round1gPolicy::OnFirstTouch(PlacementBackend& backend, Pfn pfn, NodeId toucher_node) {

@@ -1587,8 +1587,11 @@ void Engine::EmitEpochObservability(double now) {
 }
 
 RunResult Engine::Run() {
-  for (auto& job : jobs_) {
-    InitJob(*job);
+  {
+    XNUMA_TRACE_SCOPE(obs_, "init_jobs", "engine");
+    for (auto& job : jobs_) {
+      InitJob(*job);
+    }
   }
 
   const double dt = config_.epoch_seconds;

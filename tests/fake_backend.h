@@ -19,7 +19,6 @@ class FakeBackend : public PlacementBackend {
         free_(num_nodes, frames_per_node) {}
 
   int64_t num_pages() const override { return static_cast<int64_t>(node_of_.size()); }
-  int num_nodes() const override { return static_cast<int>(free_.size()); }
   const std::vector<NodeId>& home_nodes() const override { return homes_; }
   bool IsMapped(Pfn pfn) const override { return node_of_[pfn] != kInvalidNode; }
   NodeId NodeOf(Pfn pfn) const override { return node_of_[pfn]; }

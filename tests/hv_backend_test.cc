@@ -116,7 +116,10 @@ TEST_F(HvBackendTest, HomeNodesComeFromDomain) {
 }
 
 TEST_F(HvBackendTest, BackendExposesTopology) {
-  EXPECT_EQ(be().num_nodes(), topo_.num_nodes());
+  // What a policy sees of the machine: the address space and the home
+  // nodes of the vCPUs' pCPUs (0 and 6, on nodes 0 and 1).
+  EXPECT_EQ(be().num_pages(), 64);
+  EXPECT_EQ(be().home_nodes(), (std::vector<NodeId>{0, 1}));
 }
 
 // Allocates every free frame of `node` straight from the allocator, the way
