@@ -36,6 +36,15 @@ NodeSpace ComputeNodeSpace(const FrameAllocator& frames, NodeId node) {
   return space;
 }
 
+NodeSpace ComputeScoringSpace(const FrameAllocator& frames, NodeId node) {
+  NodeSpace space;
+  space.node = node;
+  space.free_frames = frames.FreeFrames(node);
+  space.blocks_2m = frames.FreeAlignedBlocks(node, frames.FramesPerOrder(PageOrder::k2M));
+  space.blocks_1g = frames.FreeAlignedBlocks(node, frames.FramesPerOrder(PageOrder::k1G));
+  return space;
+}
+
 NodeSpace RecountNodeSpace(const FrameAllocator& frames, NodeId node) {
   NodeSpace space;
   space.node = node;

@@ -5,11 +5,13 @@
 //
 // Two implementations of the same quantity, on purpose:
 //  * ComputeNodeSpace walks the allocator's free-extent cursor — O(bitmap
-//    words), the production path the admission solver uses.
+//    words + extents). ComputeScoringSpace computes only the fields a
+//    placement score reads, without the walk; the admission solver scores
+//    from it.
 //  * RecountNodeSpace probes every frame through IsAllocated — O(frames),
 //    an independent brute-force recount the property tests (and the
 //    brute-force reference solver) compare against.
-// docs/MODEL.md §17 pins that the two agree exactly on every reachable
+// docs/MODEL.md §17 pins that they agree exactly on every reachable
 // allocator state.
 
 #ifndef XENNUMA_SRC_ADMISSION_AVAILABLE_SPACE_H_
@@ -44,6 +46,12 @@ int64_t AlignedBlocksInExtent(Mfn first, int64_t count, int64_t span);
 
 // Fast path: one pass over the node's free-extent cursor.
 NodeSpace ComputeNodeSpace(const FrameAllocator& frames, NodeId node);
+
+// The fields ScoreCandidate reads (free_frames, blocks_2m, blocks_1g),
+// equal to ComputeNodeSpace's, from the allocator's free count and its
+// word-wise aligned-block count (FrameAllocator::FreeAlignedBlocks); no
+// extent is walked. free_extents and largest_extent are left 0.
+NodeSpace ComputeScoringSpace(const FrameAllocator& frames, NodeId node);
 
 // Brute force: per-frame IsAllocated probes, independent of the extent
 // cursor and of the allocator's cached free counts.

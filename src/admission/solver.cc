@@ -111,7 +111,9 @@ AdmissionSolver::AdmissionSolver(const Topology& topo, const FrameAllocator& fra
     : topo_(&topo),
       frames_(&frames),
       spaces_(topo.num_nodes()),
-      space_generation_(topo.num_nodes(), kStale) {
+      space_generation_(topo.num_nodes(), kStale),
+      full_spaces_(topo.num_nodes()),
+      full_space_generation_(topo.num_nodes(), kStale) {
   XNUMA_CHECK(topo.num_nodes() <= kMaxAdmissionNodes);
 }
 
@@ -132,7 +134,7 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
     return result;
   }
 
-  RefreshSpaces();
+  RefreshSpaces(&spaces_, &space_generation_, &ComputeScoringSpace);
   result.decision = AdmissionDecision::kDefer;
   // A subset's free totals only grow as nodes join it, so no k-subset fits
   // below first_k, and none at all when the whole machine falls short: a
@@ -182,19 +184,21 @@ int AdmissionSolver::SmallestFittingCardinality(
 }
 
 const std::vector<NodeSpace>& AdmissionSolver::NodeSpaces() const {
-  RefreshSpaces();
-  return spaces_;
+  RefreshSpaces(&full_spaces_, &full_space_generation_, &ComputeNodeSpace);
+  return full_spaces_;
 }
 
-void AdmissionSolver::RefreshSpaces() const {
+void AdmissionSolver::RefreshSpaces(std::vector<NodeSpace>* cache,
+                                    std::vector<uint64_t>* generations,
+                                    NodeSpace (*compute)(const FrameAllocator&, NodeId)) const {
   // The Gudkov efficiency argument: candidates are scored from these
   // per-node summaries, never from a frame scan, and a summary is
   // recomputed only when its node's frames changed since the last solve.
   for (NodeId node = 0; node < topo_->num_nodes(); ++node) {
     const uint64_t generation = frames_->generation(node);
-    if (space_generation_[node] != generation) {
-      spaces_[node] = ComputeNodeSpace(*frames_, node);
-      space_generation_[node] = generation;
+    if ((*generations)[node] != generation) {
+      (*cache)[node] = compute(*frames_, node);
+      (*generations)[node] = generation;
       if (space_refreshes_ != nullptr) {
         space_refreshes_->Increment();
       }

@@ -79,7 +79,8 @@ struct AdmissionResult {
 // Scores one candidate node-set from per-node availability summaries.
 // Shared verbatim by the fast solver and the brute-force reference — the
 // two may only differ in *which* candidates they enumerate and how the
-// NodeSpace summaries were obtained.
+// NodeSpace summaries were obtained. It reads only each node's
+// free_frames, blocks_2m and blocks_1g (ComputeScoringSpace's fields).
 PlacementScore ScoreCandidate(const Topology& topo, const std::vector<NodeId>& nodes,
                               const std::vector<NodeSpace>& spaces,
                               const std::vector<int>& free_cpus_per_node,
@@ -106,9 +107,9 @@ class AdmissionSolver {
   AdmissionResult Solve(const AdmissionRequest& request,
                         const std::vector<int>& free_cpus_per_node) const;
 
-  // Every node's NodeSpace, equal to ComputeNodeSpace(frames, n): the
-  // solver's cache, brought up to date by re-walking only the nodes whose
-  // frames moved since it last looked.
+  // Every node's NodeSpace, equal to ComputeNodeSpace(frames, n), from a
+  // cache that re-walks only the nodes whose frames moved since it last
+  // looked (solves score from a cheaper cache of their own).
   const std::vector<NodeSpace>& NodeSpaces() const;
 
   // Optional metric admission.space_refreshes (NodeSpaces recomputed).
@@ -116,9 +117,10 @@ class AdmissionSolver {
   void set_observability(Observability* obs);
 
  private:
-  // Brings spaces_ up to date: re-runs ComputeNodeSpace for exactly the
-  // nodes whose allocator generation moved since their last computation.
-  void RefreshSpaces() const;
+  // Brings `cache` up to date: re-runs `compute` for exactly the nodes
+  // whose allocator generation moved since their last computation.
+  void RefreshSpaces(std::vector<NodeSpace>* cache, std::vector<uint64_t>* generations,
+                     NodeSpace (*compute)(const FrameAllocator&, NodeId)) const;
   // The smallest k for which the k largest free-CPU counts and the k
   // largest free-frame counts can both hold the request, or n + 1 when the
   // whole machine cannot.
@@ -133,12 +135,16 @@ class AdmissionSolver {
 
   const Topology* topo_;
   const FrameAllocator* frames_;
-  // Per-node available-space cache (docs/MODEL.md §17): spaces_[n] equals
-  // ComputeNodeSpace(*frames_, n) whenever space_generation_[n] ==
-  // frames_->generation(n). kStale marks a node never computed.
+  // Per-node available-space caches (docs/MODEL.md §17): spaces_[n]
+  // equals ComputeScoringSpace(*frames_, n), what a solve scores from,
+  // whenever space_generation_[n] == frames_->generation(n); full_spaces_
+  // holds ComputeNodeSpace the same way, for NodeSpaces(). kStale marks a
+  // node never computed.
   static constexpr uint64_t kStale = ~uint64_t{0};
   mutable std::vector<NodeSpace> spaces_;
   mutable std::vector<uint64_t> space_generation_;
+  mutable std::vector<NodeSpace> full_spaces_;
+  mutable std::vector<uint64_t> full_space_generation_;
   Counter* space_refreshes_ = nullptr;
   // Exhaustive-regime scratch, reused across solves: free-CPU and
   // free-frame totals per node mask, and the node list being scored.

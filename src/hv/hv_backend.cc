@@ -51,7 +51,7 @@ void HvPlacementBackend::MarkDirty(Pfn pfn) {
   if (dirty_overflow_ || (!dirty_flag_.empty() && dirty_flag_[pfn] != 0)) {
     return;
   }
-  if (static_cast<int64_t>(dirty_pfns_.size()) >= DirtyLimit()) {
+  if (initializing_ || static_cast<int64_t>(dirty_pfns_.size()) >= DirtyLimit()) {
     MarkAllDirty();
     return;
   }
@@ -80,6 +80,12 @@ bool HvPlacementBackend::DrainDirtyPfns(std::vector<Pfn>* out) {
   dirty_pfns_.clear();
   dirty_overflow_ = false;
   return complete;
+}
+
+void HvPlacementBackend::InitializePolicy(NumaPolicy& policy) {
+  initializing_ = true;
+  policy.Initialize(*this);
+  initializing_ = false;
 }
 
 int64_t HvPlacementBackend::num_pages() const { return domain_->memory_pages(); }
@@ -152,7 +158,7 @@ bool HvPlacementBackend::MapRangeOnNode(Pfn first, int64_t count, NodeId node) {
     return false;
   }
   domain_->p2m().MapRange(first, count, base);
-  if (count >= DirtyLimit()) {
+  if (initializing_ || count >= DirtyLimit()) {
     MarkAllDirty();  // bulk placement: cheaper to signal a full rescan
   } else {
     for (int64_t k = 0; k < count; ++k) {

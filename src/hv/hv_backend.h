@@ -12,6 +12,7 @@
 #include "src/hv/domain.h"
 #include "src/mm/frame_allocator.h"
 #include "src/obs/obs.h"
+#include "src/policy/numa_policy.h"
 #include "src/policy/placement_backend.h"
 
 namespace xnuma {
@@ -52,6 +53,12 @@ class HvPlacementBackend : public PlacementBackend {
   // caller collapses replicas first). Returns the pages released.
   int64_t ReleaseAll();
   bool guest_hints_active() const override { return domain_->vnuma_hints_active(); }
+
+  // Runs policy.Initialize on this backend. Its eager placement sends one
+  // full-rescan signal, at its first mapping, instead of a dirty pfn per
+  // page: a consumer rescans a domain placed in bulk anyway. Maps made
+  // later (first-touch faults, migrations) keep their per-page marks.
+  void InitializePolicy(NumaPolicy& policy);
 
   // ---- Read-only replication (optional §3.4 extension). ----
   // Creates one machine copy of `pfn` on every home node other than the one
@@ -118,6 +125,7 @@ class HvPlacementBackend : public PlacementBackend {
   std::vector<Pfn> dirty_pfns_;
   std::vector<uint8_t> dirty_flag_;  // [num_pages] dedup bitmap, sized on first use
   bool dirty_overflow_ = false;
+  bool initializing_ = false;  // inside InitializePolicy
 
   Metrics metrics_;
 };

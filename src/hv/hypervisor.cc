@@ -332,7 +332,7 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
 
   // Eager policies (round-4K, round-1G) allocate the machine memory of the
   // domain at creation time (§3.3).
-  domains_.back()->policy()->Initialize(*backends_.back());
+  backends_.back()->InitializePolicy(*domains_.back()->policy());
   return id;
 }
 
@@ -360,7 +360,7 @@ HypercallStatus Hypervisor::HypercallSetPolicy(DomainId id, const PolicyConfig& 
     return HypercallStatus::kOk;
   }
   dom.SetPolicy(config, MakePolicy(config, dom.policy_geometry()));
-  dom.policy()->Initialize(backend(id));
+  backend(id).InitializePolicy(*dom.policy());
   return HypercallStatus::kOk;
 }
 

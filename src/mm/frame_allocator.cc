@@ -123,6 +123,44 @@ int64_t FrameAllocator::RecountFreeFrames(NodeId node) const {
   return node_sizes_[node] - used;
 }
 
+int64_t FrameAllocator::FreeAlignedBlocks(NodeId node, int64_t span) const {
+  XNUMA_CHECK(node >= 0 && node < topo_->num_nodes());
+  XNUMA_CHECK(span > 0);
+  if (span == 1) {
+    return free_count_[node];
+  }
+  const int64_t lo = node_bases_[node];
+  const int64_t hi = lo + node_sizes_[node];
+  int64_t blocks = 0;
+  if (span < 64 && 64 % span == 0) {
+    // Blocks tile each word. Frames outside the node count as used; the
+    // AND-fold leaves bit i set when frames i .. i + span - 1 are all free,
+    // and a block starts at every span-th bit.
+    const uint64_t starts = ~uint64_t{0} / ((uint64_t{1} << span) - 1);
+    for (int64_t first = lo & ~int64_t{63}; first < hi; first += 64) {
+      uint64_t free_bits = ~used_[first >> 6];
+      if (first < lo) {
+        free_bits &= ~uint64_t{0} << (lo - first);
+      }
+      if (hi - first < 64) {
+        free_bits &= (uint64_t{1} << (hi - first)) - 1;
+      }
+      for (int64_t shift = 1; shift < span; shift <<= 1) {
+        free_bits &= free_bits >> shift;
+      }
+      blocks += std::popcount(free_bits & starts);
+    }
+    return blocks;
+  }
+  // Wider blocks: probe each aligned start inside the node; a free block
+  // costs one compare per 64 frames, a used one stops at its first used
+  // frame.
+  for (int64_t start = (lo + span - 1) / span * span; start + span <= hi; start += span) {
+    blocks += FindUsedBit(start, start + span) < 0 ? 1 : 0;
+  }
+  return blocks;
+}
+
 int64_t FrameAllocator::FindFreeRun(int64_t lo, int64_t hi, int64_t count) const {
   int64_t run_start = 0;
   int64_t run_len = 0;

@@ -115,6 +115,13 @@ class FrameAllocator {
   // never drifts from the bitmap.
   int64_t RecountFreeFrames(NodeId node) const;
 
+  // Naturally aligned blocks of `span` frames (starting at multiples of
+  // `span` counted from machine frame 0) that lie inside `node` and are
+  // entirely free: what back-to-back AllocContiguous calls at that aligned
+  // span could take. Counted word by word over the node's bitmap; span 1
+  // is FreeFrames(node).
+  int64_t FreeAlignedBlocks(NodeId node, int64_t span) const;
+
   // Reserves scattered frames in the first and last GiB-equivalent of every
   // node, emulating BIOS and I/O holes: "the first and last physical GiBs
   // ... are always fragmented" (§3.3). `holes_per_edge` frames are pinned at

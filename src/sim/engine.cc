@@ -244,15 +244,29 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
       counters_(hv.topology()) {
   const Topology& topo = hv.topology();
   const int nodes = topo.num_nodes();
+  const LatencyParams& lp = latency.params();
   mc_util_.assign(nodes, 0.0);
   link_util_.assign(topo.num_links(), 0.0);
-  traffic_.assign(nodes, std::vector<double>(nodes, 0.0));
+  traffic_.assign(static_cast<size_t>(nodes) * nodes, 0.0);
   dma_bytes_per_node_.assign(nodes, 0.0);
   mc_scratch_.assign(nodes, 0.0);
   link_scratch_.assign(topo.num_links(), 0.0);
   pair_cycles_.assign(static_cast<size_t>(nodes) * nodes, 0.0);
   pair_read_.assign(static_cast<size_t>(nodes) * nodes, 0);
   cpu_sharers_.assign(topo.num_cpus(), 0);
+  for (NodeId n = 0; n < nodes; ++n) {
+    mc_capacity_.push_back(topo.node(n).mc_bandwidth_bytes_per_s * lp.mc_efficiency);
+  }
+  for (LinkId l = 0; l < topo.num_links(); ++l) {
+    link_capacity_.push_back(topo.link(l).bandwidth_bytes_per_s * lp.link_efficiency);
+  }
+  size_t memo_size = 2;
+  congestion_shift_ = 63;
+  while (memo_size < 2 * static_cast<size_t>(nodes) * nodes) {
+    memo_size *= 2;
+    --congestion_shift_;
+  }
+  congestion_memo_.resize(memo_size);
   // Flatten the all-shortest-paths table once; the solver's inner loops walk
   // this index instead of the nested Routes() vectors.
   route_pairs_.resize(static_cast<size_t>(nodes) * nodes);
@@ -312,6 +326,12 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
     solver_unconverged_ = m.RegisterCounter(
         "engine.solver.unconverged", "solves",
         "Fixed-point solves stopped by the iteration cap above the tolerance");
+    solver_plan_builds_ = m.RegisterCounter(
+        "engine.solver.plan_builds", "plans",
+        "Solve plans built because the running threads or their distributions moved");
+    solver_congestion_evals_ = m.RegisterCounter(
+        "engine.solver.congestion_evals", "evaluations",
+        "Congestion-factor evaluations (one per distinct input per iteration)");
     refresh_seconds_ = m.RegisterHistogram(
         "engine.placement.refresh_seconds", "s",
         "Wall-clock cost of one epoch's placement refresh phase");
@@ -772,6 +792,7 @@ void Engine::ComputeAccessDistributions(JobState& job) {
     th.p_node_done = th.done;
   }
   job.p_node_mass_generation = job.mass_generation;
+  ++distribution_generation_;
   if (distribution_recomputes_ != nullptr) {
     distribution_recomputes_->Increment();
   }
@@ -822,45 +843,6 @@ void Engine::ThreadDistribution(const JobState& job, int t, std::vector<double>*
   }
 }
 
-double Engine::PathLinkUtil(NodeId src, NodeId dst) const {
-  // Traffic splits evenly over equal-cost paths; the experienced link
-  // congestion is the average over paths of the hottest link on each.
-  const int nodes = hv_->topology().num_nodes();
-  const RoutePair& pair = route_pairs_[static_cast<size_t>(src) * nodes + dst];
-  double total = 0.0;
-  for (int32_t p = 0; p < pair.num_paths; ++p) {
-    const RoutePath& path = route_paths_[pair.first_path + p];
-    double worst = 0.0;
-    for (int32_t k = 0; k < path.num_links; ++k) {
-      worst = std::max(worst, link_util_[route_links_[path.first_link + k]]);
-    }
-    total += worst;
-  }
-  return total / static_cast<double>(pair.num_paths);
-}
-
-void Engine::ComputeCpuSharers() {
-  // Sharer counts only change when threads finish or jobs start/stop, which
-  // happens between epochs — one pass here replaces a jobs x threads rescan
-  // per thread per solver iteration.
-  std::fill(cpu_sharers_.begin(), cpu_sharers_.end(), 0);
-  for (const auto& jptr : jobs_) {
-    if (jptr->finished) {
-      continue;
-    }
-    for (const ThreadState& th : jptr->threads) {
-      if (!th.done) {
-        ++cpu_sharers_[th.cpu];
-      }
-    }
-  }
-}
-
-double Engine::CpuShare(CpuId cpu) const {
-  const int sharers = cpu_sharers_[cpu];
-  return sharers <= 1 ? 1.0 : 1.0 / sharers;
-}
-
 double Engine::ThreadOverheadFraction(const JobState& job) const {
   const AppProfile& app = *job.spec.app;
   const SyncOutcome sync =
@@ -873,161 +855,223 @@ double Engine::ThreadOverheadFraction(const JobState& job) const {
   return overhead;
 }
 
-void Engine::ListLatencyPairs() {
-  const Topology& topo = hv_->topology();
-  const int nodes = topo.num_nodes();
-  std::fill(pair_read_.begin(), pair_read_.end(), 0);
-  for (const auto& jptr : jobs_) {
-    if (jptr->finished) {
+void Engine::RefreshSolvePlan() {
+  // The current key goes into the spare plan; the plan in use is current
+  // while its key and distribution generation match.
+  SolvePlan& next = spare_plan_;
+  next.key.clear();
+  for (size_t j = 0; j < jobs_.size(); ++j) {
+    const JobState& job = *jobs_[j];
+    if (job.finished) {
       continue;
     }
-    for (const ThreadState& th : jptr->threads) {
-      if (th.done) {
-        continue;
-      }
-      for (NodeId n = 0; n < nodes; ++n) {
-        if (th.p_node[n] <= 0.0) {
-          continue;
-        }
-        pair_read_[static_cast<size_t>(th.node) * nodes + n] = 1;
+    for (int t = 0; t < job.spec.threads; ++t) {
+      const ThreadState& th = job.threads[t];
+      if (!th.done) {
+        next.key.push_back({static_cast<int32_t>(j), t, th.node, th.cpu});
       }
     }
   }
-  latency_pairs_.clear();
+  const bool current =
+      next.key == plan_.key && distribution_generation_ == plan_.distribution_generation;
+  const bool verify = verify_cache_period_ > 0 && epochs_run_ % verify_cache_period_ == 0;
+  if (current && !verify) {
+    return;
+  }
+  BuildSolvePlan(&next);
+  if (current) {
+    XNUMA_CHECK(next == plan_);
+    return;
+  }
+  std::swap(plan_, next);
+  if (solver_plan_builds_ != nullptr) {
+    solver_plan_builds_->Increment();
+  }
+}
+
+void Engine::BuildSolvePlan(SolvePlan* plan) {
+  const Topology& topo = hv_->topology();
+  const int nodes = topo.num_nodes();
+  // Running threads that share a CPU split it evenly (vCPUs consolidated on
+  // one pCPU).
+  std::fill(cpu_sharers_.begin(), cpu_sharers_.end(), 0);
+  for (const PlanKey& k : plan->key) {
+    ++cpu_sharers_[k.cpu];
+  }
+  std::fill(pair_read_.begin(), pair_read_.end(), 0);
+  plan->distribution_generation = distribution_generation_;
+  plan->threads.clear();
+  plan->p_node.clear();
+  for (const PlanKey& k : plan->key) {
+    JobState& job = *jobs_[k.job];
+    ThreadState& th = job.threads[k.thread];
+    const int sharers = cpu_sharers_[k.cpu];
+    const double share = sharers <= 1 ? 1.0 : 1.0 / sharers;
+    plan->threads.push_back({&th, k.node, share * topo.cpu_hz(),
+                             job.spec.app->cpu_cycles_per_access, job.spec.app->mlp});
+    plan->p_node.insert(plan->p_node.end(), th.p_node.begin(), th.p_node.end());
+    for (NodeId n = 0; n < nodes; ++n) {
+      if (th.p_node[n] > 0.0) {
+        pair_read_[static_cast<size_t>(k.node) * nodes + n] = 1;
+      }
+    }
+  }
+  plan->latency_pairs.clear();
   for (NodeId dst = 0; dst < nodes; ++dst) {
     for (NodeId src = 0; src < nodes; ++src) {
       if (pair_read_[static_cast<size_t>(src) * nodes + dst] != 0) {
-        latency_pairs_.push_back({src, dst, topo.Distance(src, dst)});
+        plan->latency_pairs.push_back({src, dst, topo.Distance(src, dst)});
+      }
+    }
+  }
+  // A pair no running thread reads carries exactly zero traffic, which the
+  // link spread skips anyway.
+  plan->remote_pairs.clear();
+  for (NodeId src = 0; src < nodes; ++src) {
+    for (NodeId dst = 0; dst < nodes; ++dst) {
+      const int32_t index = src * nodes + dst;
+      if (src != dst && pair_read_[index] != 0) {
+        plan->remote_pairs.push_back(index);
       }
     }
   }
 }
 
+double Engine::MemoizedCongestionFactor(double util) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &util, sizeof(bits));
+  const size_t mask = congestion_memo_.size() - 1;
+  size_t slot = (bits * 0x9e3779b97f4a7c15ull) >> congestion_shift_;
+  while (congestion_memo_[slot].stamp == congestion_stamp_) {
+    if (congestion_memo_[slot].input_bits == bits) {
+      return congestion_memo_[slot].factor;
+    }
+    slot = (slot + 1) & mask;
+  }
+  if (solver_congestion_evals_ != nullptr) {
+    solver_congestion_evals_->Increment();
+  }
+  congestion_memo_[slot] = {bits, congestion_stamp_, latency_->CongestionFactor(util)};
+  return congestion_memo_[slot].factor;
+}
+
 void Engine::PriceLatencyPairs() {
   // The congestion factor follows the bottleneck, std::max(mc, link): the
   // destination controller unless its utilization is below the path's link
-  // utilization. Pairs run destination-major, so a controller's factor is
-  // computed at most once per iteration and shared by every source it
-  // bottlenecks.
+  // utilization. Traffic splits evenly over equal-cost paths, so a pair's
+  // link utilization is the average over its paths of each path's hottest
+  // link. Controllers and links shared by many pairs hand the memo the
+  // same input, which it prices once.
   const int nodes = hv_->topology().num_nodes();
-  NodeId factor_dst = kInvalidNode;
-  double mc_factor = 0.0;
-  for (const LatencyPair& pair : latency_pairs_) {
-    const double mc = mc_util_[pair.dst];
-    const double link = PathLinkUtil(pair.src, pair.dst);
-    double factor = 0.0;
-    if (mc < link) {
-      factor = latency_->CongestionFactor(link);
-    } else {
-      if (factor_dst != pair.dst) {
-        mc_factor = latency_->CongestionFactor(mc);
-        factor_dst = pair.dst;
+  ++congestion_stamp_;
+  for (const LatencyPair& pair : plan_.latency_pairs) {
+    const size_t index = static_cast<size_t>(pair.src) * nodes + pair.dst;
+    const RoutePair& route = route_pairs_[index];
+    double total = 0.0;
+    for (int32_t p = 0; p < route.num_paths; ++p) {
+      const RoutePath& path = route_paths_[route.first_path + p];
+      double worst = 0.0;
+      for (int32_t k = 0; k < path.num_links; ++k) {
+        worst = std::max(worst, link_util_[route_links_[path.first_link + k]]);
       }
-      factor = mc_factor;
+      total += worst;
     }
-    pair_cycles_[static_cast<size_t>(pair.src) * nodes + pair.dst] =
-        latency_->CyclesAt(pair.hops, factor);
+    const double link = total / static_cast<double>(route.num_paths);
+    const double mc = mc_util_[pair.dst];
+    pair_cycles_[index] =
+        latency_->CyclesAt(pair.hops, MemoizedCongestionFactor(mc < link ? link : mc));
   }
 }
 
 void Engine::SolveUtilizationFixedPoint() {
   const Topology& topo = hv_->topology();
   const int nodes = topo.num_nodes();
-  const LatencyParams& lp = latency_->params();
+  const int links = topo.num_links();
 
-  ComputeCpuSharers();
-  ListLatencyPairs();
+  RefreshSolvePlan();
+  const std::vector<PlanThread>& threads = plan_.threads;
+  const size_t num_threads = threads.size();
+  thread_rate_.resize(num_threads);
+  thread_latency_.resize(num_threads);
+  // Inputs that hold for the whole solve. Page-walks stall the pipeline (no
+  // MLP overlap): local walks hit the node-local table or replica, remote
+  // ones cross to the master (docs/MODEL.md §18).
+  if (config_.price_walks) {
+    const HvCosts& costs = hv_->costs();
+    walk_cycles_.resize(num_threads);
+    for (size_t i = 0; i < num_threads; ++i) {
+      const double coverage = threads[i].state->walk_coverage;
+      walk_cycles_[i] = costs.walk_miss_per_access *
+                        (coverage * costs.walk_local_cycles +
+                         (1.0 - coverage) * costs.walk_remote_cycles);
+    }
+  }
+  // DMA streams land in the buffer (shared) region's pages.
+  std::fill(dma_bytes_per_node_.begin(), dma_bytes_per_node_.end(), 0.0);
+  for (const auto& jptr : jobs_) {
+    const JobState& job = *jptr;
+    if (job.finished || job.io_bytes_remaining <= 0.0) {
+      continue;
+    }
+    const RegionState& buf = job.regions[job.shared_region];
+    if (buf.total_mass > 0.0) {
+      const double bw = io_model_.StreamBandwidth(
+          job.spec.io_path, job.spec.app->io_request_kb * 1024,
+          /*scattered_buffers=*/job.spec.exec_mode == ExecMode::kGuest);
+      for (NodeId n = 0; n < nodes; ++n) {
+        dma_bytes_per_node_[n] += bw * buf.node_mass[n] / buf.total_mass;
+      }
+    }
+  }
+  const NodeId disk_node = 6 < nodes ? 6 : nodes - 1;  // benchmark-data disk bus (§5.1)
+
   int iterations = 0;
   double max_delta = 0.0;
   do {
+    PriceLatencyPairs();
     // Rates from current utilizations: each thread's latency is a dot
     // product of its distribution with its node's row of the latency table.
-    PriceLatencyPairs();
-    for (auto& jptr : jobs_) {
-      JobState& job = *jptr;
-      if (job.finished) {
-        continue;
-      }
-      for (ThreadState& th : job.threads) {
-        if (th.done) {
-          th.rate = 0.0;
+    // Its demands follow from its rate.
+    std::fill(traffic_.begin(), traffic_.end(), 0.0);
+    for (size_t i = 0; i < num_threads; ++i) {
+      const PlanThread& th = threads[i];
+      const double* p = &plan_.p_node[i * nodes];
+      const double* cycles = &pair_cycles_[static_cast<size_t>(th.node) * nodes];
+      double lat = 0.0;
+      for (NodeId n = 0; n < nodes; ++n) {
+        if (p[n] <= 0.0) {
           continue;
         }
-        const double* cycles = &pair_cycles_[static_cast<size_t>(th.node) * nodes];
-        double lat = 0.0;
-        for (NodeId n = 0; n < nodes; ++n) {
-          if (th.p_node[n] <= 0.0) {
-            continue;
-          }
-          lat += th.p_node[n] * cycles[n];
-        }
-        th.last_latency_cycles = lat;
-        // Memory-level parallelism overlaps part of the DRAM latency with
-        // other outstanding accesses; the visible stall per access shrinks.
-        double service_cycles =
-            job.spec.app->cpu_cycles_per_access + lat / job.spec.app->mlp;
-        if (config_.price_walks) {
-          // Page-walks stall the pipeline (no MLP overlap): local walks hit
-          // the node-local table or replica, remote ones cross to the
-          // master (docs/MODEL.md §18).
-          const HvCosts& costs = hv_->costs();
-          service_cycles += costs.walk_miss_per_access *
-                            (th.walk_coverage * costs.walk_local_cycles +
-                             (1.0 - th.walk_coverage) * costs.walk_remote_cycles);
-        }
-        const double share = CpuShare(th.cpu);
-        th.rate = share * topo.cpu_hz() / service_cycles;
+        lat += p[n] * cycles[n];
       }
-    }
-
-    // Demands from current rates.
-    for (auto& row : traffic_) {
-      std::fill(row.begin(), row.end(), 0.0);
-    }
-    std::fill(dma_bytes_per_node_.begin(), dma_bytes_per_node_.end(), 0.0);
-    for (auto& jptr : jobs_) {
-      JobState& job = *jptr;
-      if (job.finished) {
-        continue;
+      // Memory-level parallelism overlaps part of the DRAM latency with
+      // other outstanding accesses; the visible stall per access shrinks.
+      double service_cycles = th.cycles_per_access + lat / th.mlp;
+      if (config_.price_walks) {
+        service_cycles += walk_cycles_[i];
       }
-      for (const ThreadState& th : job.threads) {
-        if (th.done) {
-          continue;
-        }
-        for (NodeId n = 0; n < nodes; ++n) {
-          traffic_[th.node][n] += th.rate * th.p_node[n];
-        }
-      }
-      // DMA streams land in the buffer (shared) region's pages.
-      if (job.io_bytes_remaining > 0.0) {
-        const RegionState& buf = job.regions[job.shared_region];
-        if (buf.total_mass > 0.0) {
-          const double bw = io_model_.StreamBandwidth(
-              job.spec.io_path, job.spec.app->io_request_kb * 1024,
-              /*scattered_buffers=*/job.spec.exec_mode == ExecMode::kGuest);
-          for (NodeId n = 0; n < nodes; ++n) {
-            dma_bytes_per_node_[n] += bw * buf.node_mass[n] / buf.total_mass;
-          }
-        }
+      const double rate = th.share_hz / service_cycles;
+      thread_latency_[i] = lat;
+      thread_rate_[i] = rate;
+      double* row = &traffic_[static_cast<size_t>(th.node) * nodes];
+      for (NodeId n = 0; n < nodes; ++n) {
+        row[n] += rate * p[n];
       }
     }
 
     std::vector<double>& mc_new = mc_scratch_;
-    mc_new.assign(nodes, 0.0);
     for (NodeId n = 0; n < nodes; ++n) {
       double demand_bytes = dma_bytes_per_node_[n];
       for (NodeId src = 0; src < nodes; ++src) {
-        demand_bytes += traffic_[src][n] * kCacheLineBytes;
+        demand_bytes += traffic_[static_cast<size_t>(src) * nodes + n] * kCacheLineBytes;
       }
-      const double capacity = topo.node(n).mc_bandwidth_bytes_per_s * lp.mc_efficiency;
-      mc_new[n] = demand_bytes / capacity;
+      mc_new[n] = demand_bytes / mc_capacity_[n];
     }
 
     std::vector<double>& link_new = link_scratch_;
-    link_new.assign(topo.num_links(), 0.0);
-    const NodeId disk_node = 6 < nodes ? 6 : nodes - 1;  // benchmark-data disk bus (§5.1)
-    auto spread = [&](NodeId s, NodeId d, double bytes) {
-      const RoutePair& pair = route_pairs_[static_cast<size_t>(s) * nodes + d];
+    std::fill(link_new.begin(), link_new.end(), 0.0);
+    auto spread = [&](size_t index, double bytes) {
+      const RoutePair& pair = route_pairs_[index];
       const double share = bytes / static_cast<double>(pair.num_paths);
       for (int32_t p = 0; p < pair.num_paths; ++p) {
         const RoutePath& path = route_paths_[pair.first_path + p];
@@ -1036,26 +1080,20 @@ void Engine::SolveUtilizationFixedPoint() {
         }
       }
     };
-    for (NodeId s = 0; s < nodes; ++s) {
-      for (NodeId d = 0; d < nodes; ++d) {
-        if (s == d) {
-          continue;
-        }
-        const double bytes = traffic_[s][d] * kCacheLineBytes;
-        if (bytes > 0.0) {
-          spread(s, d, bytes);
-        }
+    for (const int32_t index : plan_.remote_pairs) {
+      const double bytes = traffic_[index] * kCacheLineBytes;
+      if (bytes > 0.0) {
+        spread(index, bytes);
       }
     }
     for (NodeId n = 0; n < nodes; ++n) {
       if (n == disk_node || dma_bytes_per_node_[n] <= 0.0) {
         continue;
       }
-      spread(disk_node, n, dma_bytes_per_node_[n]);
+      spread(static_cast<size_t>(disk_node) * nodes + n, dma_bytes_per_node_[n]);
     }
-    for (LinkId l = 0; l < topo.num_links(); ++l) {
-      const double capacity = topo.link(l).bandwidth_bytes_per_s * lp.link_efficiency;
-      link_new[l] /= capacity;
+    for (LinkId l = 0; l < links; ++l) {
+      link_new[l] /= link_capacity_[l];
     }
 
     const double damp = kUtilizationDamping;
@@ -1065,13 +1103,28 @@ void Engine::SolveUtilizationFixedPoint() {
       max_delta = std::max(max_delta, std::fabs(updated - mc_util_[n]));
       mc_util_[n] = updated;
     }
-    for (LinkId l = 0; l < topo.num_links(); ++l) {
+    for (LinkId l = 0; l < links; ++l) {
       const double updated = (1.0 - damp) * link_util_[l] + damp * link_new[l];
       max_delta = std::max(max_delta, std::fabs(updated - link_util_[l]));
       link_util_[l] = updated;
     }
     ++iterations;
   } while (max_delta > kFixedPointTolerance && iterations < kFixedPointMaxIterations);
+
+  for (size_t i = 0; i < num_threads; ++i) {
+    threads[i].state->rate = thread_rate_[i];
+    threads[i].state->last_latency_cycles = thread_latency_[i];
+  }
+  for (auto& jptr : jobs_) {
+    if (jptr->finished) {
+      continue;
+    }
+    for (ThreadState& th : jptr->threads) {
+      if (th.done) {
+        th.rate = 0.0;
+      }
+    }
+  }
   last_fixed_point_iterations_ = iterations;
   last_fixed_point_residual_ = max_delta;
   fixed_point_iterations_total_ += iterations;
@@ -1637,14 +1690,19 @@ RunResult Engine::Run() {
       }
     }
 
-    // Commit the hardware counters for this epoch.
-    TrafficSnapshot snapshot;
-    snapshot.epoch_seconds = dt;
-    snapshot.accesses_per_s = traffic_;
-    snapshot.dma_bytes_per_s = dma_bytes_per_node_;
-    snapshot.mc_utilization = mc_util_;
-    snapshot.link_utilization = link_util_;
-    counters_.CommitEpoch(snapshot);
+    // Commit the hardware counters for this epoch. The snapshot is reused,
+    // so once sized neither filling nor committing it allocates.
+    const size_t nodes = mc_util_.size();
+    epoch_snapshot_.epoch_seconds = dt;
+    epoch_snapshot_.accesses_per_s.resize(nodes);
+    for (size_t src = 0; src < nodes; ++src) {
+      epoch_snapshot_.accesses_per_s[src].assign(traffic_.begin() + src * nodes,
+                                                 traffic_.begin() + (src + 1) * nodes);
+    }
+    epoch_snapshot_.dma_bytes_per_s = dma_bytes_per_node_;
+    epoch_snapshot_.mc_utilization = mc_util_;
+    epoch_snapshot_.link_utilization = link_util_;
+    counters_.CommitEpoch(epoch_snapshot_);
 
     now += dt;
     for (auto& job : jobs_) {

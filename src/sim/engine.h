@@ -249,17 +249,21 @@ class Engine : public PageAccessSource {
   // `p_node` (one entry per node): a pure function of the job's derived
   // masses and the thread's node; all zero once the thread is done.
   void ThreadDistribution(const JobState& job, int t, std::vector<double>* p_node) const;
-  void ComputeCpuSharers();
-  void ListLatencyPairs();
+  struct SolvePlan;
+  // Brings plan_ up to date with the running threads: rebuilt only when
+  // the plan key moved (docs/MODEL.md §9).
+  void RefreshSolvePlan();
+  void BuildSolvePlan(SolvePlan* plan);
   void PriceLatencyPairs();
+  // LatencyModel::CongestionFactor(util), evaluated once per distinct input
+  // per iteration.
+  double MemoizedCongestionFactor(double util);
   void SolveUtilizationFixedPoint();
-  double PathLinkUtil(NodeId src, NodeId dst) const;
   void AdvanceProgress(JobState& job, double dt, double now);
   void RunAllocatorChurn(JobState& job, double dt, double now);
   void MigrateVcpus(JobState& job, double now);
   void TickCarrefour(double now);
   double ThreadOverheadFraction(const JobState& job) const;
-  double CpuShare(CpuId cpu) const;
   bool ComputeDone(const JobState& job) const;
   void FinishJob(JobState& job, double now);
   void RecordTrace(double now);
@@ -285,8 +289,9 @@ class Engine : public PageAccessSource {
   // Machine-wide utilization state shared by the fixed point.
   std::vector<double> mc_util_;
   std::vector<double> link_util_;
-  std::vector<std::vector<double>> traffic_;  // accesses/s, [src][dst]
+  std::vector<double> traffic_;  // accesses/s, [src * nodes + dst]
   std::vector<double> dma_bytes_per_node_;
+  TrafficSnapshot epoch_snapshot_;  // each epoch's commit, filled in place
   double last_carrefour_tick_ = 0.0;
   TraceRecorder* trace_ = nullptr;
   std::function<void(double)> epoch_hook_;
@@ -294,22 +299,77 @@ class Engine : public PageAccessSource {
   double scheduler_period_s_ = 0.0;
   double last_scheduler_tick_ = 0.0;
 
-  // ---- Fixed-point solver caches (allocated once, reused per iteration). --
-  std::vector<double> mc_scratch_;
-  std::vector<double> link_scratch_;
-  // Per-solve latency table. Thread nodes and p_node are frozen for a solve,
-  // so the (source node, destination node) pairs some running thread reads
-  // are listed once at its start, destination-major. Each iteration prices
-  // every listed pair into pair_cycles_ ([src * nodes + dst]) before the
-  // thread loop, and every thread on a node shares its row.
+  // ---- Fixed-point solver caches (docs/MODEL.md §9). ----
+  // The solve plan: what a solve reads about the running threads, flattened.
+  // Every input of a plan entry is named by the plan key, so a plan built
+  // under the same key holds the same bits, and only a key change rebuilds
+  // it (there are no invalidation calls). The key is each running thread's
+  // (job, index, node, CPU), in job and thread order, plus
+  // distribution_generation_, which ComputeAccessDistributions bumps
+  // whenever it recomputes a job's p_node rows.
+  struct PlanThread {
+    ThreadState* state = nullptr;  // rate and latency land here after a solve
+    NodeId node = kInvalidNode;
+    double share_hz = 0.0;  // CPU share (1 / threads on its CPU) * cpu_hz
+    double cycles_per_access = 0.0;
+    double mlp = 0.0;
+    bool operator==(const PlanThread&) const = default;
+  };
+  // A (source node, destination node) pair some running thread reads.
   struct LatencyPair {
     NodeId src = 0;
     NodeId dst = 0;
     int32_t hops = 0;
+    bool operator==(const LatencyPair&) const = default;
   };
-  std::vector<LatencyPair> latency_pairs_;
-  std::vector<uint8_t> pair_read_;  // [src * nodes + dst], listing scratch
+  struct PlanKey {
+    int32_t job = 0;
+    int32_t thread = 0;
+    NodeId node = kInvalidNode;
+    CpuId cpu = kInvalidCpu;
+    bool operator==(const PlanKey&) const = default;
+  };
+  struct SolvePlan {
+    std::vector<PlanKey> key;
+    uint64_t distribution_generation = 0;
+    std::vector<PlanThread> threads;  // running threads, in key order
+    std::vector<double> p_node;       // [threads][nodes], copies of their rows
+    // Every pair read, destination-major: each iteration prices them into
+    // pair_cycles_ ([src * nodes + dst]) before the thread loop.
+    std::vector<LatencyPair> latency_pairs;
+    // The remote pairs among them (src != dst) as src * nodes + dst,
+    // source-major: the only pairs whose traffic can be spread over links.
+    std::vector<int32_t> remote_pairs;
+    bool operator==(const SolvePlan&) const = default;
+  };
+  SolvePlan plan_;
+  SolvePlan spare_plan_;  // the next plan's key and, when it moved, the plan
+  uint64_t distribution_generation_ = 0;
+  std::vector<int> cpu_sharers_;    // [cpus], plan-build scratch
+  std::vector<uint8_t> pair_read_;  // [src * nodes + dst], plan-build scratch
+  // Effective controller and link bandwidths (bytes/s), fixed per engine.
+  std::vector<double> mc_capacity_;
+  std::vector<double> link_capacity_;
+  // Per-solve and per-iteration values, indexed like plan_.threads.
+  std::vector<double> walk_cycles_;  // price_walks term, fixed per solve
+  std::vector<double> thread_rate_;
+  std::vector<double> thread_latency_;
   std::vector<double> pair_cycles_;
+  std::vector<double> mc_scratch_;
+  std::vector<double> link_scratch_;
+  // Per-iteration CongestionFactor memo, keyed by the bits of its input and
+  // open-addressed in a power-of-two table at most half full (a plan has at
+  // most nodes^2 pairs, each pricing one input). A slot is live only when
+  // its stamp is the current iteration's. The factor is a pure function of
+  // one double, so a memo hit returns the bits a fresh call would.
+  struct CongestionSlot {
+    uint64_t input_bits = 0;
+    uint64_t stamp = 0;
+    double factor = 0.0;
+  };
+  std::vector<CongestionSlot> congestion_memo_;
+  int congestion_shift_ = 0;  // 64 - log2(table size)
+  uint64_t congestion_stamp_ = 0;
 
   // One-entry placement-run memo for the rescan/delta read path: node
   // resolution is computed once per run, then reused for every page the
@@ -334,9 +394,6 @@ class Engine : public PageAccessSource {
   std::vector<RoutePair> route_pairs_;
   std::vector<RoutePath> route_paths_;
   std::vector<LinkId> route_links_;
-  // Per-epoch sharer count per physical CPU (replaces the O(jobs x threads)
-  // rescan that CpuShare used to do per thread per iteration).
-  std::vector<int> cpu_sharers_;
   int last_fixed_point_iterations_ = 0;
   // Largest utilization change of the most recent solve's last iteration.
   double last_fixed_point_residual_ = 0.0;
@@ -375,6 +432,8 @@ class Engine : public PageAccessSource {
   Histogram* solver_iterations_ = nullptr;
   Histogram* solver_residual_ = nullptr;
   Counter* solver_unconverged_ = nullptr;
+  Counter* solver_plan_builds_ = nullptr;
+  Counter* solver_congestion_evals_ = nullptr;
   Histogram* refresh_seconds_ = nullptr;
   Gauge* max_mc_util_gauge_ = nullptr;
   Gauge* max_link_util_gauge_ = nullptr;

@@ -2,13 +2,17 @@
 //
 // Over seeded random FrameAllocator states — including allocation-heavy
 // histories that fill nodes, so later allocations are refused mid-way — the
-// extent-cursor available-space calculation must equal an exhaustive
-// per-frame recount, every admitted request must provably fit its node-set,
+// extent-cursor available-space calculation and the word-wise scoring
+// summary must equal an exhaustive per-frame recount, every admitted
+// request must provably fit its node-set,
 // and a rejection must never be spurious: reject if and only if the request
 // exceeds the bare machine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/admission/available_space.h"
@@ -89,6 +93,10 @@ TEST(AdmissionPropertyTest, AvailableSpaceEqualsExhaustiveRecount) {
       ASSERT_EQ(fast.largest_extent, slow.largest_extent) << "seed " << seed;
       ASSERT_EQ(fast.blocks_2m, slow.blocks_2m) << "seed " << seed;
       ASSERT_EQ(fast.blocks_1g, slow.blocks_1g) << "seed " << seed;
+      const NodeSpace scoring = ComputeScoringSpace(frames, node);
+      ASSERT_EQ(scoring.free_frames, slow.free_frames) << "seed " << seed;
+      ASSERT_EQ(scoring.blocks_2m, slow.blocks_2m) << "seed " << seed;
+      ASSERT_EQ(scoring.blocks_1g, slow.blocks_1g) << "seed " << seed;
       // Three independent answers for "free frames on this node" agree:
       // cached counter, extent cursor, bitmap popcount.
       ASSERT_EQ(fast.free_frames, frames.FreeFrames(node)) << "seed " << seed;
@@ -212,6 +220,155 @@ TEST(AdmissionPropertyTest, CursorIsExactOnDegenerateNodes) {
   EXPECT_EQ(extent.first, 15);
   EXPECT_EQ(extent.count, 1);
   EXPECT_FALSE(edges.Next(&extent));
+}
+
+// Random allocator history through every mutator, spread over the nodes:
+// single and bulk allocations, contiguous runs (up to a whole 1G span),
+// single, bulk and contiguous frees, and now and then more edge holes.
+class AllocatorChurn {
+ public:
+  AllocatorChurn(FrameAllocator& frames, uint64_t seed) : frames_(frames), rng_(seed) {}
+
+  void Step() {
+    const NodeId node = static_cast<NodeId>(rng_.NextInt(frames_.num_nodes()));
+    const int64_t span_2m = frames_.FramesPerOrder(PageOrder::k2M);
+    const int64_t span_1g = frames_.FramesPerOrder(PageOrder::k1G);
+    switch (rng_.NextInt(13)) {
+      case 0: {
+        const Mfn mfn = frames_.AllocOnNode(node);
+        if (mfn != kInvalidMfn) {
+          singles_.push_back(mfn);
+        }
+        break;
+      }
+      case 1:
+      case 2: {
+        const int64_t count =
+            std::min(frames_.FreeFrames(node), 1 + rng_.NextInt(span_1g / 2 + 64));
+        const size_t at = singles_.size();
+        singles_.resize(at + count);
+        frames_.AllocManyOnNode(node, count, singles_.data() + at);
+        break;
+      }
+      case 3:
+      case 4: {
+        const int64_t sizes[] = {1 + rng_.NextInt(8), span_2m, 3 * span_2m, span_1g / 2, span_1g};
+        const int64_t count = sizes[rng_.NextInt(5)];
+        const Mfn first = frames_.AllocContiguous(node, count);
+        if (first != kInvalidMfn) {
+          runs_.push_back({first, count});
+        }
+        break;
+      }
+      case 5:
+      case 6: {
+        if (!singles_.empty()) {
+          const size_t idx = static_cast<size_t>(rng_.NextInt(singles_.size()));
+          frames_.Free(singles_[idx]);
+          singles_[idx] = singles_.back();
+          singles_.pop_back();
+        }
+        break;
+      }
+      case 7:
+      case 8:
+      case 9: {
+        // A random subset: shuffle a random tail into place, then free it.
+        const int64_t count = rng_.NextInt(static_cast<int64_t>(singles_.size()) + 1);
+        for (int64_t i = 0; i < count; ++i) {
+          const size_t last = singles_.size() - 1 - i;
+          std::swap(singles_[last], singles_[static_cast<size_t>(rng_.NextInt(last + 1))]);
+        }
+        frames_.FreeMany(std::span<const Mfn>(singles_.data() + singles_.size() - count, count));
+        singles_.resize(singles_.size() - count);
+        break;
+      }
+      case 10:
+      case 11: {
+        if (!runs_.empty()) {
+          const size_t idx = static_cast<size_t>(rng_.NextInt(runs_.size()));
+          frames_.FreeContiguous(runs_[idx].first, runs_[idx].second);
+          runs_[idx] = runs_.back();
+          runs_.pop_back();
+        }
+        break;
+      }
+      default:
+        if (rng_.NextBool(0.2)) {
+          frames_.FragmentEdgeRegions(1 + static_cast<int>(rng_.NextInt(3)), rng_.NextU64());
+        }
+        break;
+    }
+  }
+
+ private:
+  FrameAllocator& frames_;
+  Rng rng_;
+  std::vector<Mfn> singles_;
+  std::vector<std::pair<Mfn, int64_t>> runs_;
+};
+
+// What the admission solver scores from, counted word by word, equals the
+// per-frame recount after every kind of mutation. The frame sizes put the
+// 2M span at 1, 2 and 8 frames and the 1G span at 256, 1024 and 4096, and
+// no node size is a multiple of 64, so node ranges start mid-word.
+TEST(AdmissionPropertyTest, ScoringSpaceEqualsExhaustiveRecount) {
+  for (const int64_t bytes_per_frame : {4ll << 20, 1ll << 20, 256ll << 10}) {
+    const int64_t span_1g = (1ll << 30) / bytes_per_frame;
+    const int64_t frames_per_node = 2 * span_1g + 37;
+    const Topology topo = Topology::Synthetic(3, 2, frames_per_node * bytes_per_frame);
+    int64_t blocks_1g_seen = 0;
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      FrameAllocator frames(topo, bytes_per_frame);
+      ASSERT_EQ(frames.frames_per_node(1), frames_per_node);
+      AllocatorChurn churn(frames, seed * 31 + bytes_per_frame);
+      for (int step = 0; step < 400; ++step) {
+        churn.Step();
+        if (step % 8 != 0) {
+          continue;
+        }
+        for (NodeId node = 0; node < frames.num_nodes(); ++node) {
+          const NodeSpace fast = ComputeScoringSpace(frames, node);
+          const NodeSpace slow = RecountNodeSpace(frames, node);
+          ASSERT_EQ(fast.node, node);
+          ASSERT_EQ(fast.free_frames, slow.free_frames) << bytes_per_frame << " " << step;
+          ASSERT_EQ(fast.blocks_2m, slow.blocks_2m) << bytes_per_frame << " " << step;
+          ASSERT_EQ(fast.blocks_1g, slow.blocks_1g) << bytes_per_frame << " " << step;
+          blocks_1g_seen += fast.blocks_1g;
+        }
+      }
+    }
+    EXPECT_GT(blocks_1g_seen, 0) << bytes_per_frame;  // the 1G count was exercised
+  }
+}
+
+// FreeAlignedBlocks equals AlignedBlocksInExtent summed over the node's
+// free extents for spans below, at and above one bitmap word, powers of
+// two or not.
+TEST(AdmissionPropertyTest, AlignedBlockCountEqualsExtentSum) {
+  const Topology topo = Topology::Synthetic(3, 2, 1013 * (4ll << 20));
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    FrameAllocator frames(topo, 4ll << 20);
+    AllocatorChurn churn(frames, seed);
+    for (int step = 0; step < 300; ++step) {
+      churn.Step();
+      if (step % 6 != 0) {
+        continue;
+      }
+      for (NodeId node = 0; node < frames.num_nodes(); ++node) {
+        for (const int64_t span : {1, 2, 3, 4, 8, 16, 32, 48, 63, 64, 65, 100, 128, 192, 256, 512}) {
+          int64_t expected = 0;
+          FrameAllocator::FreeExtentCursor cursor = frames.FreeExtents(node);
+          FreeExtent extent;
+          while (cursor.Next(&extent)) {
+            expected += AlignedBlocksInExtent(extent.first, extent.count, span);
+          }
+          ASSERT_EQ(frames.FreeAlignedBlocks(node, span), expected)
+              << "seed " << seed << " step " << step << " node " << node << " span " << span;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

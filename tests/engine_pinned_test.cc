@@ -2,18 +2,20 @@
 // threads, share CPUs, price page-walks or overload the solver.
 //
 // The epoch loop reuses a job's access distributions while its derived
-// masses and every thread's (node, done) stay put, and prices each solve's
-// (source, destination) latency pairs once per iteration. Neither may alter
-// a single bit of any result. P2mPinnedTest covers one pinned 12-thread
-// domain; these cells reach what it does not: a 48-thread run whose solves
-// hit the iteration cap, two consolidated jobs sharing every CPU, the
-// credit scheduler moving vCPUs, the walk orchestrator with priced walks
-// and replication, and a native Linux run with MCS locks. The digests were
-// recorded before either reuse existed (and rehashed without the fault
-// counters, zero in every cell, when the fault layer was deleted). Each
-// cell also runs under XNUMA_VERIFY_PLACEMENT_CACHE=1, which recomputes
-// every skipped distribution and aborts unless it matches the reused one
-// bit for bit.
+// masses and every thread's (node, done) stay put, reuses the solve plan
+// while its key (every running thread's job, index, node and CPU, and the
+// distribution generation) stays put, and prices each distinct congestion
+// input once per iteration. None of it may alter a single bit of any
+// result. P2mPinnedTest covers one pinned 12-thread domain; these cells
+// reach what it does not: a 48-thread run whose solves hit the iteration
+// cap, two consolidated jobs sharing every CPU, the credit scheduler
+// moving vCPUs, the walk orchestrator with priced walks and replication,
+// and a native Linux run with MCS locks. The digests were recorded before
+// any of these reuses existed (and rehashed without the fault counters,
+// zero in every cell, when the fault layer was deleted). Each cell also
+// runs under XNUMA_VERIFY_PLACEMENT_CACHE=1, which recomputes every
+// skipped distribution and rebuilds every reused solve plan, and aborts
+// unless each matches the reused one bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -293,6 +295,71 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return std::string(info.param.label);
     });
+
+// Two vCPUs pinned on CPU 0 split it until the credit scheduler's first
+// rebalance moves one to another CPU of node 0. The threads keep their
+// node, so no distribution is recomputed: only the CPUs in the plan key
+// tell the solve plan that each thread now has a CPU to itself.
+struct RepinRun {
+  std::vector<JobResult> jobs;
+  std::vector<CpuId> cpus;  // each vCPU's pCPU at the end of the run
+};
+
+RepinRun RunWithinNodeRepin(bool with_scheduler) {
+  const AppProfile app = TwoRegionApp(/*cycles_per_access=*/40.0);
+  EngineConfig ec;
+  ec.seed = 11;
+  ec.max_sim_seconds = 30.0;
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  LatencyModel latency;
+  DomainConfig dc = PinnedDomain(app, hv, ec, 2, StaticPolicy::kRound4k, false);
+  dc.pinned_cpus = {0, 0};
+  const DomainId dom = hv.CreateDomain(dc);
+  GuestOs guest(hv, dom);
+  Engine engine(hv, latency, ec);
+  SchedulerConfig sc;
+  sc.idle_steal_probability = 0.0;
+  CreditScheduler scheduler(topo, sc);
+  if (with_scheduler) {
+    engine.set_scheduler(&scheduler, /*period_s=*/0.25);
+  }
+  JobSpec spec;
+  spec.app = &app;
+  spec.domain = dom;
+  spec.guest = &guest;
+  spec.threads = 2;
+  engine.AddJob(spec);
+  RepinRun run;
+  run.jobs = engine.Run().jobs;
+  for (const VcpuDesc& v : hv.domain(dom).vcpus()) {
+    run.cpus.push_back(v.pinned_cpu);
+  }
+  return run;
+}
+
+TEST(SolvePlanTest, WithinNodeRepinReachesTheSolve) {
+  const RepinRun shared = RunWithinNodeRepin(/*with_scheduler=*/false);
+  const RepinRun repinned = RunWithinNodeRepin(/*with_scheduler=*/true);
+  setenv("XNUMA_VERIFY_PLACEMENT_CACHE", "1", /*overwrite=*/1);
+  const RepinRun verified = RunWithinNodeRepin(/*with_scheduler=*/true);
+  unsetenv("XNUMA_VERIFY_PLACEMENT_CACHE");
+
+  // vCPU 0 moved to another CPU of node 0; vCPU 1 stayed on CPU 0.
+  const Topology topo = Topology::Amd48();
+  ASSERT_EQ(repinned.cpus.size(), 2u);
+  EXPECT_NE(repinned.cpus[0], 0);
+  EXPECT_EQ(topo.node_of_cpu(repinned.cpus[0]), 0);
+  EXPECT_EQ(repinned.cpus[1], 0);
+  ASSERT_TRUE(shared.jobs[0].finished);
+  ASSERT_TRUE(repinned.jobs[0].finished);
+  // A thread with a CPU to itself issues accesses twice as fast, so the
+  // job computes for well under the time of one whose threads share CPU 0
+  // throughout.
+  EXPECT_LT(repinned.jobs[0].compute_seconds, 0.8 * shared.jobs[0].compute_seconds);
+  // Every reuse of the plan matched its rebuild, and moved no bit.
+  EXPECT_EQ(ResultsDigest(verified.jobs), ResultsDigest(repinned.jobs));
+}
 
 }  // namespace
 }  // namespace xnuma

@@ -104,6 +104,45 @@ TEST(BackendDirtyOverflowTest, BulkChurnDegradesToFullRescanSignal) {
   EXPECT_EQ(dirty[0], 3);
 }
 
+// Eager placement is one full-rescan signal however small the domain: at
+// creation (round-1G's 1G ranges plus its round-robin tail) and on a
+// runtime switch to round-4K. Maps made afterwards are tracked page by page.
+TEST(BackendDirtyOverflowTest, EagerInitializationSendsOneFullRescanSignal) {
+  Topology topo = Topology::Amd48();
+  Hypervisor hv(topo);
+  DomainConfig dc;
+  dc.name = "eager";
+  dc.num_vcpus = 1;
+  dc.memory_pages = 600;  // two 256-page 1G ranges and 88 pages; dirty limit 4096
+  dc.policy.placement = StaticPolicy::kRound1g;
+  dc.pinned_cpus = {0};
+  const DomainId eager = hv.CreateDomain(dc);
+  HvPlacementBackend& be = hv.backend(eager);
+  std::vector<Pfn> dirty;
+  EXPECT_FALSE(be.DrainDirtyPfns(&dirty));
+  EXPECT_TRUE(dirty.empty());
+  be.Invalidate(5);
+  ASSERT_TRUE(be.MapRangeOnNode(5, 1, 2));
+  EXPECT_TRUE(be.DrainDirtyPfns(&dirty));
+  EXPECT_EQ(dirty, std::vector<Pfn>{5});
+
+  dc.name = "switched";
+  dc.policy.placement = StaticPolicy::kFirstTouch;
+  const DomainId lazy = hv.CreateDomain(dc);
+  HvPlacementBackend& lazy_be = hv.backend(lazy);
+  ASSERT_TRUE(lazy_be.MapOnNode(3, 1));
+  dirty.clear();
+  EXPECT_TRUE(lazy_be.DrainDirtyPfns(&dirty));
+  EXPECT_EQ(dirty, std::vector<Pfn>{3});
+  PolicyConfig round_4k;
+  round_4k.placement = StaticPolicy::kRound4k;
+  ASSERT_EQ(hv.HypercallSetPolicy(lazy, round_4k), HypercallStatus::kOk);
+  EXPECT_TRUE(lazy_be.IsMapped(599));
+  dirty.clear();
+  EXPECT_FALSE(lazy_be.DrainDirtyPfns(&dirty));
+  EXPECT_TRUE(dirty.empty());
+}
+
 TEST(GuestDirtyTest, TouchAndReleaseProduceVpageEvents) {
   Topology topo = Topology::Amd48();
   Hypervisor hv(topo);
