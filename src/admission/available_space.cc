@@ -98,20 +98,12 @@ double FragIndex(const NodeSpace& space) {
                    static_cast<double>(space.free_frames);
 }
 
-double MachineFragmentation(const std::vector<NodeSpace>& spaces) {
-  double total = 0.0;
-  for (const NodeSpace& space : spaces) {
-    total += FragIndex(space);
-  }
-  return total / static_cast<double>(spaces.size());
-}
-
 double MachineFragmentation(const FrameAllocator& frames) {
-  std::vector<NodeSpace> spaces;
+  double total = 0.0;
   for (NodeId n = 0; n < frames.num_nodes(); ++n) {
-    spaces.push_back(ComputeNodeSpace(frames, n));
+    total += FragIndex(ComputeNodeSpace(frames, n));
   }
-  return MachineFragmentation(spaces);
+  return total / static_cast<double>(frames.num_nodes());
 }
 
 }  // namespace xnuma

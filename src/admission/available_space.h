@@ -18,7 +18,6 @@
 #define XENNUMA_SRC_ADMISSION_AVAILABLE_SPACE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/types.h"
 #include "src/mm/frame_allocator.h"
@@ -62,10 +61,9 @@ NodeSpace RecountNodeSpace(const FrameAllocator& frames, NodeId node);
 // perfect run, ->1 = shattered into many small extents.
 double FragIndex(const NodeSpace& space);
 
-// Machine fragmentation: mean FragIndex over all nodes (the `churn.
-// fragmentation` gauge; the churn soak test pins a hand-computed fixture),
-// from the nodes' summaries in node order or from a walk of every node.
-double MachineFragmentation(const std::vector<NodeSpace>& spaces);
+// Machine fragmentation: mean FragIndex over all nodes, walked in node
+// order (the `churn.fragmentation` gauge; the churn soak test pins a
+// hand-computed fixture).
 double MachineFragmentation(const FrameAllocator& frames);
 
 }  // namespace xnuma

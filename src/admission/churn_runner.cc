@@ -219,7 +219,7 @@ ChurnReport ChurnRunner::Run(const std::vector<ChurnEvent>& trace,
   }
 
   report.final_live_domains = static_cast<int>(live_.size());
-  report.final_fragmentation = MachineFragmentation(hv_->NodeSpaces());
+  report.final_fragmentation = MachineFragmentation(hv_->frames());
   if (churn_events_ != nullptr) {
     // Gauges hold the state after the last event.
     churn_live_domains_->Set(static_cast<double>(report.final_live_domains));

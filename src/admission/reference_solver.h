@@ -6,7 +6,7 @@
 // contract itself): node availability comes from per-frame recounts
 // (RecountNodeSpace, not the extent cursor), and every one of the 2^n - 1
 // node subsets is enumerated and compared — no minimal-cardinality
-// shortcut, no beam. The score's lexicographic order makes the two
+// shortcut, no bound. The score's lexicographic order makes the two
 // searches provably land on the same answer; the differential battery
 // checks it empirically across random machine states.
 

@@ -12,7 +12,9 @@
 //    against a brute-force subset enumeration).
 //
 // The placement objective is an exact lexicographic integer score
-// (PlacementScore): no floating-point fuzz, so the fast path and the
+// (PlacementScore): no floating-point fuzz. One depth-first branch and
+// bound finds its optimum on every machine width; its cuts only drop
+// branches that cannot beat the best set so far, so it and the
 // brute-force reference solver (reference_solver.h) can be required to
 // agree *exactly* — the differential test battery's contract.
 
@@ -73,6 +75,7 @@ struct AdmissionResult {
   // result is a pure function of machine state.
   std::vector<NodeId> nodes;
   PlacementScore score{};
+  // Node sets the search built, partial or complete (admission.candidates).
   int64_t candidates_evaluated = 0;
 };
 
@@ -86,14 +89,13 @@ PlacementScore ScoreCandidate(const Topology& topo, const std::vector<NodeId>& n
                               const std::vector<int>& free_cpus_per_node,
                               PageOrder preferred_order);
 
-// Up to this many nodes, every subset of each cardinality is evaluated (the
-// machine sizes this repo models: <= 2^12 subsets, microseconds). Beyond it
-// the solver searches a beam: k-node subsets are drawn from the best
-// (k + kBeamWindow) nodes by legacy load order.
-inline constexpr int kMaxNodesExhaustive = 12;
-inline constexpr int kBeamWindow = 4;
-// Node sets are uint32_t masks, and the beam shifts 1 by up to the node
-// count, so the solver takes machines of at most this many nodes.
+// The search builds node sets one node at a time, so its representation
+// sets no width limit; this one bounds its worst case. On an empty machine
+// every node looks alike to the sum bounds, and only a set's hop diameter
+// cuts it, once the set spans the incumbent's. The slowest such solve took
+// 20-60 ms at 29-31 nodes on a 4-core x86 host, and about 1.6x more per
+// node beyond: 0.6 s at 40 nodes and 3.6 s at 44 with the limit lifted
+// (docs/MODEL.md §17).
 inline constexpr int kMaxAdmissionNodes = 31;
 
 class AdmissionSolver {
@@ -107,53 +109,61 @@ class AdmissionSolver {
   AdmissionResult Solve(const AdmissionRequest& request,
                         const std::vector<int>& free_cpus_per_node) const;
 
-  // Every node's NodeSpace, equal to ComputeNodeSpace(frames, n), from a
-  // cache that re-walks only the nodes whose frames moved since it last
-  // looked (solves score from a cheaper cache of their own).
-  const std::vector<NodeSpace>& NodeSpaces() const;
-
-  // Optional metric admission.space_refreshes (NodeSpaces recomputed).
-  // nullptr detaches.
+  // Optional metric admission.space_refreshes (per-node summaries
+  // recomputed by solves). nullptr detaches.
   void set_observability(Observability* obs);
 
  private:
-  // Brings `cache` up to date: re-runs `compute` for exactly the nodes
-  // whose allocator generation moved since their last computation.
-  void RefreshSpaces(std::vector<NodeSpace>* cache, std::vector<uint64_t>* generations,
-                     NodeSpace (*compute)(const FrameAllocator&, NodeId)) const;
-  // The smallest k for which the k largest free-CPU counts and the k
-  // largest free-frame counts can both hold the request, or n + 1 when the
-  // whole machine cannot.
-  int SmallestFittingCardinality(const AdmissionRequest& request,
-                                 const std::vector<int>& free_cpus_per_node) const;
-  // Both search cardinalities first_k, first_k + 1, ... until one admits.
-  void SolveExhaustive(const AdmissionRequest& request,
-                       const std::vector<int>& free_cpus_per_node, int first_k,
-                       AdmissionResult* result) const;
-  void SolveBeam(const AdmissionRequest& request, const std::vector<int>& free_cpus_per_node,
-                 int first_k, AdmissionResult* result) const;
+  // Free CPUs, free frames and preferred-order blocks summed over a node set.
+  struct Sums {
+    int64_t cpus = 0;
+    int64_t frames = 0;
+    int64_t blocks = 0;
+  };
+  // A node set the search is building (its nodes are in candidate_): its
+  // sums, and the hop diameter and free-frame range that only widen as
+  // nodes join it.
+  struct PartialSet {
+    Sums sums;
+    int diameter = 0;
+    int64_t min_frames = 0;
+    int64_t max_frames = 0;
+  };
+  // One solve's inputs and answer, shared by every level of the search.
+  struct Search {
+    const AdmissionRequest& request;
+    const std::vector<int>& free_cpus_per_node;
+    AdmissionResult* result;
+  };
+
+  // Brings spaces_ up to date: recomputes exactly the nodes whose
+  // allocator generation moved since their last computation.
+  void RefreshSpaces() const;
+  // Fills suffix_best_ from spaces_ and the free-CPU counts.
+  void BuildSuffixBounds(const AdmissionRequest& request,
+                         const std::vector<int>& free_cpus_per_node) const;
+  // Adds `remaining` more nodes from `next` on to `set`, in ascending id
+  // order and each node included before it is skipped, and offers every
+  // completed set that fits to the search's result.
+  void Extend(const Search& search, NodeId next, int remaining, const PartialSet& set) const;
 
   const Topology* topo_;
   const FrameAllocator* frames_;
-  // Per-node available-space caches (docs/MODEL.md §17): spaces_[n]
-  // equals ComputeScoringSpace(*frames_, n), what a solve scores from,
-  // whenever space_generation_[n] == frames_->generation(n); full_spaces_
-  // holds ComputeNodeSpace the same way, for NodeSpaces(). kStale marks a
-  // node never computed.
+  // Per-node available-space cache (docs/MODEL.md §17): spaces_[n] equals
+  // ComputeScoringSpace(*frames_, n), what a solve scores from, whenever
+  // space_generation_[n] == frames_->generation(n). kStale marks a node
+  // never computed.
   static constexpr uint64_t kStale = ~uint64_t{0};
   mutable std::vector<NodeSpace> spaces_;
   mutable std::vector<uint64_t> space_generation_;
-  mutable std::vector<NodeSpace> full_spaces_;
-  mutable std::vector<uint64_t> full_space_generation_;
   Counter* space_refreshes_ = nullptr;
-  // Exhaustive-regime scratch, reused across solves: free-CPU and
-  // free-frame totals per node mask, and the node list being scored.
-  mutable std::vector<int> mask_cpus_;
-  mutable std::vector<int64_t> mask_frames_;
+  // Search scratch, reused across solves. suffix_best_[i * (n + 1) + r]
+  // holds the sums of the r largest free-CPU, free-frame and block counts
+  // among nodes i..n-1, each taken separately; sorted_ keeps those counts
+  // of the suffix being added, largest first, while it is built.
+  mutable std::vector<Sums> suffix_best_;
+  mutable std::vector<Sums> sorted_;
   mutable std::vector<NodeId> candidate_;
-  // Free-CPU and free-frame counts per node, largest first.
-  mutable std::vector<int> sorted_cpus_;
-  mutable std::vector<int64_t> sorted_frames_;
 };
 
 }  // namespace xnuma

@@ -191,9 +191,6 @@ class Hypervisor {
   // Unreserved pCPUs per node — the solver's CPU-side input, kept current
   // on every reservation and release.
   const std::vector<int>& FreeCpusPerNode() const { return free_cpus_per_node_; }
-  // Every node's free-extent summary, from the admission solver's
-  // generation-checked cache (AdmissionSolver::NodeSpaces).
-  const std::vector<NodeSpace>& NodeSpaces() const { return admission_solver_.NodeSpaces(); }
 
  private:
   const Topology* topo_;

@@ -25,6 +25,7 @@ std::vector<ChurnEvent> GenerateChurnTrace(const ChurnSpec& spec) {
   XNUMA_CHECK(spec.num_events >= 0);
   XNUMA_CHECK(spec.min_pages > 0 && spec.max_pages >= spec.min_pages);
   XNUMA_CHECK(spec.pareto_alpha > 0.0);
+  XNUMA_CHECK(spec.max_vcpus >= 1);
   Rng rng(spec.seed);
   std::vector<ChurnEvent> trace;
   trace.reserve(spec.num_events);

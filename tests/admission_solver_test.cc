@@ -3,18 +3,25 @@
 // (docs/MODEL.md §17):
 //
 //  * the paper's 8-node AMD48 under bench/extra_churn's 20k-event trace,
-//    whose admission tallies and placement digest are pinned;
+//    whose admission tallies and placement digest are pinned, and whose
+//    solver work (the admission.candidates and admission.space_refreshes
+//    totals) may not grow past the values recorded for the search;
 //  * the hypervisor's long-lived solver, whose per-node NodeSpace cache
 //    sees every allocator mutation of a live churn replay, against the
 //    brute-force ReferenceSolve before every arrival;
-//  * 14-16-node synthetic machines, where the solver leaves the exhaustive
-//    regime for the beam;
-//  * the exact prunes both regimes share: a machine that falls short defers
-//    without a candidate, and the search starts at the smallest
-//    cardinality whose largest nodes could fit.
+//  * 13-16-node synthetic machines, where the search must still equal
+//    ReferenceSolve exactly;
+//  * the exact prunes: a machine that falls short defers without building
+//    a node set, and the search starts at the smallest cardinality whose
+//    largest nodes could fit;
+//  * 31-node machines, empty and loaded, asked for every cardinality: every
+//    admit fits and the search's work stays under a recorded ceiling.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/admission/churn_runner.h"
@@ -25,6 +32,7 @@
 #include "src/hv/hypervisor.h"
 #include "src/mm/frame_allocator.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/workload/churn.h"
 
 namespace xnuma {
@@ -43,16 +51,32 @@ ChurnSpec ExtraChurnSpec() {
   return spec;
 }
 
+int64_t CounterTotal(const Observability& obs, const std::string& name) {
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == name) {
+      return m.count;
+    }
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return 0;
+}
+
 TEST(AdmissionPinnedTest, ExtraChurnAnswersArePinned) {
+  Observability obs;
   ChurnScenarioConfig config;
   config.amd48 = true;
   config.spec = ExtraChurnSpec();
+  config.obs = &obs;
   const ChurnReport report = RunChurnScenario(config);
   EXPECT_EQ(report.events, 20000);
   EXPECT_EQ(report.admitted, 6808);
   EXPECT_EQ(report.deferred, 229);
   EXPECT_EQ(report.rejected, 0);
   EXPECT_EQ(report.placement_digest, 0xb991984c563a62ecull);
+  // Exact work counters, recorded for the branch-and-bound search: the same
+  // answers must not cost more node sets or more summary refreshes.
+  EXPECT_LE(CounterTotal(obs, "admission.candidates"), 75315);
+  EXPECT_LE(CounterTotal(obs, "admission.space_refreshes"), 18681);
 }
 
 TEST(AdmissionLiveDifferentialTest, HypervisorSolverMatchesReferenceOnAmd48Churn) {
@@ -124,12 +148,11 @@ void Churn(Rng& rng, FrameAllocator& frames, std::vector<Mfn>& held, int ops) {
   }
 }
 
-TEST(AdmissionBeamTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
+TEST(AdmissionWideTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
   int decisions[3] = {0, 0, 0};  // indexed by AdmissionDecision
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed);
-    const int n = 14 + static_cast<int>(rng.NextInt(3));
-    ASSERT_GT(n, kMaxNodesExhaustive);
+    const int n = 13 + static_cast<int>(seed % 4);
     const int cpus = 1 + static_cast<int>(rng.NextInt(4));
     const int64_t frames_per_node = 32 + rng.NextInt(96);
     const Topology topo = Topology::Synthetic(n, cpus, frames_per_node * (4ll << 20));
@@ -153,6 +176,10 @@ TEST(AdmissionBeamTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
                                                     : PageOrder::k1G;
         const AdmissionResult result = solver.Solve(request, free_cpus);
         ++decisions[static_cast<int>(result.decision)];
+        const AdmissionResult ref = ReferenceSolve(topo, frames, request, free_cpus);
+        ASSERT_EQ(result.decision, ref.decision) << "seed " << seed << " round " << round;
+        ASSERT_EQ(result.nodes, ref.nodes) << "seed " << seed << " round " << round;
+        ASSERT_EQ(result.score, ref.score) << "seed " << seed << " round " << round;
 
         // Reject iff even the bare machine is too small.
         const bool exceeds_machine = request.memory_pages > frames.total_frames() ||
@@ -197,8 +224,8 @@ TEST(AdmissionBeamTest, WideMachinesAdmitFitRejectExactlyAndRepeat) {
 }
 
 // A request the machine cannot hold now, though an empty machine could,
-// defers without evaluating a candidate, in the exhaustive regime and in
-// the beam; the brute-force reference agrees that nothing fits.
+// defers without building a node set, on a narrow and a wide machine; the
+// brute-force reference agrees that nothing fits.
 TEST(AdmissionPruneTest, ShortMachineDefersWithoutCandidates) {
   for (const int n : {8, 14}) {
     const Topology topo = Topology::Synthetic(n, 2, 64 * (4ll << 20));
@@ -224,9 +251,13 @@ TEST(AdmissionPruneTest, ShortMachineDefersWithoutCandidates) {
   }
 }
 
-// A request no two nodes can hold is searched from three-node sets on: the
-// solve evaluates exactly the 56 three-node subsets of eight nodes and
-// admits the reference's answer.
+// A request no two nodes can hold is searched from three-node sets on. On
+// the empty machine the first set, {0, 1, 2}, already has the best score,
+// and the bound cuts a branch only once its set spans the incumbent's hop
+// diameter, which takes two nodes. So the search builds the six one-node
+// sets {0}..{5} that can still grow to three nodes, the 21 two-node sets
+// they grow into, and {0, 1, 2}: 28 node sets, and it admits the
+// reference's answer.
 TEST(AdmissionPruneTest, SearchStartsAtTheSmallestCardinalityThatCanFit) {
   const Topology topo = Topology::Synthetic(8, 2, 64 * (4ll << 20));
   FrameAllocator frames(topo, 4ll << 20);
@@ -241,7 +272,91 @@ TEST(AdmissionPruneTest, SearchStartsAtTheSmallestCardinalityThatCanFit) {
   EXPECT_EQ(result.nodes, ref.nodes);
   EXPECT_EQ(result.score, ref.score);
   EXPECT_EQ(result.nodes.size(), 3u);
-  EXPECT_EQ(result.candidates_evaluated, 56);
+  EXPECT_EQ(result.candidates_evaluated, 28);
+}
+
+// The widest machine the solver takes, asked at every cardinality k: an
+// empty one for 4(k - 1) + 1 vCPUs, and loaded ones (random free pCPUs and
+// free frames per node) for one more vCPU, or one more frame, than the k - 1
+// largest nodes hold. Equally loaded nodes are what the bounds separate
+// worst, so the empty machine sets the ceiling; the loaded ones build far
+// fewer sets.
+TEST(AdmissionWideTest, ThirtyOneNodesStayUnderTheWorkCeiling) {
+  constexpr int kNodes = kMaxAdmissionNodes;
+  const Topology topo = Topology::Synthetic(kNodes, 4, 256ll << 20);
+  int64_t total = 0;
+  int64_t worst = 0;
+  int admits = 0;
+  const auto solve = [&](const FrameAllocator& frames, const AdmissionSolver& solver,
+                         const AdmissionRequest& request, const std::vector<int>& free_cpus) {
+    const AdmissionResult result = solver.Solve(request, free_cpus);
+    total += result.candidates_evaluated;
+    worst = std::max(worst, result.candidates_evaluated);
+    if (result.decision != AdmissionDecision::kAdmit) {
+      return;
+    }
+    ++admits;
+    int64_t frame_total = 0;
+    int cpu_total = 0;
+    for (const NodeId node : result.nodes) {
+      frame_total += RecountNodeSpace(frames, node).free_frames;
+      cpu_total += free_cpus[node];
+    }
+    EXPECT_GE(frame_total, request.memory_pages);
+    EXPECT_GE(cpu_total, request.num_vcpus);
+  };
+
+  {
+    FrameAllocator frames(topo, 4ll << 20);
+    const AdmissionSolver solver(topo, frames);
+    const std::vector<int> free_cpus(kNodes, 4);
+    for (int k = 1; k <= kNodes; ++k) {
+      AdmissionRequest request;
+      request.num_vcpus = 4 * (k - 1) + 1;
+      request.memory_pages = 1;
+      solve(frames, solver, request, free_cpus);
+    }
+  }
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(seed);
+    FrameAllocator frames(topo, 4ll << 20);
+    const AdmissionSolver solver(topo, frames);
+    std::vector<int> free_cpus(kNodes);
+    std::vector<int> cpus_desc(kNodes);
+    std::vector<int64_t> frames_desc(kNodes);
+    for (NodeId node = 0; node < kNodes; ++node) {
+      free_cpus[node] = static_cast<int>(rng.NextInt(5));
+      const int64_t used = rng.NextInt(frames.FreeFrames(node) * 9 / 10 + 1);
+      for (int64_t f = 0; f < used; ++f) {
+        ASSERT_NE(frames.AllocOnNode(node), kInvalidMfn);
+      }
+      cpus_desc[node] = free_cpus[node];
+      frames_desc[node] = frames.FreeFrames(node);
+    }
+    std::sort(cpus_desc.begin(), cpus_desc.end(), std::greater<>());
+    std::sort(frames_desc.begin(), frames_desc.end(), std::greater<>());
+    int cpus_below = 0;  // held by the k - 1 largest nodes
+    int64_t frames_below = 0;
+    for (int k = 1; k <= kNodes; ++k) {
+      AdmissionRequest cpu_bound;
+      cpu_bound.num_vcpus = cpus_below + 1;
+      cpu_bound.memory_pages = 1;
+      AdmissionRequest frame_bound;
+      frame_bound.num_vcpus = 1;
+      frame_bound.memory_pages = frames_below + 1;
+      frame_bound.preferred_order = k % 2 == 0 ? PageOrder::k2M : PageOrder::k4K;
+      for (const AdmissionRequest& request : {cpu_bound, frame_bound}) {
+        solve(frames, solver, request, free_cpus);
+      }
+      cpus_below += cpus_desc[k - 1];
+      frames_below += frames_desc[k - 1];
+    }
+  }
+  EXPECT_GT(admits, kNodes);
+  // The recorded work: the widest solve (the empty machine at k = 16) and
+  // the sum over every solve here.
+  EXPECT_LE(worst, 838984);
+  EXPECT_LE(total, 4914048);
 }
 
 }  // namespace

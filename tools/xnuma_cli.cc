@@ -9,6 +9,7 @@
 // Common options: --seconds N (nominal runtime scale), --threads N,
 // --seed N, --csv (machine-readable single-line output).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -285,33 +286,72 @@ int CmdPair(const Flags& flags) {
 }
 
 int CmdChurn(const Flags& flags) {
-  ChurnScenarioConfig config;
-  config.spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  config.spec.num_events = static_cast<int>(flags.GetInt("events", 2000));
-  config.spec.target_live_domains = static_cast<int>(flags.GetInt("tenants", 24));
-  config.spec.min_pages = flags.GetInt("min_pages", 8);
-  config.spec.max_pages = flags.GetInt("max_pages", 2048);
-  config.spec.max_vcpus = static_cast<int>(flags.GetInt("vcpus", 6));
-  const int nodes = static_cast<int>(flags.GetInt("nodes", 0));
-  if (nodes > kMaxAdmissionNodes) {
-    std::fprintf(stderr, "churn: --nodes %d exceeds the admission solver's %d-node limit\n",
-                 nodes, kMaxAdmissionNodes);
-    return 2;
-  }
-  if (nodes > 0) {
-    config.amd48 = false;
-    config.nodes = nodes;
-    config.cpus_per_node = static_cast<int>(flags.GetInt("cpus", 4));
-    config.bytes_per_node = flags.GetInt("node_mb", 256) << 20;
-  }
+  // Every flag is read before any is checked, so a refusal warns about no
+  // flag it left unread.
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const int64_t tenants = flags.GetInt("tenants", 24);
+  const int64_t events = flags.GetInt("events", 2000);
+  const int64_t min_pages = flags.GetInt("min_pages", 8);
+  const int64_t max_pages = flags.GetInt("max_pages", 2048);
+  const int64_t vcpus = flags.GetInt("vcpus", 6);
+  const bool synthetic = flags.Has("nodes");
+  const int64_t nodes = flags.GetInt("nodes", 0);
+  // AMD48 leaves --cpus and --node_mb unread, so passing them warns.
+  const int64_t cpus = synthetic ? flags.GetInt("cpus", 4) : 4;
+  const int64_t node_mb = synthetic ? flags.GetInt("node_mb", 256) : 256;
+  const bool csv = flags.GetBool("csv", false);
   const std::string metrics_json_path = flags.GetString("metrics-json", "");
   const bool print_metrics = flags.GetBool("metrics", false);
+  // The churn machine's frames are 4 MiB (the Hypervisor default), and a
+  // node needs at least one.
+  const struct {
+    const char* flag;
+    int64_t value;
+    int64_t min;
+    int64_t max;
+  } ranges[] = {
+      {"events", events, 0, INT32_MAX},
+      {"tenants", tenants, INT32_MIN, INT32_MAX},
+      {"vcpus", vcpus, 1, INT32_MAX},
+      {"min_pages", min_pages, 1, INT64_MAX},
+      {"max_pages", max_pages, min_pages, INT64_MAX},
+      {"nodes", nodes, synthetic ? 1 : 0, INT32_MAX},
+      {"cpus", cpus, 1, INT32_MAX},
+      {"node_mb", node_mb, 4, INT64_MAX >> 20},
+  };
+  for (const auto& range : ranges) {
+    if (range.value < range.min || range.value > range.max) {
+      std::fprintf(stderr, "churn: --%s %lld is out of range [%lld, %lld]\n", range.flag,
+                   static_cast<long long>(range.value), static_cast<long long>(range.min),
+                   static_cast<long long>(range.max));
+      return 2;
+    }
+  }
+  if (nodes > kMaxAdmissionNodes) {
+    std::fprintf(stderr, "churn: --nodes %lld exceeds the admission solver's %d-node limit\n",
+                 static_cast<long long>(nodes), kMaxAdmissionNodes);
+    return 2;
+  }
+
+  ChurnScenarioConfig config;
+  config.spec.seed = seed;
+  config.spec.num_events = static_cast<int>(events);
+  config.spec.target_live_domains = static_cast<int>(tenants);
+  config.spec.min_pages = min_pages;
+  config.spec.max_pages = max_pages;
+  config.spec.max_vcpus = static_cast<int>(vcpus);
+  if (synthetic) {
+    config.amd48 = false;
+    config.nodes = static_cast<int>(nodes);
+    config.cpus_per_node = static_cast<int>(cpus);
+    config.bytes_per_node = node_mb << 20;
+  }
   Observability obs;
   if (!metrics_json_path.empty() || print_metrics) {
     config.obs = &obs;
   }
   const ChurnReport r = RunChurnScenario(config);
-  if (flags.GetBool("csv", false)) {
+  if (csv) {
     std::printf("churn,%lld,%lld,%lld,%lld,%lld,%lld,%.3f,%.3f,%.3f,%.4f,%016llx\n",
                 static_cast<long long>(r.events), static_cast<long long>(r.arrivals),
                 static_cast<long long>(r.admitted), static_cast<long long>(r.deferred),
