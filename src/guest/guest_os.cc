@@ -1,7 +1,6 @@
 #include "src/guest/guest_os.h"
 
 #include <algorithm>
-#include <string>
 
 #include "src/common/check.h"
 
@@ -24,16 +23,10 @@ GuestOs::GuestOs(Hypervisor& hv, DomainId domain, Options options)
 }
 
 void GuestOs::FetchVnuma() {
-  // Boot-time topology discovery (docs/VNUMA.md): ask the hypervisor for
-  // the tables and consume them through the serialized ABI — the guest
-  // parses exactly the bytes a real XENMEM_get_vnuma_info copy would hand
-  // it, so the wire contract is exercised on every vNUMA boot.
-  VnumaInfo hv_info;
-  const HypercallStatus status = hv_->HypercallGetVnumaInfo(domain_, &hv_info);
-  XNUMA_CHECK(status == HypercallStatus::kOk);
-  const std::vector<uint8_t> wire = SerializeVnumaInfo(hv_info);
-  std::string error;
-  XNUMA_CHECK(DeserializeVnumaInfo(wire, &vnuma_, &error));
+  // Boot-time topology discovery (docs/VNUMA.md): the hypercall fills the
+  // typed tables directly, as XENMEM_get_vnuma_info fills the guest's
+  // arrays through guest handles.
+  XNUMA_CHECK(hv_->HypercallGetVnumaInfo(domain_, &vnuma_) == HypercallStatus::kOk);
 
   // Partition the free pages into per-vnode LIFO freelists. The boot list
   // is ascending and the canonical memranges give vnode v the contiguous
@@ -94,11 +87,7 @@ void GuestOs::FetchVnuma() {
 
 void GuestOs::RefreshVnuma() {
   XNUMA_CHECK(vnuma_active_);
-  VnumaInfo hv_info;
-  XNUMA_CHECK(hv_->HypercallGetVnumaInfo(domain_, &hv_info) == HypercallStatus::kOk);
-  const std::vector<uint8_t> wire = SerializeVnumaInfo(hv_info);
-  std::string error;
-  XNUMA_CHECK(DeserializeVnumaInfo(wire, &vnuma_, &error));
+  XNUMA_CHECK(hv_->HypercallGetVnumaInfo(domain_, &vnuma_) == HypercallStatus::kOk);
   // The partition (memranges) is a creation-time constant, so the freelists
   // stand; only the vcpu map and the snapshot generation moved.
   cpu_vnode_.assign(cpu_vnode_.size(), -1);

@@ -114,7 +114,7 @@ class GuestOs {
   // ---- vNUMA topology client (docs/VNUMA.md). ----
   // Whether the guest booted with (and fetched) vNUMA tables.
   bool vnuma_active() const { return vnuma_active_; }
-  // The tables as fetched (round-tripped through the serialized ABI).
+  // The tables as fetched.
   const VnumaInfo& vnuma_info() const { return vnuma_; }
   // Re-fetches the tables — what a guest that *could* re-read topology at
   // runtime would do. Updates the vcpu->vnode map and generation; the page

@@ -1,6 +1,5 @@
 #include "src/hv/vnuma.h"
 
-#include <cstring>
 #include <limits>
 
 #include "src/common/check.h"
@@ -29,64 +28,6 @@ int32_t NearestVnode(const std::vector<NodeId>& homes, const Topology& topo,
   }
   return best;
 }
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
-};
-
-bool Fail(std::string* error, const char* what) {
-  if (error != nullptr) {
-    *error = what;
-  }
-  return false;
-}
-
-// Keeps a hostile buffer from asking for gigabytes of table memory.
-constexpr uint32_t kMaxVnodes = 1 << 12;
-constexpr uint32_t kMaxVcpus = 1 << 16;
 
 }  // namespace
 
@@ -133,106 +74,6 @@ VnumaInfo BuildVnumaInfo(const Domain& dom, const Topology& topo) {
       return info;
     }
   }
-}
-
-std::vector<uint8_t> SerializeVnumaInfo(const VnumaInfo& info) {
-  std::vector<uint8_t> out;
-  AppendU32(&out, kVnumaAbiMagic);
-  AppendU32(&out, kVnumaAbiVersion);
-  AppendU64(&out, info.generation);
-  AppendU32(&out, static_cast<uint32_t>(info.nr_vnodes));
-  AppendU32(&out, static_cast<uint32_t>(info.nr_vcpus));
-  for (const VnumaMemrange& mr : info.memranges) {
-    AppendU64(&out, static_cast<uint64_t>(mr.start));
-    AppendU64(&out, static_cast<uint64_t>(mr.end));
-    AppendU32(&out, static_cast<uint32_t>(mr.vnode));
-  }
-  for (int32_t d : info.distances) {
-    AppendU32(&out, static_cast<uint32_t>(d));
-  }
-  for (int32_t v : info.vcpu_to_vnode) {
-    AppendU32(&out, static_cast<uint32_t>(v));
-  }
-  return out;
-}
-
-bool DeserializeVnumaInfo(std::span<const uint8_t> bytes, VnumaInfo* out,
-                          std::string* error) {
-  XNUMA_CHECK(out != nullptr);
-  Reader r(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!r.ReadU32(&magic) || magic != kVnumaAbiMagic) {
-    return Fail(error, "vnuma: bad magic");
-  }
-  if (!r.ReadU32(&version) || version != kVnumaAbiVersion) {
-    return Fail(error, "vnuma: unsupported ABI version");
-  }
-  uint64_t generation = 0;
-  uint32_t nr_vnodes = 0;
-  uint32_t nr_vcpus = 0;
-  if (!r.ReadU64(&generation) || !r.ReadU32(&nr_vnodes) || !r.ReadU32(&nr_vcpus)) {
-    return Fail(error, "vnuma: truncated header");
-  }
-  if (nr_vnodes == 0 || nr_vnodes > kMaxVnodes) {
-    return Fail(error, "vnuma: nr_vnodes out of range");
-  }
-  if (nr_vcpus > kMaxVcpus) {
-    return Fail(error, "vnuma: nr_vcpus out of range");
-  }
-  VnumaInfo info;
-  info.generation = generation;
-  info.nr_vnodes = static_cast<int32_t>(nr_vnodes);
-  info.nr_vcpus = static_cast<int32_t>(nr_vcpus);
-  info.memranges.resize(nr_vnodes);
-  Pfn expected_start = 0;
-  for (uint32_t i = 0; i < nr_vnodes; ++i) {
-    uint64_t start = 0;
-    uint64_t end = 0;
-    uint32_t vnode = 0;
-    if (!r.ReadU64(&start) || !r.ReadU64(&end) || !r.ReadU32(&vnode)) {
-      return Fail(error, "vnuma: truncated memranges");
-    }
-    if (start > end || vnode >= nr_vnodes) {
-      return Fail(error, "vnuma: malformed memrange");
-    }
-    // The canonical layout is sorted, disjoint, gap-free: each range starts
-    // where the previous one ended.
-    if (static_cast<Pfn>(start) != expected_start) {
-      return Fail(error, "vnuma: memranges not contiguous");
-    }
-    expected_start = static_cast<Pfn>(end);
-    info.memranges[i] = {static_cast<Pfn>(start), static_cast<Pfn>(end),
-                         static_cast<int32_t>(vnode)};
-  }
-  info.distances.resize(static_cast<size_t>(nr_vnodes) * nr_vnodes);
-  for (size_t i = 0; i < info.distances.size(); ++i) {
-    uint32_t d = 0;
-    if (!r.ReadU32(&d)) {
-      return Fail(error, "vnuma: truncated distances");
-    }
-    if (d < static_cast<uint32_t>(kVnumaLocalDistance) ||
-        d > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
-      return Fail(error, "vnuma: distance out of range");
-    }
-    info.distances[i] = static_cast<int32_t>(d);
-  }
-  info.vcpu_to_vnode.resize(nr_vcpus);
-  for (uint32_t i = 0; i < nr_vcpus; ++i) {
-    uint32_t v = 0;
-    if (!r.ReadU32(&v)) {
-      return Fail(error, "vnuma: truncated vcpu map");
-    }
-    if (v >= nr_vnodes) {
-      return Fail(error, "vnuma: vcpu_to_vnode out of range");
-    }
-    info.vcpu_to_vnode[i] = static_cast<int32_t>(v);
-  }
-  if (!r.AtEnd()) {
-    return Fail(error, "vnuma: trailing bytes");
-  }
-  *out = std::move(info);
-  return true;
 }
 
 }  // namespace xnuma

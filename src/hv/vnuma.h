@@ -1,4 +1,4 @@
-// Guest-visible vNUMA topology tables and their wire ABI (docs/VNUMA.md).
+// Guest-visible vNUMA topology tables (docs/VNUMA.md).
 //
 // Mirrors Xen's XENMEM_get_vnuma_info: the hypervisor hands the guest three
 // tables — memory ranges per virtual node, a virtual SLIT distance matrix,
@@ -12,8 +12,6 @@
 #define XENNUMA_SRC_HV_VNUMA_H_
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -23,10 +21,6 @@ namespace xnuma {
 class Domain;
 class Topology;
 
-// Version of the serialized table layout (bump on any layout change).
-inline constexpr uint32_t kVnumaAbiVersion = 1;
-// Leading magic of a serialized VnumaInfo: "XVNA", little-endian.
-inline constexpr uint32_t kVnumaAbiMagic = 0x414E5658;
 // Virtual SLIT distances: local access, and the per-hop increment.
 inline constexpr int32_t kVnumaLocalDistance = 10;
 inline constexpr int32_t kVnumaHopDistance = 10;
@@ -67,16 +61,6 @@ struct VnumaInfo {
 // tables are never torn by a concurrent migration. Requires
 // dom.vnuma_enabled().
 VnumaInfo BuildVnumaInfo(const Domain& dom, const Topology& topo);
-
-// The serialized ABI (docs/VNUMA.md §4): fixed-width little-endian fields,
-// magic + version header. Serialize -> Deserialize -> Serialize is a
-// byte-level fixed point (property-tested).
-std::vector<uint8_t> SerializeVnumaInfo(const VnumaInfo& info);
-
-// Returns false (and sets *error) on bad magic, foreign version, truncated
-// or oversized buffers, or out-of-range table entries.
-bool DeserializeVnumaInfo(std::span<const uint8_t> bytes, VnumaInfo* out,
-                          std::string* error);
 
 }  // namespace xnuma
 

@@ -1,16 +1,13 @@
-// Property tests for the vNUMA table ABI (docs/VNUMA.md):
+// Property tests for the vNUMA tables (docs/VNUMA.md):
 //  - randomized domains produce well-formed tables (memranges sorted,
 //    disjoint, covering; distances symmetric with a 10 diagonal; vcpu map
 //    in range),
-//  - serialize -> deserialize -> serialize is a byte-level fixed point,
-//  - every corruption class is rejected with a clean error,
 //  - snapshots stay generation-consistent under a concurrent migration
 //    writer (the seqlock contract; run under TSan by the vnuma preset).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,83 +113,6 @@ TEST(VnumaPropertyTest, RandomDomainsProduceWellFormedTables) {
     ASSERT_EQ(hv.HypercallGetVnumaInfo(id, &info), HypercallStatus::kOk);
     EXPECT_EQ(info.generation, static_cast<uint64_t>(moves));
     ExpectWellFormed(info, hv.domain(id), topo);
-  }
-}
-
-TEST(VnumaPropertyTest, SerializationIsAByteLevelFixedPoint) {
-  Rand rng(0xF1CED);
-  for (int iter = 0; iter < 40; ++iter) {
-    Topology topo = Topology::Amd48();
-    Hypervisor hv(topo);
-    const DomainId id = RandomVnumaDomain(hv, rng);
-    VnumaInfo info;
-    ASSERT_EQ(hv.HypercallGetVnumaInfo(id, &info), HypercallStatus::kOk);
-
-    const std::vector<uint8_t> bytes = SerializeVnumaInfo(info);
-    VnumaInfo back;
-    std::string error;
-    ASSERT_TRUE(DeserializeVnumaInfo(bytes, &back, &error)) << error;
-    EXPECT_EQ(back, info);
-    EXPECT_EQ(SerializeVnumaInfo(back), bytes);
-  }
-}
-
-TEST(VnumaPropertyTest, CorruptionIsRejectedWithCleanErrors) {
-  Topology topo = Topology::Amd48();
-  Hypervisor hv(topo);
-  Rand rng(0xBAD);
-  const DomainId id = RandomVnumaDomain(hv, rng);
-  VnumaInfo info;
-  ASSERT_EQ(hv.HypercallGetVnumaInfo(id, &info), HypercallStatus::kOk);
-  const std::vector<uint8_t> good = SerializeVnumaInfo(info);
-  VnumaInfo out;
-  std::string error;
-
-  {  // flipped magic
-    std::vector<uint8_t> bad = good;
-    bad[0] ^= 0xFF;
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-  }
-  {  // foreign ABI version
-    std::vector<uint8_t> bad = good;
-    bad[4] = static_cast<uint8_t>(kVnumaAbiVersion + 1);
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
-  }
-  {  // every truncation point fails, never crashes
-    for (size_t len = 0; len < good.size(); ++len) {
-      std::vector<uint8_t> bad(good.begin(), good.begin() + static_cast<long>(len));
-      EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error)) << "len " << len;
-    }
-  }
-  {  // trailing bytes
-    std::vector<uint8_t> bad = good;
-    bad.push_back(0);
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("trailing"), std::string::npos) << error;
-  }
-  {  // a vcpu map entry naming a nonexistent vnode (last u32 of the buffer)
-    std::vector<uint8_t> bad = good;
-    bad[bad.size() - 4] = 0xFF;
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("vcpu_to_vnode"), std::string::npos) << error;
-  }
-  {  // non-contiguous memranges: nudge the first range's start (offset 24)
-    std::vector<uint8_t> bad = good;
-    bad[24] ^= 0x01;
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("memrange"), std::string::npos) << error;
-  }
-  {  // sub-local distance in the matrix (first distance word)
-    const size_t dist_off = 24 + static_cast<size_t>(info.nr_vnodes) * 20;
-    std::vector<uint8_t> bad = good;
-    bad[dist_off] = 0x01;  // 1 < kVnumaLocalDistance
-    bad[dist_off + 1] = 0;
-    bad[dist_off + 2] = 0;
-    bad[dist_off + 3] = 0;
-    EXPECT_FALSE(DeserializeVnumaInfo(bad, &out, &error));
-    EXPECT_NE(error.find("distance"), std::string::npos) << error;
   }
 }
 

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Doc-lint for the vNUMA interface spec (docs/VNUMA.md): every piece of the
-# interface that exists in code — hypercall surface names, VnumaInfo /
-# VnumaMemrange table fields, ABI constants, the CLI modes, and every
-# vnuma metric — must be documented in the spec. Runs as ctest
-# `vnuma_doc_lint` (label `vnuma`); style of tools/check_obs_docs.sh.
+# Doc-lint for the vNUMA interface spec (docs/VNUMA.md), in both
+# directions:
+#  * every piece of the interface that exists in code — hypercall surface
+#    names, VnumaInfo / VnumaMemrange table fields, kVnuma* constants, the
+#    CLI modes, and every vnuma metric — must be documented in the spec;
+#  * every kVnuma* constant, *VnumaInfo function and Hypercall*Vnuma* call
+#    the spec names must still be declared in a src/ header.
+# Runs as ctest `vnuma_doc_lint` (label `vnuma`); style of
+# tools/check_obs_docs.sh.
 #
 # Usage: tools/check_vnuma_docs.sh [repo-root]   (default: script's parent)
 set -euo pipefail
@@ -47,7 +51,7 @@ done < <(awk '/^struct (VnumaMemrange|VnumaInfo) \{/,/^\};/' "$ROOT/src/hv/vnuma
          grep -oE '[a-z_][a-z_0-9]*( = [^;]*)?;' |
          sed -E 's/( = [^;]*)?;//' | sort -u)
 
-# ---- ABI constants.
+# ---- Constants.
 while IFS= read -r name; do
   require "$name" "src/hv/vnuma.h constant"
 done < <(grep -oE 'kVnuma[A-Za-z]+' "$ROOT/src/hv/vnuma.h" | sort -u)
@@ -71,12 +75,33 @@ done < <(find "$ROOT/src" "$ROOT/bench" "$ROOT/tools" \
          grep -oE 'Register(Counter|Gauge|Histogram)\( *"[^"]*vnuma[^"]*"' |
          sed -E 's/.*"([^"]+)"/\1/' | sort -u)
 
-if [[ "$total" -eq 0 ]]; then
+# ---- Stale names: a constant must still be defined (`kVnumaX =`, or an
+# enumerator `kVnumaX,`) and a function still declared (`Name(`) in a
+# src/ header.
+headers=$(find "$ROOT/src" -name '*.h' -print0 | xargs -0 cat)
+stale=0
+named=0
+while IFS= read -r name; do
+  named=$((named + 1))
+  case "$name" in
+    kVnuma*) pattern="(^|[^A-Za-z0-9_])$name *(=|,)" ;;
+    *) pattern="(^|[^A-Za-z0-9_])$name\\(" ;;
+  esac
+  if ! grep -qE -e "$pattern" <<< "$headers"; then
+    echo "FAIL: docs/VNUMA.md names '$name', which src/ does not define"
+    stale=$((stale + 1))
+  fi
+done < <(grep -oE 'kVnuma[A-Za-z]+|[A-Za-z]+VnumaInfo|Hypercall[A-Za-z]*Vnuma[A-Za-z]*' "$DOC" |
+         sort -u)
+
+if [[ "$total" -eq 0 || "$named" -eq 0 ]]; then
   echo "FAIL: found no vNUMA surface to check (lint is miswired?)"
   exit 1
 fi
-if [[ "$missing" -gt 0 ]]; then
-  echo "FAIL: $missing of $total vNUMA interface names undocumented"
+if [[ "$missing" -gt 0 || "$stale" -gt 0 ]]; then
+  echo "FAIL: $missing of $total vNUMA interface names undocumented;" \
+       "$stale of $named names in docs/VNUMA.md no longer defined in src/"
   exit 1
 fi
-echo "OK: all $total vNUMA interface names documented in docs/VNUMA.md"
+echo "OK: all $total vNUMA interface names documented in docs/VNUMA.md;" \
+     "all $named constants and calls it names are defined in src/"
