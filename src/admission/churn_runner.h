@@ -50,7 +50,7 @@ class ChurnRunner {
   explicit ChurnRunner(Hypervisor& hv);
 
   // Replays the trace. `tmpl` supplies everything an arrival's DomainConfig
-  // needs beyond the event (policy, ft_superpage, ...); num_vcpus,
+  // needs beyond the event (policy, replication, ...); num_vcpus,
   // memory_pages, p2m_max_order and strict_admission are overridden per
   // event. May be called repeatedly; domains created by earlier runs that
   // are still alive keep their resources.

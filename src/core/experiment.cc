@@ -76,8 +76,6 @@ struct Machine {
     dc.pinned_cpus = std::move(pins);
     dc.policy = stack.policy;
     dc.pci_passthrough = passthrough;
-    dc.p2m_max_order = stack.p2m_max_order;
-    dc.ft_superpage = stack.ft_superpage;
     dc.p2m_replication = stack.p2m_replication;
     const bool vnuma = stack.vnuma != VnumaMode::kOff && stack.mode == ExecMode::kGuest;
     if (vnuma) {

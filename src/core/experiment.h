@@ -52,13 +52,6 @@ struct StackConfig {
   // Enable the automatic policy selector (§7 extension): the domain boots
   // with `policy` (round-4K by default) and the selector takes over.
   bool auto_numa_policy = false;
-  // Largest superpage order app domains are shaped for (CLI
-  // --p2m_max_order): the admission preference and the policies' region
-  // geometry; see docs/MODEL.md §14.
-  PageOrder p2m_max_order = PageOrder::k4K;
-  // First-touch faults map whole aligned superpage blocks (CLI
-  // --ft_superpage; opt-in because it changes placement).
-  bool ft_superpage = false;
   // Guest-visible topology (CLI --vnuma). Only meaningful for guest-mode
   // stacks; AddAppVm enables the domain's vNUMA tables, the hybrid policy
   // wrapper, and the guest's NUMA-aware allocator when != kOff.
@@ -165,7 +158,7 @@ struct ChurnScenarioConfig {
   int nodes = 4;
   int cpus_per_node = 4;
   int64_t bytes_per_node = 256ll << 20;
-  // Per-arrival DomainConfig template (policy, ft_superpage, ...); sizes
+  // Per-arrival DomainConfig template (policy, replication, ...); sizes
   // and admission mode come from the trace.
   DomainConfig domain_template;
   // Optional metrics + event tracing (must outlive the call).

@@ -55,14 +55,6 @@ class Domain {
   const std::vector<NodeId>& home_nodes() const { return home_nodes_; }
   void set_home_nodes(std::vector<NodeId> nodes) { home_nodes_ = std::move(nodes); }
 
-  // Page-size geometry used to build this domain's policies, fixed at
-  // creation from the machine frame scale and the configured P2M max order.
-  // Runtime policy switches (HypercallSetPolicy, the automatic selector)
-  // rebuild policies with the same geometry so superpage-aware placement
-  // survives a switch.
-  const PolicyGeometry& policy_geometry() const { return policy_geometry_; }
-  void set_policy_geometry(const PolicyGeometry& geom) { policy_geometry_ = geom; }
-
   const PolicyConfig& policy_config() const { return policy_config_; }
   NumaPolicy* policy() { return policy_.get(); }
   void SetPolicy(PolicyConfig config, std::unique_ptr<NumaPolicy> policy) {
@@ -167,7 +159,6 @@ class Domain {
   std::vector<VcpuDesc> vcpus_;
   P2mTable p2m_;
   std::vector<NodeId> home_nodes_;
-  PolicyGeometry policy_geometry_;
   PolicyConfig policy_config_;
   std::unique_ptr<NumaPolicy> policy_;
   bool pci_passthrough_ = false;

@@ -188,53 +188,6 @@ int Hypervisor::num_live_domains() const {
   return live;
 }
 
-namespace {
-
-bool IsPow2(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
-
-// The policies' region geometry for a new domain. The machine's frame
-// scale decides which superpage orders exist up to the configured maximum
-// (ResolveP2mOrders).
-PolicyGeometry OrderGeometry(const DomainConfig& config, const FrameAllocator& frames) {
-  PolicyGeometry geom;
-  const int64_t pages_per_2m = frames.FramesPerOrder(PageOrder::k2M);
-  const int64_t pages_per_1g = frames.FramesPerOrder(PageOrder::k1G);
-  const P2mOrders orders = ResolveP2mOrders(config.p2m_max_order, pages_per_2m, pages_per_1g);
-  if (orders.max_order == PageOrder::k4K) {
-    return geom;
-  }
-  // Align the policies' region sizes with the orders that exist, so
-  // round-1G regions and (opted-in) first-touch blocks cover whole
-  // superpages. At the default 4 MiB frame scale these equal the defaults,
-  // so order-enabled runs place identically.
-  geom.pages_per_1g = pages_per_1g;
-  geom.pages_per_2m = pages_per_2m;
-  if (config.ft_superpage) {
-    geom.ft_fault_map_pages = orders.span_2m > 1 ? orders.span_2m : orders.span_1g;
-  }
-  return geom;
-}
-
-}  // namespace
-
-P2mOrders ResolveP2mOrders(PageOrder max_order, int64_t pages_per_2m, int64_t pages_per_1g) {
-  P2mOrders orders;
-  if (max_order == PageOrder::k4K) {
-    return orders;
-  }
-  if (pages_per_2m > 1 && IsPow2(pages_per_2m) && pages_per_2m <= P2mTable::kChunkPages) {
-    orders.span_2m = pages_per_2m;
-    orders.max_order = PageOrder::k2M;
-  }
-  // Without a 2M order span_2m is 1, which any 1G span above one page exceeds.
-  if (max_order == PageOrder::k1G && pages_per_1g > 1 && IsPow2(pages_per_1g) &&
-      pages_per_1g > orders.span_2m) {
-    orders.span_1g = pages_per_1g;
-    orders.max_order = PageOrder::k1G;
-  }
-  return orders;
-}
-
 DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
   XNUMA_TRACE_SCOPE(obs_, "domain_create", "hv");
   XNUMA_CHECK(config.num_vcpus > 0);
@@ -322,9 +275,8 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
       dom->p2m().SetVcpuNode(v, topo_->node_of_cpu(pins[v]));
     }
   }
-  dom->set_policy_geometry(OrderGeometry(config, frames_));
   dom->ConfigureVnuma(config.vnuma);
-  dom->SetPolicy(config.policy, MakePolicy(config.policy, dom->policy_geometry()));
+  dom->SetPolicy(config.policy, MakePolicy(config.policy));
 
   domains_.push_back(std::move(dom));
   backends_.push_back(std::make_unique<HvPlacementBackend>(*domains_.back(), frames_));
@@ -359,7 +311,7 @@ HypercallStatus Hypervisor::HypercallSetPolicy(DomainId id, const PolicyConfig& 
     dom.set_carrefour(config.carrefour);
     return HypercallStatus::kOk;
   }
-  dom.SetPolicy(config, MakePolicy(config, dom.policy_geometry()));
+  dom.SetPolicy(config, MakePolicy(config));
   backend(id).InitializePolicy(*dom.policy());
   return HypercallStatus::kOk;
 }

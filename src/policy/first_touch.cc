@@ -12,22 +12,6 @@ void FirstTouchPolicy::Initialize(PlacementBackend& backend) {
 }
 
 NodeId FirstTouchPolicy::OnFirstTouch(PlacementBackend& backend, Pfn pfn, NodeId toucher_node) {
-  if (fault_map_pages_ > 1 && toucher_node != kInvalidNode) {
-    const Pfn block_first = pfn & ~(fault_map_pages_ - 1);
-    if (block_first + fault_map_pages_ <= backend.num_pages()) {
-      bool untouched = true;
-      for (Pfn p = block_first; p < block_first + fault_map_pages_; ++p) {
-        if (backend.IsMapped(p)) {
-          untouched = false;
-          break;
-        }
-      }
-      if (untouched &&
-          backend.MapRangeOnNode(block_first, fault_map_pages_, toucher_node)) {
-        return toucher_node;
-      }
-    }
-  }
   return MapWithFallback(backend, pfn, toucher_node, &fallback_cursor_);
 }
 

@@ -10,15 +10,6 @@ namespace xnuma {
 
 class FirstTouchPolicy : public NumaPolicy {
  public:
-  // With fault_map_pages > 1 (PolicyGeometry::ft_fault_map_pages), a fault
-  // maps the whole aligned block around the faulting page in one contiguous
-  // allocation on the toucher's node, as a superpage fault would. A block
-  // that is partially mapped, out of range, or fails the contiguous
-  // allocation falls back to the classic per-page path (the block stays
-  // lazily faultable).
-  explicit FirstTouchPolicy(int64_t fault_map_pages = 1)
-      : fault_map_pages_(fault_map_pages) {}
-
   StaticPolicy kind() const override { return StaticPolicy::kFirstTouch; }
 
   // Leaves every page unmapped so the first access traps.
@@ -29,7 +20,6 @@ class FirstTouchPolicy : public NumaPolicy {
   NodeId OnFirstTouch(PlacementBackend& backend, Pfn pfn, NodeId toucher_node) override;
 
  private:
-  int64_t fault_map_pages_ = 1;
   int fallback_cursor_ = 0;
 };
 

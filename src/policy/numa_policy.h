@@ -44,22 +44,7 @@ class NumaPolicy {
   }
 };
 
-// Page-size geometry handed to the policies (§3.3 + docs/MODEL.md §14).
-// Region sizes are in simulated pages at the machine's frame scale; the
-// defaults reproduce the historical hard-coded values (1 GiB = 256 pages at
-// the 4 MiB/frame scale, 2 MiB collapsed), so MakePolicy(kind) and
-// MakePolicy(kind, PolicyGeometry{}) build identical policies.
-struct PolicyGeometry {
-  int64_t pages_per_1g = 256;
-  int64_t pages_per_2m = 1;
-  // First-touch fault granularity: >1 makes a fault map the whole aligned
-  // superpage-sized block when the block is untouched (opt-in via
-  // --ft_superpage; changes placement, so never implied).
-  int64_t ft_fault_map_pages = 1;
-};
-
 std::unique_ptr<NumaPolicy> MakePolicy(StaticPolicy kind);
-std::unique_ptr<NumaPolicy> MakePolicy(StaticPolicy kind, const PolicyGeometry& geom);
 
 }  // namespace xnuma
 

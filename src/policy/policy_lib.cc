@@ -48,17 +48,13 @@ int64_t PlacementBackend::MapRoundRobin(Pfn first, int64_t count, int cursor, Pf
 }
 
 std::unique_ptr<NumaPolicy> MakePolicy(StaticPolicy kind) {
-  return MakePolicy(kind, PolicyGeometry{});
-}
-
-std::unique_ptr<NumaPolicy> MakePolicy(StaticPolicy kind, const PolicyGeometry& geom) {
   switch (kind) {
     case StaticPolicy::kFirstTouch:
-      return std::make_unique<FirstTouchPolicy>(geom.ft_fault_map_pages);
+      return std::make_unique<FirstTouchPolicy>();
     case StaticPolicy::kRound4k:
       return std::make_unique<Round4kPolicy>();
     case StaticPolicy::kRound1g:
-      return std::make_unique<Round1gPolicy>(geom.pages_per_1g, geom.pages_per_2m);
+      return std::make_unique<Round1gPolicy>();
   }
   XNUMA_CHECK(false);
   return nullptr;

@@ -50,52 +50,30 @@ NodeId Round4kPolicy::OnFirstTouch(PlacementBackend& backend, Pfn pfn, NodeId to
   return MapWithFallback(backend, pfn, preferred, &cursor_);
 }
 
-Round1gPolicy::Round1gPolicy(int64_t pages_per_1g, int64_t pages_per_2m)
-    : pages_per_1g_(std::max<int64_t>(1, pages_per_1g)),
-      pages_per_2m_(std::max<int64_t>(1, pages_per_2m)) {
-  XNUMA_CHECK(pages_per_2m_ <= pages_per_1g_);
-}
-
 void Round1gPolicy::Initialize(PlacementBackend& backend) {
-  placed_1g_ = placed_2m_ = placed_4k_ = 0;
+  placed_1g_ = placed_4k_ = 0;
   const int64_t total = backend.num_pages();
-  for (Pfn first = 0; first < total; first += pages_per_1g_) {
-    const int64_t count = std::min(pages_per_1g_, total - first);
-    PlaceRegion(backend, first, count, pages_per_1g_);
+  for (Pfn first = 0; first < total; first += kRound1gRegionPages) {
+    PlaceRegion(backend, first, std::min(kRound1gRegionPages, total - first));
   }
 }
 
-void Round1gPolicy::PlaceRegion(PlacementBackend& backend, Pfn first, int64_t count,
-                                int64_t region_pages) {
+void Round1gPolicy::PlaceRegion(PlacementBackend& backend, Pfn first, int64_t count) {
   const auto& homes = backend.home_nodes();
   XNUMA_CHECK(!homes.empty());
 
-  // A full-size aligned region is placed as one contiguous unit on the next
-  // home node (trying each in turn); partial or unplaceable regions recurse
-  // at the next granularity, as Xen does on fragmentation (§3.3).
-  if (count == region_pages && region_pages > 1) {
+  // A full region is placed as one contiguous unit on the next home node
+  // (trying each in turn); a partial or unplaceable one falls back to
+  // single pages, as Xen does on fragmentation (§3.3).
+  if (count == kRound1gRegionPages) {
     for (size_t attempt = 0; attempt < homes.size(); ++attempt) {
       const NodeId node = homes[cursor_ % homes.size()];
       ++cursor_;
       if (backend.MapRangeOnNode(first, count, node)) {
-        if (region_pages == pages_per_1g_) {
-          placed_1g_ += count;
-        } else {
-          placed_2m_ += count;
-        }
+        placed_1g_ += count;
         return;
       }
     }
-  }
-
-  // One-page 2M regions would each go straight to the 4 KiB loop below, so
-  // the loop takes the whole range at once.
-  if (region_pages > pages_per_2m_ && count > pages_per_2m_ && pages_per_2m_ > 1) {
-    for (Pfn sub = first; sub < first + count; sub += pages_per_2m_) {
-      const int64_t sub_count = std::min(pages_per_2m_, first + count - sub);
-      PlaceRegion(backend, sub, sub_count, pages_per_2m_);
-    }
-    return;
   }
 
   // 4 KiB granularity: round-robin with fallback.

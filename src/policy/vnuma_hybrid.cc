@@ -34,9 +34,8 @@ void VnumaHybridPolicy::OnRelease(PlacementBackend& backend, Pfn pfn) {
   base_->OnRelease(backend, pfn);
 }
 
-std::unique_ptr<NumaPolicy> MakePolicy(const PolicyConfig& config,
-                                       const PolicyGeometry& geom) {
-  std::unique_ptr<NumaPolicy> base = MakePolicy(config.placement, geom);
+std::unique_ptr<NumaPolicy> MakePolicy(const PolicyConfig& config) {
+  std::unique_ptr<NumaPolicy> base = MakePolicy(config.placement);
   if (!config.vnuma) {
     return base;
   }

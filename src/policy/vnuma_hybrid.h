@@ -39,7 +39,7 @@ class VnumaHybridPolicy : public NumaPolicy {
 
 // Builds the policy for `config`: the base static policy, wrapped in the
 // vNUMA hybrid when config.vnuma is set.
-std::unique_ptr<NumaPolicy> MakePolicy(const PolicyConfig& config, const PolicyGeometry& geom);
+std::unique_ptr<NumaPolicy> MakePolicy(const PolicyConfig& config);
 
 }  // namespace xnuma
 

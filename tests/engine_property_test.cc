@@ -166,7 +166,7 @@ TEST(EnginePropertyTest, CarrefourMigratesOnlyWhenEnabled) {
   EXPECT_GT(on.carrefour_migrations, 0);
 }
 
-// A first-touch + Carrefour run with allocator churn on a machine whose
+// A Carrefour run of `placement` with allocator churn on a machine whose
 // non-home nodes were filled before it started: every migration Carrefour
 // aims at them is refused by genuine exhaustion. Every 8 epochs:
 //  (a) every valid P2M entry is backed by an allocated machine frame with a
@@ -174,7 +174,8 @@ TEST(EnginePropertyTest, CarrefourMigratesOnlyWhenEnabled) {
 //      (allocated frames, no duplicate of the primary);
 //  (b) the engine's incremental placement aggregates match a full rescan;
 //  (c) every owned virtual page resolves to a mapped physical page.
-TEST(EnginePropertyTest, InvariantsHoldWhileFullNodesRefuseMigrations) {
+// At the end the P2M's counters must match its entries.
+void CheckInvariantsWhileFullNodesRefuseMigrations(StaticPolicy placement) {
   AppProfile app;
   app.name = "full-nodes";
   app.cpu_cycles_per_access = 150;
@@ -209,7 +210,7 @@ TEST(EnginePropertyTest, InvariantsHoldWhileFullNodesRefuseMigrations) {
   for (int i = 0; i < 12; ++i) {
     dc.pinned_cpus.push_back(i);
   }
-  dc.policy = {StaticPolicy::kFirstTouch, true};
+  dc.policy = {placement, true};
   const DomainId dom = hv.CreateDomain(dc);
   GuestOs guest(hv, dom);
   const std::vector<NodeId>& homes = hv.domain(dom).home_nodes();
@@ -290,6 +291,14 @@ TEST(EnginePropertyTest, InvariantsHoldWhileFullNodesRefuseMigrations) {
     }
   }
   EXPECT_GT(failed_migrations, 0) << "no migration was refused by a full node";
+  domain.p2m().AuditCounters();
+}
+
+TEST(EnginePropertyTest, InvariantsHoldWhileFullNodesRefuseMigrations) {
+  for (const StaticPolicy placement : {StaticPolicy::kFirstTouch, StaticPolicy::kRound1g}) {
+    SCOPED_TRACE(ToString(placement));
+    CheckInvariantsWhileFullNodesRefuseMigrations(placement);
+  }
 }
 
 }  // namespace

@@ -60,8 +60,6 @@ struct PinnedCase {
   const char* label;
   StaticPolicy placement;
   bool carrefour;
-  PageOrder max_order;
-  bool ft_superpage;
   uint64_t digest;
 };
 
@@ -111,8 +109,6 @@ uint64_t RunDigest(const PinnedCase& pc) {
   }
   cfg.policy.placement = pc.placement;
   cfg.policy.carrefour = pc.carrefour;
-  cfg.p2m_max_order = pc.max_order;
-  cfg.ft_superpage = pc.ft_superpage;
   const DomainId dom = hv.CreateDomain(cfg);
   GuestOs guest(hv, dom);
   Engine engine(hv, latency, ec);
@@ -167,20 +163,11 @@ TEST_P(P2mPinnedTest, DigestIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, P2mPinnedTest,
     ::testing::Values(
-        PinnedCase{"first_touch", StaticPolicy::kFirstTouch, false, PageOrder::k4K, false,
-                   0x37b443e05687037aull},
-        PinnedCase{"round_4k", StaticPolicy::kRound4k, false, PageOrder::k4K, false,
-                   0x5f2db3510ecc5c25ull},
-        PinnedCase{"round_1g", StaticPolicy::kRound1g, false, PageOrder::k4K, false,
-                   0x101aa2c8ded10516ull},
-        PinnedCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true, PageOrder::k4K,
-                   false, 0x1cc9097ec934dd8eull},
-        // p2m_max_order = 1G: the order rule sets the policies' geometry,
-        // and with ft_superpage a first-touch fault maps a whole 1G block.
-        PinnedCase{"round_1g_order_1g", StaticPolicy::kRound1g, false, PageOrder::k1G, false,
-                   0x101aa2c8ded10516ull},
-        PinnedCase{"first_touch_ft_superpage", StaticPolicy::kFirstTouch, false,
-                   PageOrder::k1G, true, 0x33b5849d14913f78ull}),
+        PinnedCase{"first_touch", StaticPolicy::kFirstTouch, false, 0x37b443e05687037aull},
+        PinnedCase{"round_4k", StaticPolicy::kRound4k, false, 0x5f2db3510ecc5c25ull},
+        PinnedCase{"round_1g", StaticPolicy::kRound1g, false, 0x101aa2c8ded10516ull},
+        PinnedCase{"first_touch_carrefour", StaticPolicy::kFirstTouch, true,
+                   0x1cc9097ec934dd8eull}),
     [](const ::testing::TestParamInfo<PinnedCase>& info) {
       return std::string(info.param.label);
     });

@@ -87,7 +87,7 @@ TEST(Round4kTest, OverflowSpillsToOtherHomes) {
 
 TEST(Round1gTest, PlacesWholeChunksPerNode) {
   FakeBackend be(1024, {0, 1, 2, 3}, 1024, 4);
-  Round1gPolicy r1g(/*pages_per_1g=*/256, /*pages_per_2m=*/1);
+  Round1gPolicy r1g;
   r1g.Initialize(be);
   EXPECT_EQ(r1g.pages_placed_1g(), 1024);
   // Chunk k lands entirely on home node k % 4.
@@ -101,9 +101,9 @@ TEST(Round1gTest, PlacesWholeChunksPerNode) {
 
 TEST(Round1gTest, SmallDomainLandsOnFewNodes) {
   // A domain smaller than one 1 GiB region is a single partial chunk: it is
-  // placed at the finer granularities but still ends up concentrated.
+  // placed page by page.
   FakeBackend be(100, {0, 1, 2, 3}, 1024, 4);
-  Round1gPolicy r1g(256, 1);
+  Round1gPolicy r1g;
   r1g.Initialize(be);
   EXPECT_EQ(r1g.pages_placed_1g(), 0);
   int64_t mapped = 0;
@@ -114,12 +114,12 @@ TEST(Round1gTest, SmallDomainLandsOnFewNodes) {
 }
 
 TEST(Round1gTest, FallsBackOnFragmentation) {
-  // Node capacity below a full chunk forces the 2M/4K fallback paths.
+  // Node capacity below a full chunk forces the per-page fallback.
   FakeBackend be(512, {0, 1, 2, 3}, /*frames_per_node=*/140, 4);
-  Round1gPolicy r1g(256, 8);
+  Round1gPolicy r1g;
   r1g.Initialize(be);
   EXPECT_EQ(r1g.pages_placed_1g(), 0);
-  EXPECT_GT(r1g.pages_placed_2m(), 0);
+  EXPECT_EQ(r1g.pages_placed_4k(), 512);
   int64_t mapped = 0;
   for (Pfn p = 0; p < 512; ++p) {
     mapped += be.IsMapped(p) ? 1 : 0;
@@ -135,20 +135,17 @@ TEST(Round1gTest, EagerPoliciesDoNotTrapReleases) {
 }
 
 // Round-1G against the real machine allocator with BIOS/I-O edge holes
-// (§3.3): the 1G -> 2M -> 4K cascade must fire at every simulation scale,
-// with region sizes derived from bytes_per_frame rather than hard-coded.
+// (§3.3): at every frame scale, whole regions take the bulk of the domain
+// and the hole-fragmented remainder falls back to single pages.
 TEST(Round1gCascadeTest, EdgeFragmentationCascadesAcrossFrameScales) {
   struct Scale {
     const char* label;
     int64_t bytes_per_frame;
-    bool full_cascade;  // 2M > one frame at this scale, so 2M placements exist
   };
   const Scale scales[] = {
-      {"256KiB", 256ll << 10, true},
-      {"1MiB", 1ll << 20, true},
-      // At 4 MiB/frame a 2 MiB region collapses onto the frame quantum:
-      // failed 1G regions fall straight through to per-page placement.
-      {"4MiB", 4ll << 20, false},
+      {"256KiB", 256ll << 10},
+      {"1MiB", 1ll << 20},
+      {"4MiB", 4ll << 20},
   };
   for (const Scale& s : scales) {
     SCOPED_TRACE(s.label);
@@ -157,10 +154,6 @@ TEST(Round1gCascadeTest, EdgeFragmentationCascadesAcrossFrameScales) {
     // The hypervisor constructor pins edge holes via FragmentEdgeRegions.
     Hypervisor hv(topo, s.bytes_per_frame);
     FrameAllocator& frames = hv.frames();
-    const int64_t pages_1g = frames.FramesPerOrder(PageOrder::k1G);
-    const int64_t pages_2m = frames.FramesPerOrder(PageOrder::k2M);
-    ASSERT_EQ(pages_1g, (1ll << 30) / s.bytes_per_frame);
-    ASSERT_EQ(pages_2m, s.full_cascade ? (2ll << 20) / s.bytes_per_frame : 1);
     const int64_t free_before = frames.TotalFreeFrames();
     ASSERT_LT(free_before, frames.total_frames());  // holes were pinned
 
@@ -173,25 +166,18 @@ TEST(Round1gCascadeTest, EdgeFragmentationCascadesAcrossFrameScales) {
     dc.policy.placement = StaticPolicy::kFirstTouch;  // policy driven manually
     const DomainId dom = hv.CreateDomain(dc);
 
-    Round1gPolicy r1g(pages_1g, pages_2m);
+    Round1gPolicy r1g;
     r1g.Initialize(hv.backend(dom));
 
-    const int64_t placed =
-        r1g.pages_placed_1g() + r1g.pages_placed_2m() + r1g.pages_placed_4k();
+    const int64_t placed = r1g.pages_placed_1g() + r1g.pages_placed_4k();
     // Every free frame was consumed and every placement took one frame.
     EXPECT_EQ(placed, free_before - frames.TotalFreeFrames());
     EXPECT_EQ(frames.TotalFreeFrames(), 0);
-    // The bulk of the domain lands as whole 1G regions...
+    // The bulk of the domain lands as whole regions...
     EXPECT_GT(r1g.pages_placed_1g(), 0);
-    EXPECT_EQ(r1g.pages_placed_1g() % pages_1g, 0);
+    EXPECT_EQ(r1g.pages_placed_1g() % kRound1gRegionPages, 0);
     EXPECT_GT(r1g.pages_placed_1g(), placed / 2);
-    // ...and the fragmented remainder cascades down.
-    if (s.full_cascade) {
-      EXPECT_GT(r1g.pages_placed_2m(), 0);
-      EXPECT_EQ(r1g.pages_placed_2m() % pages_2m, 0);
-    } else {
-      EXPECT_EQ(r1g.pages_placed_2m(), 0);
-    }
+    // ...and the fragmented remainder falls back to single pages.
     EXPECT_GT(r1g.pages_placed_4k(), 0);
 
     // The committed mappings respect contiguity: every mapped run the P2M

@@ -41,10 +41,6 @@ int Usage() {
                "  options: --seconds N --threads N --seed N --csv --trace FILE.csv\n"
                "           --jobs N   (sweep: fan the policy matrix across N worker\n"
                "            threads; results are bit-identical to --jobs 1)\n"
-               "           --p2m_max_order 4k|2m|1g  (largest superpage order the\n"
-               "            domain's admission and policy geometry align to)\n"
-               "           --ft_superpage (first-touch maps whole aligned\n"
-               "            superpage blocks per fault; changes placement)\n"
                "           --p2m_replication  (per-node P2M replicas,\n"
                "            docs/MODEL.md §18; placement is unchanged)\n"
                "           --walk_orchestrator  (re-pin vCPUs toward the\n"
@@ -98,26 +94,7 @@ RunOptions LoadOptions(const Flags& flags) {
   return opts;
 }
 
-bool ParsePageOrder(const std::string& name, PageOrder* out) {
-  if (name == "4k" || name == "4K") {
-    *out = PageOrder::k4K;
-  } else if (name == "2m" || name == "2M") {
-    *out = PageOrder::k2M;
-  } else if (name == "1g" || name == "1G") {
-    *out = PageOrder::k1G;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 StackConfig WithP2mOptions(StackConfig stack, const Flags& flags) {
-  const std::string order = flags.GetString("p2m_max_order", "");
-  if (!order.empty() && !ParsePageOrder(order, &stack.p2m_max_order)) {
-    std::fprintf(stderr, "unknown page order '%s' (want 4k, 2m or 1g)\n", order.c_str());
-    std::exit(2);
-  }
-  stack.ft_superpage = flags.GetBool("ft_superpage", false);
   stack.p2m_replication = flags.GetBool("p2m_replication", false);
   stack.walk_orchestrator = flags.GetBool("walk_orchestrator", false);
   return stack;
