@@ -10,12 +10,13 @@
 //   2. on a synthetic read-mostly workload — the case the heuristic was
 //      designed for — it helps substantially.
 
-// PR 10 grows a second half: the walk-locality ladder for *translation*
+// The second half is the walk-locality ladder for *translation*
 // replication (docs/MODEL.md §18). With page-walks priced, a VM whose vCPUs
 // span four nodes resolves at most its home node's walks locally under any
-// static placement; per-node P2M replicas plus the walk-affinity
-// orchestrator push walk locality above 90%. `--json` emits the ladder as a
-// JSON object for tools/run_bench.sh, which gates and ratchets the ratio.
+// static placement; per-node P2M replicas push walk locality above 90%.
+// `--json` emits the ladder as a JSON object, which tools/run_bench.sh
+// splices into BENCH_engine.json and the extra_replication_ladder ctest
+// pins.
 
 #include <algorithm>
 #include <cmath>
@@ -87,8 +88,7 @@ struct LadderRung {
 // extension (when on) re-fills replicas promptly after churn invalidates
 // copies.
 LadderRung RunLadderRung(const std::string& label, const AppProfile& app,
-                         StaticPolicy placement, bool carrefour, bool replication,
-                         bool orchestrator) {
+                         StaticPolicy placement, bool carrefour, bool replication) {
   EngineConfig ec;
   ec.seed = 1042;
   ec.max_sim_seconds = 120.0;
@@ -118,7 +118,6 @@ LadderRung RunLadderRung(const std::string& label, const AppProfile& app,
   spec.guest = &guest;
   spec.threads = 24;
   spec.vcpu_migration_period_s = 0.25;
-  spec.walk_orchestrator = orchestrator;
   engine.AddJob(spec);
   const RunResult r = engine.Run();
 
@@ -137,7 +136,6 @@ struct LadderResult {
   std::vector<LadderRung> statics;
   LadderRung best_static;
   LadderRung replicated;
-  LadderRung orchestrated;
 };
 
 LadderResult RunWalkLadder() {
@@ -145,14 +143,11 @@ LadderResult RunWalkLadder() {
   LadderResult lr;
   // Rung 1: the best static policy, with and without Carrefour's data-page
   // machinery — none of them can beat the home-node share of threads.
+  lr.statics.push_back(RunLadderRung("first_touch", app, StaticPolicy::kFirstTouch, false, false));
+  lr.statics.push_back(RunLadderRung("round_4k", app, StaticPolicy::kRound4k, false, false));
+  lr.statics.push_back(RunLadderRung("round_1g", app, StaticPolicy::kRound1g, false, false));
   lr.statics.push_back(
-      RunLadderRung("first_touch", app, StaticPolicy::kFirstTouch, false, false, false));
-  lr.statics.push_back(
-      RunLadderRung("round_4k", app, StaticPolicy::kRound4k, false, false, false));
-  lr.statics.push_back(
-      RunLadderRung("round_1g", app, StaticPolicy::kRound1g, false, false, false));
-  lr.statics.push_back(RunLadderRung("first_touch_carrefour", app,
-                                     StaticPolicy::kFirstTouch, true, false, false));
+      RunLadderRung("first_touch_carrefour", app, StaticPolicy::kFirstTouch, true, false));
   lr.best_static = lr.statics.front();
   for (const LadderRung& rung : lr.statics) {
     if (rung.local_ratio > lr.best_static.local_ratio) {
@@ -161,12 +156,7 @@ LadderResult RunWalkLadder() {
   }
   // Rung 2: per-node replicas kept fresh by the Carrefour translation
   // extension — remote nodes now walk their own copy.
-  lr.replicated = RunLadderRung("replicated", app, StaticPolicy::kFirstTouch, true,
-                                true, false);
-  // Rung 3: plus the Phoenix-style orchestrator re-pinning stranded vCPUs
-  // toward the replicas they walk.
-  lr.orchestrated = RunLadderRung("orchestrated", app, StaticPolicy::kFirstTouch,
-                                  true, true, true);
+  lr.replicated = RunLadderRung("replicated", app, StaticPolicy::kFirstTouch, true, true);
   return lr;
 }
 
@@ -185,9 +175,7 @@ void PrintLadderJson(const LadderResult& lr) {
   std::printf("  ],\n");
   std::printf("  \"repl_best_static_local_ratio\": %.4f,\n", lr.best_static.local_ratio);
   std::printf("  \"repl_replicated_local_ratio\": %.4f,\n", lr.replicated.local_ratio);
-  std::printf("  \"repl_local_walk_ratio\": %.4f,\n", lr.orchestrated.local_ratio);
-  std::printf("  \"orchestrated_local_walks\": %lld,\n", lr.orchestrated.local_walks);
-  std::printf("  \"orchestrated_remote_walks\": %lld\n", lr.orchestrated.remote_walks);
+  std::printf("  \"repl_local_walk_ratio\": %.4f\n", lr.replicated.local_ratio);
   std::printf("}\n");
 }
 
@@ -202,9 +190,6 @@ void PrintLadderHuman(const LadderResult& lr) {
   std::printf("  %-24s %11.1f%% %14lld %14lld\n", "replicated",
               100.0 * lr.replicated.local_ratio, lr.replicated.local_walks,
               lr.replicated.remote_walks);
-  std::printf("  %-24s %11.1f%% %14lld %14lld\n", "replicated+orchestrator",
-              100.0 * lr.orchestrated.local_ratio, lr.orchestrated.local_walks,
-              lr.orchestrated.remote_walks);
   std::printf("  -> best static %.1f%% (the home node's thread share); replication"
               " localizes the rest.\n",
               100.0 * lr.best_static.local_ratio);

@@ -108,7 +108,6 @@ struct Machine {
     job.sync = (stack.mcs_for_eligible && app.mcs_eligible) ? SyncPrimitive::kMcsSpin
                                                             : SyncPrimitive::kBlockingFutex;
     job.auto_policy = stack.auto_numa_policy;
-    job.walk_orchestrator = stack.walk_orchestrator;
     engine->AddJob(job);
   }
 };

@@ -59,9 +59,6 @@ struct StackConfig {
   // Mitosis-style per-node P2M replication (CLI --p2m_replication;
   // docs/MODEL.md §18). Off keeps the table bit-identical to today.
   bool p2m_replication = false;
-  // Phoenix-style walk-affinity orchestration (CLI --walk_orchestrator):
-  // re-pin vCPUs toward the replicas they walk at monitoring cadence.
-  bool walk_orchestrator = false;
 };
 
 // Xen+ with the automatic policy selector driving the NUMA policy.

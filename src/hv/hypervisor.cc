@@ -406,25 +406,4 @@ NodeId Hypervisor::HandleGuestFault(DomainId id, Pfn pfn, CpuId toucher_cpu) {
   return dom.policy()->OnFirstTouch(backend(id), pfn, toucher_node);
 }
 
-int Hypervisor::VcpusOnCpu(CpuId cpu) const {
-  int count = 0;
-  for (const auto& dom : domains_) {
-    for (const VcpuDesc& v : dom->vcpus()) {
-      if (v.pinned_cpu == cpu) {
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
-double Hypervisor::CpuShare(DomainId id, VcpuId vcpu) const {
-  const Domain& dom = domain(id);
-  XNUMA_CHECK(vcpu >= 0 && vcpu < static_cast<int>(dom.vcpus().size()));
-  const CpuId cpu = dom.vcpus()[vcpu].pinned_cpu;
-  const int sharers = VcpusOnCpu(cpu);
-  XNUMA_CHECK(sharers >= 1);
-  return 1.0 / sharers;
-}
-
 }  // namespace xnuma

@@ -142,11 +142,6 @@ class Hypervisor {
   // node chosen, or kInvalidNode when machine memory is exhausted.
   NodeId HandleGuestFault(DomainId id, Pfn pfn, CpuId toucher_cpu);
 
-  // Number of vCPUs (across all domains) pinned to `cpu`; the credit
-  // scheduler model gives each an equal share of the pCPU.
-  int VcpusOnCpu(CpuId cpu) const;
-  double CpuShare(DomainId id, VcpuId vcpu) const;
-
   // Home-node packing used when no explicit pinning is given: fewest
   // underloaded nodes that fit both the vCPUs (one reserved pCPU each) and
   // the memory. Since the admission solver landed (docs/MODEL.md §17) this

@@ -294,7 +294,6 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
       std::make_unique<CarrefourUserComponent>(*carrefour_system_, config_.carrefour, config.seed);
   auto_selector_ =
       std::make_unique<AutoPolicySelector>(hv, *carrefour_system_, config_.auto_selector);
-  walk_orchestrator_ = std::make_unique<WalkAffinityOrchestrator>(hv);
 
   // Observability rides the hypervisor attachment (experiment.cc attaches it
   // before the engine exists); a null context keeps every hook free.
@@ -1377,24 +1376,6 @@ void Engine::TickCarrefour(double now) {
     }
     if (job.spec.auto_policy) {
       auto_selector_->Tick(job.spec.domain);
-    }
-    if (job.spec.walk_orchestrator) {
-      const int moves = walk_orchestrator_->Tick(job.spec.domain);
-      if (moves > 0) {
-        // Re-sync the thread→CPU view from the re-pinned vCPUs and charge
-        // the same refill stall as any other vCPU relocation.
-        const Domain& dom = hv_->domain(job.spec.domain);
-        const Topology& topo = hv_->topology();
-        for (int t = 0; t < job.spec.threads; ++t) {
-          ThreadState& th = job.threads[t];
-          const CpuId cpu = dom.vcpus()[t].pinned_cpu;
-          if (th.cpu != cpu) {
-            th.cpu = cpu;
-            th.node = topo.node_of_cpu(cpu);
-          }
-        }
-        job.pending_stall_seconds += 50e-6 * moves / job.spec.threads;
-      }
     }
     if (!hv_->domain(job.spec.domain).policy_config().carrefour) {
       continue;

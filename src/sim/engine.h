@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/autopolicy/auto_selector.h"
-#include "src/autopolicy/walk_affinity.h"
 #include "src/carrefour/system_component.h"
 #include "src/carrefour/user_component.h"
 #include "src/common/rng.h"
@@ -124,10 +123,6 @@ struct JobSpec {
   // and placement follows the *current* allocation decision — guest-side
   // for a vNUMA domain, hypervisor-side otherwise (docs/VNUMA.md §6).
   double churn_reuse_delay_s = 0.0;
-  // Run the Phoenix-style walk-affinity orchestrator on this domain: at the
-  // Carrefour cadence it re-pins vCPUs stranded on nodes with poor replica
-  // coverage next to the replica (or master table) they walk.
-  bool walk_orchestrator = false;
 };
 
 struct JobResult {
@@ -282,7 +277,6 @@ class Engine : public PageAccessSource {
   std::unique_ptr<CarrefourSystemComponent> carrefour_system_;
   std::unique_ptr<CarrefourUserComponent> carrefour_user_;
   std::unique_ptr<AutoPolicySelector> auto_selector_;
-  std::unique_ptr<WalkAffinityOrchestrator> walk_orchestrator_;
 
   std::vector<std::unique_ptr<JobState>> jobs_;
 

@@ -9,10 +9,13 @@
 // result. P2mPinnedTest covers one pinned 12-thread domain; these cells
 // reach what it does not: a 48-thread run whose solves hit the iteration
 // cap, two consolidated jobs sharing every CPU, the credit scheduler
-// moving vCPUs, the walk orchestrator with priced walks and replication,
-// and a native Linux run with MCS locks. The digests were recorded before
-// any of these reuses existed (and rehashed without the fault counters,
-// zero in every cell, when the fault layer was deleted). Each cell also
+// moving vCPUs, priced walks with replication, and a native Linux run with
+// MCS locks. The digests were recorded before any of these reuses existed
+// (and rehashed without the fault counters, zero in every cell, when the
+// fault layer was deleted). The replicated cell's digest was recorded with
+// a walk-affinity orchestrator ticking too, which never re-pinned a vCPU
+// because the replicas already covered every node; it outlived the
+// orchestrator's deletion unchanged. Each cell also
 // runs under XNUMA_VERIFY_PLACEMENT_CACHE=1, which recomputes every
 // skipped distribution and rebuilds every reused solve plan, and aborts
 // unless each matches the reused one bit for bit.
@@ -204,13 +207,12 @@ std::vector<JobResult> RunCreditScheduler() {
 }
 
 // Priced page-walks with per-node P2M replicas, Carrefour's page and
-// translation replication, vCPU churn, and the walk orchestrator re-pinning
-// vCPUs toward the replicas they walk. The shared region is read-only and
+// translation replication, and vCPU churn. The shared region is read-only and
 // busy enough to saturate links, so Carrefour replicates its pages and a
 // thread's distribution depends on its node. vCPU churn (every 0.3 s) and
 // Carrefour (every 0.25 s) mostly land on different epochs, so placement
 // moves without thread moves and the other way round.
-std::vector<JobResult> RunWalkOrchestrator() {
+std::vector<JobResult> RunReplicatedPricedWalks() {
   AppProfile app = TwoRegionApp(/*cycles_per_access=*/40.0);
   app.regions[0].write_fraction = 0.0;
   EngineConfig ec;
@@ -234,7 +236,6 @@ std::vector<JobResult> RunWalkOrchestrator() {
   spec.guest = &guest;
   spec.threads = 24;
   spec.vcpu_migration_period_s = 0.3;
-  spec.walk_orchestrator = true;
   engine.AddJob(spec);
   const RunResult r = engine.Run();
   EXPECT_GT(r.jobs.back().local_walks + r.jobs.back().remote_walks, 0);
@@ -290,7 +291,8 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{"overloaded_48", &RunOverloaded, 0xe38f9d985640384eull},
         EngineCase{"consolidated_pair", &RunConsolidatedPair, 0x03be04c652838386ull},
         EngineCase{"credit_scheduler", &RunCreditScheduler, 0x078cd8fe25c42cc8ull},
-        EngineCase{"walk_orchestrator", &RunWalkOrchestrator, 0xbc6acefe38c52710ull},
+        EngineCase{"replicated_priced_walks", &RunReplicatedPricedWalks,
+                   0xbc6acefe38c52710ull},
         EngineCase{"linux_native_mcs", &RunLinuxNativeMcs, 0x8633dc88faadbd3dull}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return std::string(info.param.label);

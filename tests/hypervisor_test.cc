@@ -178,19 +178,5 @@ TEST_F(HypervisorTest, QueueFlushReturnsSimulatedTime) {
   EXPECT_LT(t, 1e-4);
 }
 
-TEST_F(HypervisorTest, CpuShareWithConsolidatedVcpus) {
-  DomainConfig a = SmallDomain(/*vcpus=*/48);
-  a.pinned_cpus.resize(48);
-  for (int i = 0; i < 48; ++i) {
-    a.pinned_cpus[i] = i;
-  }
-  DomainConfig b = a;
-  const DomainId da = hv_.CreateDomain(a);
-  const DomainId db = hv_.CreateDomain(b);
-  EXPECT_DOUBLE_EQ(hv_.CpuShare(da, 0), 0.5);
-  EXPECT_DOUBLE_EQ(hv_.CpuShare(db, 17), 0.5);
-  EXPECT_EQ(hv_.VcpusOnCpu(0), 2);
-}
-
 }  // namespace
 }  // namespace xnuma

@@ -43,8 +43,6 @@ int Usage() {
                "            threads; results are bit-identical to --jobs 1)\n"
                "           --p2m_replication  (per-node P2M replicas,\n"
                "            docs/MODEL.md §18; placement is unchanged)\n"
-               "           --walk_orchestrator  (re-pin vCPUs toward the\n"
-               "            replicas they walk, at monitoring cadence)\n"
                "           --price_walks  (charge local/remote page-walk\n"
                "            cycles in the latency model)\n"
                "           --vnuma off|guest|hybrid  (guest-visible topology,\n"
@@ -96,7 +94,6 @@ RunOptions LoadOptions(const Flags& flags) {
 
 StackConfig WithP2mOptions(StackConfig stack, const Flags& flags) {
   stack.p2m_replication = flags.GetBool("p2m_replication", false);
-  stack.walk_orchestrator = flags.GetBool("walk_orchestrator", false);
   return stack;
 }
 
