@@ -25,12 +25,12 @@ void AutoPolicySelector::Tick(DomainId domain) {
 
   // Partitionable share of the hot pages.
   std::vector<PageAccessSample> hot;
-  system_->ReadHotPages(domain, config_.sample_pages, &hot);
+  system_->ReadHotPages(domain, kSelectorSamplePages, &hot);
   int partitionable = 0;
   for (const PageAccessSample& page : hot) {
     double share = 0.0;
     page.DominantSource(&share);
-    if (share >= config_.dominant_source_share) {
+    if (share >= kDominantSourceShare) {
       ++partitionable;
     }
   }
@@ -43,11 +43,11 @@ void AutoPolicySelector::Tick(DomainId domain) {
     max_mc = std::max(max_mc, u);
   }
   const double max_link = metrics.MaxLinkUtilization();
-  const bool loaded = max_mc >= config_.mc_load_threshold || max_link >= config_.link_load_threshold;
+  const bool loaded = max_mc >= kSelectorMcLoadThreshold || max_link >= kSelectorLinkLoadThreshold;
 
   const Domain& dom = hv_->domain(domain);
   PolicyConfig wanted = state.stats.current;
-  if (p_share >= config_.partitionable_threshold) {
+  if (p_share >= kPartitionableThreshold) {
     // Owner-local pattern. First-touch keeps future (re)allocations local;
     // Carrefour's migration heuristic pulls the already-placed pages to
     // their owners. With PCI passthrough first-touch is off the table

@@ -37,18 +37,18 @@
 
 namespace xnuma {
 
+// A page is "partitionable" when one node issues at least
+// kDominantSourceShare of its accesses (Carrefour's migration notion).
+// Fraction of sampled hot pages that must be partitionable to treat the
+// workload as owner-local.
+inline constexpr double kPartitionableThreshold = 0.70;
+// Machine considered loaded at or above these utilizations.
+inline constexpr double kSelectorMcLoadThreshold = 0.45;
+inline constexpr double kSelectorLinkLoadThreshold = 0.30;
+// Pages sampled per decision.
+inline constexpr int kSelectorSamplePages = 192;
+
 struct AutoSelectorConfig {
-  // A page is "partitionable" when one node issues at least this share of
-  // its accesses (same notion as Carrefour's migration heuristic).
-  double dominant_source_share = 0.85;
-  // Fraction of sampled hot pages that must be partitionable to treat the
-  // workload as owner-local.
-  double partitionable_threshold = 0.70;
-  // Machine considered loaded above these utilizations.
-  double mc_load_threshold = 0.45;
-  double link_load_threshold = 0.30;
-  // Pages sampled per decision.
-  int sample_pages = 192;
   // Minimum windows between policy changes (hysteresis).
   int dwell_windows = 3;
 };

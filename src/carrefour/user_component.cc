@@ -55,7 +55,7 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
   for (NodeId n = 0; n < nodes; ++n) {
     if (metrics.mc_utilization[n] >= config_.mc_overload_util) {
       overloaded.push_back(n);
-    } else if (metrics.mc_utilization[n] <= config_.mc_underload_util) {
+    } else if (metrics.mc_utilization[n] <= kCarrefourUnderloadUtil) {
       underloaded.push_back(n);
     }
   }
@@ -69,7 +69,7 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
 
   {
     XNUMA_TRACE_SCOPE(obs_, "carrefour_scan", "carrefour", scan_seconds_);
-    system_->ReadHotPages(domain, config_.hot_pages_per_tick, &hot_);
+    system_->ReadHotPages(domain, kCarrefourHotPagesPerTick, &hot_);
   }
   const std::vector<PageAccessSample>& hot = hot_;
 
@@ -85,7 +85,7 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
       }
       double share = 0.0;
       const NodeId source = page.DominantSource(&share);
-      if (source == kInvalidNode || share < config_.dominant_source_share) {
+      if (source == kInvalidNode || share < kDominantSourceShare) {
         continue;
       }
       if (source == page.current_node) {
@@ -111,7 +111,7 @@ CarrefourTickStats CarrefourUserComponent::Tick(DomainId domain) {
       }
       double share = 0.0;
       page.DominantSource(&share);
-      if (share > config_.replication_max_dominant_share) {
+      if (share > kReplicationMaxDominantShare) {
         continue;  // a single dominant reader: migration handles it better
       }
       if (system_->ReplicatePage(domain, page.pfn)) {

@@ -25,25 +25,30 @@
 
 namespace xnuma {
 
+// A controller is "underloaded" at or below this utilization; interleaving
+// moves hot pages from overloaded controllers to underloaded ones.
+inline constexpr double kCarrefourUnderloadUtil = 0.35;
+// Hot pages sampled per tick.
+inline constexpr int kCarrefourHotPagesPerTick = 192;
+// A read-only page qualifies for replication when no single node exceeds
+// this share of its accesses.
+inline constexpr double kReplicationMaxDominantShare = 0.60;
+
 struct CarrefourConfig {
-  // A controller is "overloaded" above this utilization while the least
-  // loaded one sits below mc_underload_util.
+  // A controller is "overloaded" at or above this utilization while
+  // another sits at or below kCarrefourUnderloadUtil.
   double mc_overload_util = 0.45;
-  double mc_underload_util = 0.35;
   // The interconnect "saturates" when any link exceeds this utilization.
   double link_saturation_util = 0.30;
-  // A page is a migration-heuristic candidate when one node issues at least
-  // this share of its accesses.
-  double dominant_source_share = 0.85;
-  int hot_pages_per_tick = 192;
+  // Pages the migration heuristics may move per tick. A page is a
+  // migration-heuristic candidate when one node issues at least
+  // kDominantSourceShare of its accesses.
   int max_migrations_per_tick = 96;
   // §3.4: the replication heuristic. The paper discards it ("marginal
   // effect ... radical changes in the Xen memory manager"); it is
   // implemented here as an opt-in extension. When enabled, hot *read-only*
   // pages accessed from several nodes are replicated on every home node.
   bool enable_replication = false;
-  // A page qualifies when no single node exceeds this share of its accesses.
-  double replication_max_dominant_share = 0.60;
   // Generalization of the replication extension to translation structures
   // (docs/MODEL.md §18): each tick, refresh the per-node P2M replicas of
   // every node hosting one of the domain's vCPUs. Requires the domain to

@@ -310,9 +310,9 @@ void GuestOs::ReleasePage(int pid, Vpn vpn) {
   proc.vpage_to_pfn[vpn] = kInvalidPfn;
   pfn_owner_[pfn] = VpageEvent{};
   MarkVpageDirty(pid, vpn);
-  if (options_.zero_on_free) {
-    ++stats_.pages_zeroed;
-  }
+  // Before releasing, Linux fills the page with zeros (§4.4.2), which is
+  // what makes all free pages interchangeable for first-touch.
+  ++stats_.pages_zeroed;
   if (vnuma_active_) {
     vnode_free_[VnodeOf(pfn)].push_back(pfn);
   } else {

@@ -47,9 +47,6 @@ class GuestOs {
     KernelMode mode = KernelMode::kParavirt;
     int queue_partition_bits = 2;  // §4.2.4: two LSBs of the frame number
     int queue_batch_size = 64;
-    // Before releasing, Linux fills the page with zeros (§4.4.2), which is
-    // what makes all free pages interchangeable for first-touch.
-    bool zero_on_free = true;
     // Topology-aware guest (docs/VNUMA.md): fetch the vNUMA tables at boot
     // and allocate physical pages from per-vnode freelists, local-first
     // with distance-ordered fallback. Requires the domain to have been

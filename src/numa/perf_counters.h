@@ -91,6 +91,11 @@ struct PageAccessSample {
   NodeId DominantSource(double* share) const;
 };
 
+// A page has a dominant source when one node issues at least this share of
+// its accesses: Carrefour's migration candidates and the policy selector's
+// partitionable pages.
+inline constexpr double kDominantSourceShare = 0.85;
+
 // Relative standard deviation (in %) around the mean of `values`; the
 // paper's imbalance metric (Table 1). Returns 0 for an all-zero vector.
 double RelativeStddevPercent(const std::vector<double>& values);

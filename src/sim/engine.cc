@@ -428,8 +428,8 @@ void Engine::InitJob(JobState& job) {
   GuestOs& guest = *job.spec.guest;
   const bool guest_mode = job.spec.exec_mode == ExecMode::kGuest;
   const double minor_cost =
-      guest_mode ? config_.guest_minor_fault_s : config_.native_minor_fault_s;
-  const double hv_fault_cost = guest_mode ? hv_->costs().page_fault_s : config_.native_minor_fault_s;
+      guest_mode ? kGuestMinorFaultSeconds : kNativeMinorFaultSeconds;
+  const double hv_fault_cost = guest_mode ? hv_->costs().page_fault_s : kNativeMinorFaultSeconds;
 
   double master_seconds = 0.0;
   std::vector<double> owner_seconds(job.spec.threads, 0.0);
@@ -849,7 +849,7 @@ double Engine::ThreadOverheadFraction(const JobState& job) const {
   double overhead = sync.overhead_fraction;
   overhead += app.release_rate_per_s * job.amortized_release_cost;
   if (hv_->domain(job.spec.domain).policy_config().carrefour) {
-    overhead += config_.carrefour_monitor_overhead;
+    overhead += kCarrefourMonitorOverhead;
   }
   return overhead;
 }
@@ -1243,7 +1243,7 @@ void Engine::RunAllocatorChurn(JobState& job, double dt, double now) {
   }
   const double total_rate = app.release_rate_per_s * job.spec.threads;
   const int expected = static_cast<int>(total_rate * dt);
-  const int n_ops = std::min(config_.churn_sample_ops, std::max(1, expected));
+  const int n_ops = std::min(kChurnSampleOps, std::max(1, expected));
 
   GuestOs& guest = *job.spec.guest;
   const bool guest_mode = job.spec.exec_mode == ExecMode::kGuest;
@@ -1266,10 +1266,10 @@ void Engine::RunAllocatorChurn(JobState& job, double dt, double now) {
                                                 job.threads[entry.thread].cpu,
                                                 /*vcpu=*/entry.thread);
       if (touch.guest_alloc) {
-        fault_cost += guest_mode ? config_.guest_minor_fault_s : config_.native_minor_fault_s;
+        fault_cost += guest_mode ? kGuestMinorFaultSeconds : kNativeMinorFaultSeconds;
       }
       if (touch.hv_fault) {
-        fault_cost += guest_mode ? hv_->costs().page_fault_s : config_.native_minor_fault_s;
+        fault_cost += guest_mode ? hv_->costs().page_fault_s : kNativeMinorFaultSeconds;
       }
       ++ops;
     }
@@ -1299,10 +1299,10 @@ void Engine::RunAllocatorChurn(JobState& job, double dt, double now) {
       const TouchResult touch =
           guest.TouchPage(job.pid, vpn, job.threads[t].cpu, /*vcpu=*/t);
       if (touch.guest_alloc) {
-        fault_cost += guest_mode ? config_.guest_minor_fault_s : config_.native_minor_fault_s;
+        fault_cost += guest_mode ? kGuestMinorFaultSeconds : kNativeMinorFaultSeconds;
       }
       if (touch.hv_fault) {
-        fault_cost += guest_mode ? hv_->costs().page_fault_s : config_.native_minor_fault_s;
+        fault_cost += guest_mode ? hv_->costs().page_fault_s : kNativeMinorFaultSeconds;
       }
     }
   }
@@ -1497,7 +1497,7 @@ void Engine::SampleHotPages(DomainId domain, int max_pages,
   }
   // IBS-style sampling noise; the noisy totals rank the pages.
   const int keep = top_k_.Select(class_rows_, std::span<const int>(classes, candidates), nodes,
-                                 max_pages, config_.sampling_noise, rng_);
+                                 max_pages, kSamplingNoise, rng_);
   // Kept pages overwrite the caller's samples in place, reusing their rate
   // vectors.
   out->resize(keep);

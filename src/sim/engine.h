@@ -59,27 +59,24 @@ inline constexpr int kFixedPointMaxIterations = 24;
 // ~8 with the default overload_slope), so the damped Picard iteration needs
 // damping < 2/(1+|d'|) to contract.
 inline constexpr double kUtilizationDamping = 0.15;
+// IBS-emulation noise on sampled per-page rates (relative sigma). This is
+// also what occasionally makes Carrefour migrate a page it should not (the
+// paper's "temporary burst" degradations on low-imbalance apps).
+inline constexpr double kSamplingNoise = 0.25;
+// Fixed monitoring tax while Carrefour is enabled for a domain.
+inline constexpr double kCarrefourMonitorOverhead = 0.02;
+// Kernel minor-fault costs (seconds).
+inline constexpr double kNativeMinorFaultSeconds = 0.5e-6;
+inline constexpr double kGuestMinorFaultSeconds = 0.7e-6;
+// Real release/retouch operations executed per epoch to sample the
+// allocator-churn cost (extrapolated to the profile's full rate).
+inline constexpr int kChurnSampleOps = 96;
 
 struct EngineConfig {
   double epoch_seconds = 0.05;
   double carrefour_period_seconds = 0.10;
   double max_sim_seconds = 600.0;
   uint64_t seed = 7;
-
-  // IBS-emulation noise on sampled per-page rates (relative sigma). This is
-  // also what occasionally makes Carrefour migrate a page it should not
-  // (the paper's "temporary burst" degradations on low-imbalance apps).
-  double sampling_noise = 0.25;
-  // Fixed monitoring tax while Carrefour is enabled for a domain.
-  double carrefour_monitor_overhead = 0.02;
-
-  // Kernel fault-path costs (seconds).
-  double native_minor_fault_s = 0.5e-6;
-  double guest_minor_fault_s = 0.7e-6;
-
-  // Number of real release/retouch operations executed per epoch to sample
-  // the allocator-churn cost (extrapolated to the profile's full rate).
-  int churn_sample_ops = 96;
 
   // Lower bound on simulated pages per region so per-thread slices remain
   // meaningful for small-footprint applications.
