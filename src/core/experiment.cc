@@ -159,28 +159,6 @@ StackConfig XenPlusStack(PolicyConfig policy) {
   return s;
 }
 
-const char* ToString(VnumaMode mode) {
-  switch (mode) {
-    case VnumaMode::kOff:
-      return "off";
-    case VnumaMode::kGuest:
-      return "guest";
-    case VnumaMode::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
-
-StackConfig XenVnumaStack(VnumaMode mode) {
-  // First-touch base: before the guest fetches its tables the domain
-  // behaves exactly like Xen+/First-Touch (the differential tests pin this
-  // down); afterwards faults honour the vNUMA partition.
-  StackConfig s = XenPlusStack({StaticPolicy::kFirstTouch, false});
-  s.vnuma = mode;
-  s.label = mode == VnumaMode::kHybrid ? "Xen+/vNUMA-hybrid" : "Xen+/vNUMA";
-  return s;
-}
-
 StackConfig XenAutoStack() {
   StackConfig s = XenPlusStack({StaticPolicy::kRound4k, false});
   s.label = "Xen+/auto";

@@ -38,8 +38,6 @@ enum class VnumaMode {
   kHybrid,
 };
 
-const char* ToString(VnumaMode mode);
-
 struct StackConfig {
   std::string label;
   ExecMode mode = ExecMode::kGuest;
@@ -70,10 +68,6 @@ StackConfig LinuxStack(PolicyConfig policy = {StaticPolicy::kFirstTouch, false})
 StackConfig XenStack();
 // Xen+ with the given placement (defaults to Xen's round-1G).
 StackConfig XenPlusStack(PolicyConfig policy = {StaticPolicy::kRound1g, false});
-// Xen+ with the guest-visible vNUMA topology (docs/VNUMA.md): first-touch
-// base policy, partition-honouring once the guest fetches its tables.
-// kHybrid adds Carrefour as the hypervisor override.
-StackConfig XenVnumaStack(VnumaMode mode = VnumaMode::kGuest);
 
 struct RunOptions {
   int threads = 48;

@@ -37,7 +37,6 @@ void PerfCounters::Reset() {
   last_ = TrafficSnapshot();
   cumulative_node_accesses_.assign(topo_->num_nodes(), 0.0);
   weighted_max_link_util_ = 0.0;
-  weighted_max_mc_util_ = 0.0;
   total_seconds_ = 0.0;
   committed_epochs_ = 0;
 }
@@ -50,11 +49,6 @@ void PerfCounters::CommitEpoch(const TrafficSnapshot& snapshot) {
     cumulative_node_accesses_[dst] += snapshot.TotalAccessesTo(dst) * snapshot.epoch_seconds;
   }
   weighted_max_link_util_ += snapshot.MaxLinkUtilization() * snapshot.epoch_seconds;
-  double max_mc = 0.0;
-  for (double u : snapshot.mc_utilization) {
-    max_mc = std::max(max_mc, u);
-  }
-  weighted_max_mc_util_ += max_mc * snapshot.epoch_seconds;
   total_seconds_ += snapshot.epoch_seconds;
   ++committed_epochs_;
 }
@@ -89,13 +83,6 @@ double PerfCounters::AvgMaxLinkUtilizationPercent() const {
     return 0.0;
   }
   return 100.0 * weighted_max_link_util_ / total_seconds_;
-}
-
-double PerfCounters::AvgMaxMcUtilizationPercent() const {
-  if (total_seconds_ <= 0.0) {
-    return 0.0;
-  }
-  return 100.0 * weighted_max_mc_util_ / total_seconds_;
 }
 
 double PageAccessSample::TotalRate() const {

@@ -64,15 +64,11 @@ class PerfCounters {
   // loaded link in each epoch, in %.
   double AvgMaxLinkUtilizationPercent() const;
 
-  // Time-average of the utilization of the most loaded memory controller.
-  double AvgMaxMcUtilizationPercent() const;
-
  private:
   const Topology* topo_;
   TrafficSnapshot last_;
   std::vector<double> cumulative_node_accesses_;
   double weighted_max_link_util_ = 0.0;  // integral of max link util dt
-  double weighted_max_mc_util_ = 0.0;
   double total_seconds_ = 0.0;
   int committed_epochs_ = 0;
 };
