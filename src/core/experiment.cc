@@ -205,11 +205,14 @@ PairResult RunAppPair(const AppProfile& app_a, const StackConfig& stack_a,
   PairResult result{forward.jobs[0], forward.jobs[1]};
   if (mode == PairMode::kSplitHalves) {
     // §5.4.2: node choice matters; run with swapped halves and average.
+    // The average is a completion time only when both runs finished.
     RunResult swapped = run_once(true);
     result.first.completion_seconds =
         0.5 * (result.first.completion_seconds + swapped.jobs[0].completion_seconds);
     result.second.completion_seconds =
         0.5 * (result.second.completion_seconds + swapped.jobs[1].completion_seconds);
+    result.first.finished = result.first.finished && swapped.jobs[0].finished;
+    result.second.finished = result.second.finished && swapped.jobs[1].finished;
   }
   return result;
 }

@@ -7,11 +7,14 @@
 //   xnuma auto --app kmeans                    # §7 automatic selector
 //
 // Common options: --seconds N (nominal runtime scale), --threads N,
-// --seed N, --csv (machine-readable single-line output).
+// --seed N, --csv (machine-readable single-line output). A run that hits
+// the simulation cap prints `unfinished` in place of its time and exits 1.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
 #include <fstream>
@@ -19,6 +22,7 @@
 #include "src/admission/solver.h"
 #include "src/common/flags.h"
 #include "src/core/experiment.h"
+#include "src/exec/parallel_for.h"
 #include "src/obs/obs.h"
 #include "src/sim/trace.h"
 #include "src/workload/app_profile.h"
@@ -38,9 +42,10 @@ int Usage() {
                "        [--max_pages N] [--vcpus N] [--nodes N --cpus N\n"
                "        --node_mb N]  (multi-tenant admission/churn replay,\n"
                "        docs/MODEL.md §17; AMD48 machine unless --nodes given)\n"
-               "  options: --seconds N --threads N --seed N --csv --trace FILE.csv\n"
+               "  options: --seconds N (above 0) --threads N (1-48; not pair)\n"
+               "           --seed N --csv --trace FILE.csv\n"
                "           --jobs N   (sweep: fan the policy matrix across N worker\n"
-               "            threads; results are bit-identical to --jobs 1)\n"
+               "            threads, 1-256; results are bit-identical to --jobs 1)\n"
                "           --p2m_replication  (per-node P2M replicas,\n"
                "            docs/MODEL.md §18; placement is unchanged)\n"
                "           --price_walks  (charge local/remote page-walk\n"
@@ -69,7 +74,68 @@ bool ParsePolicy(const std::string& name, StaticPolicy* out) {
   return true;
 }
 
-AppProfile LoadApp(const Flags& flags, const std::string& key) {
+// The numeric flags of run, sweep, pair and auto, read and checked in one
+// place. A value that does not parse in full, or lies outside its range, is
+// refused with exit status 2 and its message as the only output.
+struct RunFlags {
+  double seconds = 0.0;  // 0 keeps each app's nominal runtime
+  int threads = 48;
+  int jobs = 1;
+};
+
+[[noreturn]] void Refuse(const char* cmd, const char* flag, const std::string& value,
+                         const std::string& why) {
+  std::fprintf(stderr, "%s: --%s %s %s\n", cmd, flag, value.c_str(), why.c_str());
+  std::exit(2);
+}
+
+RunFlags ReadRunFlags(const Flags& flags, const char* cmd) {
+  RunFlags out;
+  if (flags.Has("seconds")) {
+    const std::string text = flags.GetString("seconds");
+    char* end = nullptr;
+    const double seconds = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(seconds) || seconds <= 0.0) {
+      Refuse(cmd, "seconds", text, "is not a finite number above 0");
+    }
+    out.seconds = seconds;
+  }
+  // One vCPU per CPU of the 48-CPU machine. pair runs fixed 24- and 48-vCPU
+  // VMs, so it leaves --threads unread and passing it warns; only sweep
+  // fans out over worker threads.
+  const std::string command = cmd;
+  const struct {
+    const char* flag;
+    bool read;
+    int64_t min;
+    int64_t max;
+    int* value;
+  } ranges[] = {
+      {"threads", command != "pair", 1, 48, &out.threads},
+      {"jobs", command == "sweep", 1, kMaxParallelJobs, &out.jobs},
+  };
+  for (const auto& range : ranges) {
+    if (!range.read || !flags.Has(range.flag)) {
+      continue;
+    }
+    const std::string text = flags.GetString(range.flag);
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0') {
+      Refuse(cmd, range.flag, text, "is not an integer");
+    }
+    if (errno == ERANGE || value < range.min || value > range.max) {
+      Refuse(cmd, range.flag, text,
+             "is out of range [" + std::to_string(range.min) + ", " +
+                 std::to_string(range.max) + "]");
+    }
+    *range.value = static_cast<int>(value);
+  }
+  return out;
+}
+
+AppProfile LoadApp(const Flags& flags, const std::string& key, const RunFlags& run) {
   const std::string name = flags.GetString(key);
   const AppProfile* app = FindApp(name);
   if (app == nullptr) {
@@ -77,16 +143,17 @@ AppProfile LoadApp(const Flags& flags, const std::string& key) {
     std::exit(2);
   }
   AppProfile copy = *app;
-  const double seconds = flags.GetDouble("seconds", copy.nominal_seconds);
+  const double seconds = run.seconds > 0.0 ? run.seconds : copy.nominal_seconds;
   const double scale = seconds / copy.nominal_seconds;
   copy.nominal_seconds = seconds;
   copy.disk_read_mb *= scale;
   return copy;
 }
 
-RunOptions LoadOptions(const Flags& flags) {
+RunOptions LoadOptions(const Flags& flags, const RunFlags& run) {
   RunOptions opts;
-  opts.threads = static_cast<int>(flags.GetInt("threads", 48));
+  opts.threads = run.threads;
+  opts.jobs = run.jobs;
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   opts.engine.price_walks = flags.GetBool("price_walks", false);
   return opts;
@@ -150,17 +217,24 @@ StackConfig LoadStack(const Flags& flags) {
   std::exit(2);
 }
 
-void PrintResult(const Flags& flags, const std::string& label, const JobResult& r) {
+// Prints one result row. A job that hit the simulation cap has no
+// completion time, so its row reads `unfinished` instead; returns whether
+// the job finished.
+bool PrintResult(const Flags& flags, const std::string& label, const JobResult& r) {
+  char time[32];
   if (flags.GetBool("csv", false)) {
-    std::printf("%s,%s,%.4f,%.1f,%.1f,%.0f,%lld,%lld\n", label.c_str(), r.app.c_str(),
-                r.completion_seconds, r.imbalance_pct, r.interconnect_pct, r.avg_latency_cycles,
-                static_cast<long long>(r.hv_page_faults),
+    std::snprintf(time, sizeof(time), "%.4f", r.completion_seconds);
+    std::printf("%s,%s,%s,%.1f,%.1f,%.0f,%lld,%lld\n", label.c_str(), r.app.c_str(),
+                r.finished ? time : "unfinished", r.imbalance_pct, r.interconnect_pct,
+                r.avg_latency_cycles, static_cast<long long>(r.hv_page_faults),
                 static_cast<long long>(r.carrefour_migrations));
   } else {
-    std::printf("%-36s %8.2f s  imbalance %5.0f%%  interconnect %5.1f%%  latency %4.0f cyc\n",
-                label.c_str(), r.completion_seconds, r.imbalance_pct, r.interconnect_pct,
-                r.avg_latency_cycles);
+    std::snprintf(time, sizeof(time), "%8.2f s", r.completion_seconds);
+    std::printf("%-36s %10s  imbalance %5.0f%%  interconnect %5.1f%%  latency %4.0f cyc\n",
+                label.c_str(), r.finished ? time : "unfinished", r.imbalance_pct,
+                r.interconnect_pct, r.avg_latency_cycles);
   }
+  return r.finished;
 }
 
 int CmdList() {
@@ -175,9 +249,10 @@ int CmdList() {
 }
 
 int CmdRun(const Flags& flags) {
-  const AppProfile app = LoadApp(flags, "app");
+  const RunFlags run = ReadRunFlags(flags, "run");
+  const AppProfile app = LoadApp(flags, "app", run);
   const StackConfig stack = LoadStack(flags);
-  RunOptions opts = LoadOptions(flags);
+  RunOptions opts = LoadOptions(flags, run);
   TraceRecorder trace;
   const std::string trace_path = flags.GetString("trace", "");
   if (!trace_path.empty()) {
@@ -191,7 +266,7 @@ int CmdRun(const Flags& flags) {
     opts.obs = &obs;
   }
   const JobResult r = RunSingleApp(app, stack, opts);
-  PrintResult(flags, stack.label, r);
+  const bool finished = PrintResult(flags, stack.label, r);
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
     out << trace.ToCsv();
@@ -214,11 +289,12 @@ int CmdRun(const Flags& flags) {
                  obs.tracer().Events().size(),
                  static_cast<long long>(obs.tracer().dropped()), trace_json_path.c_str());
   }
-  return 0;
+  return finished ? 0 : 1;
 }
 
 int CmdSweep(const Flags& flags) {
-  const AppProfile app = LoadApp(flags, "app");
+  const RunFlags run = ReadRunFlags(flags, "sweep");
+  const AppProfile app = LoadApp(flags, "app", run);
   const std::string stack_name = flags.GetString("stack", "xen+");
   if (stack_name != "linux" && stack_name != "xen+") {
     std::fprintf(stderr, "unknown sweep stack '%s' (want linux or xen+)\n", stack_name.c_str());
@@ -228,22 +304,22 @@ int CmdSweep(const Flags& flags) {
   const StackConfig base =
       WithVnumaOptions(WithP2mOptions(is_linux ? LinuxStack() : XenPlusStack(), flags), flags);
   const auto candidates = is_linux ? LinuxPolicyCandidates() : XenPolicyCandidates();
-  RunOptions opts = LoadOptions(flags);
-  opts.jobs = static_cast<int>(flags.GetInt("jobs", 1));
-  const auto sweep = SweepPolicies(app, base, candidates, opts);
+  const auto sweep = SweepPolicies(app, base, candidates, LoadOptions(flags, run));
+  bool finished = true;
   for (const auto& entry : sweep) {
-    PrintResult(flags, ToString(entry.policy), entry.result);
+    finished &= PrintResult(flags, ToString(entry.policy), entry.result);
   }
   const auto& best = BestEntry(sweep);
   if (!flags.GetBool("csv", false)) {
     std::printf("best: %s\n", ToString(best.policy));
   }
-  return 0;
+  return finished ? 0 : 1;
 }
 
 int CmdPair(const Flags& flags) {
-  const AppProfile a = LoadApp(flags, "a");
-  const AppProfile b = LoadApp(flags, "b");
+  const RunFlags run = ReadRunFlags(flags, "pair");
+  const AppProfile a = LoadApp(flags, "a", run);
+  const AppProfile b = LoadApp(flags, "b", run);
   const std::string mode_name = flags.GetString("mode", "split");
   if (mode_name != "split" && mode_name != "consolidated") {
     std::fprintf(stderr, "unknown pair mode '%s' (want split or consolidated)\n",
@@ -253,10 +329,10 @@ int CmdPair(const Flags& flags) {
   const PairMode mode =
       mode_name == "consolidated" ? PairMode::kConsolidated : PairMode::kSplitHalves;
   const StackConfig stack = LoadStack(flags);
-  const PairResult pair = RunAppPair(a, stack, b, stack, mode, LoadOptions(flags));
-  PrintResult(flags, a.name + " (vm1)", pair.first);
-  PrintResult(flags, b.name + " (vm2)", pair.second);
-  return 0;
+  const PairResult pair = RunAppPair(a, stack, b, stack, mode, LoadOptions(flags, run));
+  const bool first = PrintResult(flags, a.name + " (vm1)", pair.first);
+  const bool second = PrintResult(flags, b.name + " (vm2)", pair.second);
+  return first && second ? 0 : 1;
 }
 
 int CmdChurn(const Flags& flags) {
@@ -363,15 +439,16 @@ int CmdChurn(const Flags& flags) {
 }
 
 int CmdAuto(const Flags& flags) {
-  const AppProfile app = LoadApp(flags, "app");
+  const RunFlags run = ReadRunFlags(flags, "auto");
+  const AppProfile app = LoadApp(flags, "app", run);
   const JobResult r = RunSingleApp(app, WithVnumaOptions(WithP2mOptions(XenAutoStack(), flags), flags),
-                                   LoadOptions(flags));
-  PrintResult(flags, "Xen+/auto", r);
+                                   LoadOptions(flags, run));
+  const bool finished = PrintResult(flags, "Xen+/auto", r);
   if (!flags.GetBool("csv", false)) {
     std::printf("final policy: %s after %d switches\n", ToString(r.final_policy),
                 r.policy_switches);
   }
-  return 0;
+  return finished ? 0 : 1;
 }
 
 }  // namespace
