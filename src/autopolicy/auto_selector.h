@@ -38,9 +38,9 @@
 namespace xnuma {
 
 // A page is "partitionable" when one node issues at least
-// kDominantSourceShare of its accesses (Carrefour's migration notion).
-// Fraction of sampled hot pages that must be partitionable to treat the
-// workload as owner-local.
+// kDominantSourceShare of its accesses, as for Carrefour's migration
+// heuristic. The selector treats a workload as owner-local when at least
+// this fraction of the sampled hot pages is partitionable.
 inline constexpr double kPartitionableThreshold = 0.70;
 // Machine considered loaded at or above these utilizations.
 inline constexpr double kSelectorMcLoadThreshold = 0.45;

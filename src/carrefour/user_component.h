@@ -40,9 +40,7 @@ struct CarrefourConfig {
   double mc_overload_util = 0.45;
   // The interconnect "saturates" when any link exceeds this utilization.
   double link_saturation_util = 0.30;
-  // Pages the migration heuristics may move per tick. A page is a
-  // migration-heuristic candidate when one node issues at least
-  // kDominantSourceShare of its accesses.
+  // Pages one tick may migrate or replicate, at most.
   int max_migrations_per_tick = 96;
   // §3.4: the replication heuristic. The paper discards it ("marginal
   // effect ... radical changes in the Xen memory manager"); it is
