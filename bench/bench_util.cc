@@ -28,9 +28,7 @@ void InitBench(int argc, char** argv) {
 int BenchJobs() { return g_bench_jobs; }
 
 void BenchFor(int count, const std::function<void(int)>& body) {
-  ParallelForOptions options;
-  options.jobs = g_bench_jobs;
-  ParallelFor(count, body, options);
+  ParallelFor(count, body, g_bench_jobs);
 }
 
 void PrintBanner(const std::string& id, const std::string& title) {

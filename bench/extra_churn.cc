@@ -2,11 +2,11 @@
 // §17): a long seeded churn trace — heavy-tailed arrivals, departures,
 // balloon cycles, migration bursts — replayed through the admission
 // solver, reporting solver latency percentiles, admission outcomes and
-// final fragmentation as JSON for tools/run_bench.sh, which splices the
-// object into BENCH_engine.json and ratchets `churn_solver_p99_us`
-// against tools/bench_ratchet.json (a latency ceiling: it only moves
-// down). Everything but the latencies is deterministic: the placement
-// digest printed here must be stable across runs and machines.
+// final fragmentation as JSON. Everything but the latencies and the wall
+// time is deterministic: AdmissionPinnedTest
+// (tests/admission_solver_test.cc) pins the placement digest printed here
+// and the admitted/deferred/rejected tally, and ratchets the solver's node
+// sets and summary refreshes.
 
 #include <chrono>
 #include <cstdio>

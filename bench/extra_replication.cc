@@ -14,9 +14,8 @@
 // replication (docs/MODEL.md §18). With page-walks priced, a VM whose vCPUs
 // span four nodes resolves at most its home node's walks locally under any
 // static placement; per-node P2M replicas push walk locality above 90%.
-// `--json` emits the ladder as a JSON object, which tools/run_bench.sh
-// splices into BENCH_engine.json and the extra_replication_ladder ctest
-// pins.
+// `--json` emits the ladder as a JSON object, which the
+// extra_replication_ladder ctest pins.
 
 #include <algorithm>
 #include <cmath>
@@ -199,8 +198,8 @@ void PrintLadderHuman(const LadderResult& lr) {
 
 int main(int argc, char** argv) {
   // `--json`: run only the walk-locality ladder and emit the JSON object
-  // tools/run_bench.sh splices into BENCH_engine.json. Stripped before
-  // InitBench so the shared flag parser does not warn about it.
+  // the extra_replication_ladder ctest pins. Stripped before InitBench so
+  // the shared flag parser does not warn about it.
   bool json = false;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {

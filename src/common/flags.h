@@ -3,7 +3,7 @@
 //
 // Thread-safety: `values_` and `positional_` are const after the
 // constructor, so any number of threads may call the getters concurrently
-// (parallel-runner workers read flag-derived config). The only mutable
+// (ParallelFor workers read flag-derived config). The only mutable
 // state is the used-key tracking behind UnusedKeys(), which is guarded by
 // its own mutex.
 

@@ -70,7 +70,7 @@ struct Machine {
     dc.name = app.name;
     dc.num_vcpus = threads;
     dc.memory_pages = std::max(
-        SimPagesForApp(app, hv->frames().bytes_per_frame(), options.engine.min_region_pages) +
+        AppSimPages(app, hv->frames().bytes_per_frame(), options.engine.min_region_pages) +
             kDomainSlackPages,
         vm_pages);
     dc.pinned_cpus = std::move(pins);
@@ -121,10 +121,6 @@ std::vector<CpuId> CpuRange(int first, int count) {
 }
 
 }  // namespace
-
-int64_t SimPagesForApp(const AppProfile& app, int64_t bytes_per_frame, int64_t min_region_pages) {
-  return AppSimPages(app, bytes_per_frame, min_region_pages);
-}
 
 StackConfig LinuxStack(PolicyConfig policy) {
   StackConfig s;
@@ -245,8 +241,6 @@ std::vector<PolicySweepEntry> SweepPolicies(const AppProfile& app, const StackCo
   // this thread — the exact serial loop.
   XNUMA_CHECK(options.jobs == 1 || (options.trace == nullptr && options.obs == nullptr));
   std::vector<PolicySweepEntry> sweep(candidates.size());
-  ParallelForOptions pf;
-  pf.jobs = options.jobs;
   ParallelFor(static_cast<int>(candidates.size()),
               [&](int i) {
                 StackConfig stack = base;
@@ -254,7 +248,7 @@ std::vector<PolicySweepEntry> SweepPolicies(const AppProfile& app, const StackCo
                 stack.label = base.label + "/" + ToString(candidates[i]);
                 sweep[i] = {candidates[i], RunSingleApp(app, stack, options)};
               },
-              pf);
+              options.jobs);
   return sweep;
 }
 

@@ -133,10 +133,6 @@ std::vector<PolicySweepEntry> SweepPolicies(const AppProfile& app, const StackCo
 // Fastest entry of a sweep.
 const PolicySweepEntry& BestEntry(const std::vector<PolicySweepEntry>& sweep);
 
-// Total simulated pages the engine will lay out for `app` (used to size the
-// domain's physical memory).
-int64_t SimPagesForApp(const AppProfile& app, int64_t bytes_per_frame, int64_t min_region_pages);
-
 // ---- Multi-tenant churn scenario (docs/MODEL.md §17). ----
 // Assembles a fresh machine and replays a seeded churn trace through the
 // admission solver. Deterministic for a fixed config; what the CLI `churn`

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -11,91 +10,40 @@
 
 namespace xnuma {
 
-namespace {
-
-struct WorkerTally {
-  int64_t started = 0;
-  int64_t failed = 0;
-  double busy_seconds = 0.0;
-};
-
-}  // namespace
-
-void ParallelFor(int count, const std::function<void(int)>& body,
-                 const ParallelForOptions& options) {
+void ParallelFor(int count, const std::function<void(int)>& body, int jobs) {
   XNUMA_CHECK(count >= 0);
   if (count == 0) {
     return;
   }
 
-  const int jobs = std::clamp(options.jobs, 1, kMaxParallelJobs);
-  const int workers = std::min(jobs, count);
+  const int workers = std::min(std::clamp(jobs, 1, kMaxParallelJobs), count);
 
   std::atomic<int> cursor{0};
   // One slot per index: the only cross-thread hand-off besides the cursor,
   // and each slot is written by exactly one worker before the join.
   std::vector<std::exception_ptr> errors(static_cast<size_t>(count));
-  std::vector<WorkerTally> tallies(static_cast<size_t>(workers));
 
-  auto work = [&](int worker) {
-    WorkerTally& tally = tallies[static_cast<size_t>(worker)];
-    const auto begin = std::chrono::steady_clock::now();
+  auto work = [&] {
     int i;
     while ((i = cursor.fetch_add(1, std::memory_order_relaxed)) < count) {
-      ++tally.started;
       try {
         body(i);
       } catch (...) {
         errors[static_cast<size_t>(i)] = std::current_exception();
-        ++tally.failed;
       }
     }
-    const auto end = std::chrono::steady_clock::now();
-    tally.busy_seconds = std::chrono::duration<double>(end - begin).count();
   };
 
   if (workers == 1) {
-    work(0);
+    work();
   } else {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-      threads.emplace_back(work, w);
+      threads.emplace_back(work);
     }
     for (std::thread& t : threads) {
       t.join();
-    }
-  }
-
-  int64_t started = 0;
-  int64_t failed = 0;
-  for (const WorkerTally& tally : tallies) {
-    started += tally.started;
-    failed += tally.failed;
-  }
-
-  // Metrics are committed here, on the calling thread, after the join: the
-  // registry is deliberately lock-free and must only ever be touched
-  // single-threaded (docs/OBSERVABILITY.md).
-  if (options.obs != nullptr) {
-    MetricsRegistry& metrics = options.obs->metrics();
-    metrics
-        .RegisterCounter("exec.runs_started", "runs",
-                         "Matrix runs handed to a parallel-runner worker")
-        ->Increment(started);
-    metrics
-        .RegisterCounter("exec.runs_failed", "runs",
-                         "Matrix runs that failed (body threw or spec rejected)")
-        ->Increment(failed);
-    metrics
-        .RegisterGauge("exec.jobs", "threads",
-                       "Worker threads used by the most recent parallel fan-out")
-        ->Set(static_cast<double>(workers));
-    Histogram* busy = metrics.RegisterHistogram(
-        "exec.worker_busy_seconds", "s",
-        "Per-worker wall time spent inside the fan-out (one observation per worker)");
-    for (const WorkerTally& tally : tallies) {
-      busy->Observe(tally.busy_seconds);
     }
   }
 

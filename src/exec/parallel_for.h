@@ -20,30 +20,17 @@
 
 #include <functional>
 
-#include "src/obs/obs.h"
-
 namespace xnuma {
-
-struct ParallelForOptions {
-  // Worker threads. <= 1 executes inline on the calling thread (the exact
-  // serial loop, no thread is spawned); clamped to kMaxParallelJobs.
-  int jobs = 1;
-  // Optional *runner-level* observability: exec.* metrics describing the
-  // fan-out itself (runs started/failed, per-worker busy time). Workers
-  // never touch it — per-worker tallies are committed single-threaded after
-  // the join, so the registry needs no locking. Distinct from any per-run
-  // Observability, which the isolation contract forbids sharing.
-  Observability* obs = nullptr;
-};
 
 inline constexpr int kMaxParallelJobs = 256;
 
-// Executes body(i) for every i in [0, count), fanned across
-// options.jobs workers. All indices execute even if some throw; the
-// exception for the lowest failing index is rethrown after every worker has
-// drained (deterministic regardless of scheduling).
-void ParallelFor(int count, const std::function<void(int)>& body,
-                 const ParallelForOptions& options = {});
+// Executes body(i) for every i in [0, count), fanned across `jobs` worker
+// threads. jobs <= 1 executes inline on the calling thread (the exact
+// serial loop, no thread is spawned); jobs is clamped to kMaxParallelJobs
+// and to count. All indices execute even if some throw; the exception for
+// the lowest failing index is rethrown after every worker has drained
+// (deterministic regardless of scheduling).
+void ParallelFor(int count, const std::function<void(int)>& body, int jobs);
 
 }  // namespace xnuma
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -288,7 +287,6 @@ Engine::Engine(Hypervisor& hv, const LatencyModel& latency, EngineConfig config)
   if (const char* verify = getenv("XNUMA_VERIFY_PLACEMENT_CACHE"); verify != nullptr) {
     verify_cache_period_ = std::max(0, atoi(verify));
   }
-  debug_epoch_ = getenv("XNUMA_DEBUG_EPOCH") != nullptr;
   carrefour_system_ = std::make_unique<CarrefourSystemComponent>(hv, counters_, *this);
   carrefour_user_ =
       std::make_unique<CarrefourUserComponent>(*carrefour_system_, config_.carrefour, config.seed);
@@ -1207,16 +1205,6 @@ void Engine::AdvanceProgress(JobState& job, double dt, double now) {
     }
   }
 
-  if (debug_epoch_) {
-    double rem = 0.0;
-    for (const ThreadState& th : job.threads) {
-      rem += th.work_remaining;
-    }
-    std::fprintf(stderr, "t=%.2f job=%s lat0=%.0f rate0=%.3gM stall=%.4f oh=%.3f rem=%.3g\n", now,
-                 job.spec.app->name.c_str(), job.threads[0].last_latency_cycles,
-                 job.threads[0].rate / 1e6, job.pending_stall_seconds, job.overhead_fraction,
-                 rem);
-  }
   if (ComputeDone(job) && job.io_bytes_remaining <= 0.0) {
     FinishJob(job, now - dt + std::min(finish_offset, dt));
   }

@@ -410,8 +410,6 @@ class Engine : public PageAccessSource {
   // against a full rescan every N refreshes of each job, and a skipped
   // access-distribution recomputation against a fresh one (0 = off).
   int verify_cache_period_ = 0;
-  // XNUMA_DEBUG_EPOCH is set: print per-job solver diagnostics every epoch.
-  bool debug_epoch_ = false;
 
   // ---- Observability (null = disabled; inherited from the hypervisor). ----
   Observability* obs_ = nullptr;

@@ -19,13 +19,19 @@
 // runs under XNUMA_VERIFY_PLACEMENT_CACHE=1, which recomputes every
 // skipped distribution and rebuilds every reused solve plan, and aborts
 // unless each matches the reused one bit for bit.
+//
+// WorkCounterRatchetTest holds what those reuses save: the exact work
+// counters of fixed-seed runs shaped like perfbench's paper_matrix and
+// carrefour_churn workloads may not rise above their recorded values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +41,7 @@
 #include "src/hv/scheduler.h"
 #include "src/numa/latency_model.h"
 #include "src/numa/topology.h"
+#include "src/obs/obs.h"
 #include "src/sim/engine.h"
 #include "src/workload/app_profile.h"
 
@@ -361,6 +368,144 @@ TEST(SolvePlanTest, WithinNodeRepinReachesTheSolve) {
   EXPECT_LT(repinned.jobs[0].compute_seconds, 0.8 * shared.jobs[0].compute_seconds);
   // Every reuse of the plan matched its rebuild, and moved no bit.
   EXPECT_EQ(ResultsDigest(verified.jobs), ResultsDigest(repinned.jobs));
+}
+
+// Exact work counters are deterministic and independent of the host, so
+// unlike a wall clock they can gate in tier-1. The inputs (epochs run and
+// hot-page candidates) are pinned; every work counter fails on any rise.
+// A change that lowers a counter lowers its recorded value here.
+struct WorkCount {
+  const char* metric;  // a counter, or a histogram's sum
+  int64_t recorded;
+  bool pinned;  // an input: must equal `recorded`
+};
+
+int64_t MetricTotal(const Observability& obs, const std::string& name) {
+  for (const MetricSnapshot& m : obs.metrics().Snapshot()) {
+    if (m.name == name) {
+      return m.kind == MetricKind::kHistogram ? static_cast<int64_t>(m.value) : m.count;
+    }
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
+
+// Prints every counter when any one fails.
+void ExpectNoMoreWork(const Observability& obs, const std::vector<WorkCount>& counts) {
+  bool ok = true;
+  std::ostringstream table;
+  for (const WorkCount& w : counts) {
+    const int64_t now = MetricTotal(obs, w.metric);
+    const bool pass = w.pinned ? now == w.recorded : now <= w.recorded;
+    ok = ok && pass;
+    table << "  " << w.metric << ": " << now << (w.pinned ? ", pinned at " : ", at most ")
+          << w.recorded << (pass ? "" : "  <- FAILS") << "\n";
+  }
+  EXPECT_TRUE(ok) << "work counters:\n" << table.str();
+}
+
+// A paper_matrix slice: four apps of different classes under all ten
+// stacks of the figure binaries, with their options (5 s apps, a 300 s cap,
+// seed 7).
+TEST(WorkCounterRatchetTest, PaperMatrixSlice) {
+  std::vector<StackConfig> stacks;
+  for (const PolicyConfig& p : LinuxPolicyCandidates()) {
+    stacks.push_back(LinuxStack(p));
+  }
+  stacks.push_back(XenStack());
+  for (const PolicyConfig& p : XenPolicyCandidates()) {
+    stacks.push_back(XenPlusStack(p));
+  }
+  ASSERT_EQ(stacks.size(), 10u);
+  Observability obs;
+  RunOptions opts;
+  opts.engine.max_sim_seconds = 300.0;
+  opts.obs = &obs;
+  for (const char* name : {"bt.C", "cg.C", "streamcluster", "wc"}) {
+    const AppProfile app = ShrunkApp(name, 5.0);
+    for (const StackConfig& stack : stacks) {
+      EXPECT_TRUE(RunSingleApp(app, stack, opts).finished) << name << " " << stack.label;
+    }
+  }
+  ExpectNoMoreWork(obs, {
+      {"engine.epochs", 6714, true},
+      {"engine.sampler.candidates", 757018, true},
+      {"engine.solver.iterations", 30884, false},
+      {"engine.solver.unconverged", 978, false},
+      {"engine.solver.plan_builds", 543, false},
+      {"engine.solver.congestion_evals", 527106, false},
+      {"engine.placement.distribution_recomputes", 543, false},
+      {"engine.placement.full_rescans", 40, false},
+      {"engine.placement.dirty_events", 153908, false},
+      {"engine.sampler.bounded", 490782, false},
+      {"engine.sampler.scored", 87519, false},
+  });
+}
+
+// One carrefour_churn machine: four 4-vCPU first-touch + Carrefour domains
+// of 2 GiB at 1 MiB frames, each spread over four nodes, under allocator
+// churn for 40 epochs.
+TEST(WorkCounterRatchetTest, CarrefourChurnMachine) {
+  constexpr int64_t kBytesPerFrame = 1ll << 20;
+  constexpr int kDomains = 4;
+  constexpr int kVcpus = 4;
+  constexpr int kEpochs = 40;
+  AppProfile app = TwoRegionApp(/*cycles_per_access=*/40.0);
+  app.name = "carrefour-churn";
+  app.mlp = 4.0;
+  app.nominal_seconds = 1e6;  // never finishes inside the window
+  app.release_rate_per_s = 20000.0;
+  app.regions[0].footprint_mb = 1536;
+  app.regions[0].hot_fraction = 0.1;
+  app.regions[1].footprint_mb = 512;
+
+  const Topology topo = Topology::Amd48();
+  Hypervisor hv(topo, kBytesPerFrame);
+  Observability obs;
+  hv.set_observability(&obs);
+  const LatencyModel latency;
+  EngineConfig ec;
+  ec.seed = 7;
+  // Half an epoch short, so float accumulation of `now` cannot add one.
+  ec.max_sim_seconds = (kEpochs - 0.5) * ec.epoch_seconds;
+  Engine engine(hv, latency, ec);
+  const int64_t pages = AppSimPages(app, kBytesPerFrame, ec.min_region_pages);
+  std::vector<int> used_per_node(topo.num_nodes(), 0);
+  std::vector<std::unique_ptr<GuestOs>> guests;
+  for (int d = 0; d < kDomains; ++d) {
+    DomainConfig dc;
+    dc.name = "churn" + std::to_string(d);
+    dc.num_vcpus = kVcpus;
+    dc.memory_pages = pages + 64;
+    for (int v = 0; v < kVcpus; ++v) {
+      const NodeId node = (d + 2 * v) % topo.num_nodes();
+      dc.pinned_cpus.push_back(topo.node(node).cpus[used_per_node[node]++]);
+    }
+    dc.policy = {StaticPolicy::kFirstTouch, true};
+    const DomainId dom = hv.CreateDomain(dc);
+    guests.push_back(std::make_unique<GuestOs>(hv, dom));
+    JobSpec job;
+    job.app = &app;
+    job.domain = dom;
+    job.guest = guests.back().get();
+    job.threads = kVcpus;
+    job.churn_reuse_delay_s = 0.1;
+    engine.AddJob(job);
+  }
+  engine.Run();
+  ExpectNoMoreWork(obs, {
+      {"engine.epochs", kEpochs, true},
+      {"engine.sampler.candidates", 7553, true},
+      {"engine.solver.iterations", 960, false},
+      {"engine.solver.unconverged", 40, false},
+      {"engine.solver.plan_builds", 40, false},
+      {"engine.solver.congestion_evals", 12370, false},
+      {"engine.placement.distribution_recomputes", 160, false},
+      {"engine.placement.full_rescans", 4, false},
+      {"engine.placement.dirty_events", 16134, false},
+      {"engine.sampler.bounded", 2025, false},
+      {"engine.sampler.scored", 801, false},
+  });
 }
 
 }  // namespace

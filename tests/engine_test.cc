@@ -60,7 +60,7 @@ struct TestMachine {
     DomainConfig dc;
     dc.name = app.name;
     dc.num_vcpus = threads;
-    dc.memory_pages = SimPagesForApp(app, hv.frames().bytes_per_frame(), 96) + 64;
+    dc.memory_pages = AppSimPages(app, hv.frames().bytes_per_frame(), 96) + 64;
     for (int i = 0; i < threads; ++i) {
       dc.pinned_cpus.push_back(i);
     }
@@ -183,7 +183,7 @@ TEST(EngineTest, SamplerReturnsHottestFirst) {
   app.nominal_seconds = 30.0;
   DomainConfig dc;
   dc.num_vcpus = 8;
-  dc.memory_pages = SimPagesForApp(app, m.hv.frames().bytes_per_frame(), 96) + 64;
+  dc.memory_pages = AppSimPages(app, m.hv.frames().bytes_per_frame(), 96) + 64;
   for (int i = 0; i < 8; ++i) {
     dc.pinned_cpus.push_back(i * 6);
   }
@@ -240,7 +240,7 @@ struct SamplerMachine {
     app.regions[1].footprint_mb = 1024;
     DomainConfig dc;
     dc.num_vcpus = 24;
-    dc.memory_pages = SimPagesForApp(app, hv.frames().bytes_per_frame(), 96) + 64;
+    dc.memory_pages = AppSimPages(app, hv.frames().bytes_per_frame(), 96) + 64;
     for (int i = 0; i < dc.num_vcpus; ++i) {
       dc.pinned_cpus.push_back(i);
     }

@@ -118,8 +118,8 @@ TEST(ExperimentTest, ConsolidationRoughlyHalvesCpuBoundThroughput) {
 
 TEST(ExperimentTest, SimPagesScalesWithFootprint) {
   const int64_t frame = 4ll << 20;
-  EXPECT_EQ(SimPagesForApp(*FindApp("swaptions"), frame, 96), 176);  // clamped minima
-  EXPECT_GT(SimPagesForApp(*FindApp("dc.B"), frame, 96), 9000);
+  EXPECT_EQ(AppSimPages(*FindApp("swaptions"), frame, 96), 176);  // clamped minima
+  EXPECT_GT(AppSimPages(*FindApp("dc.B"), frame, 96), 9000);
 }
 
 TEST(ExperimentTest, McsAppliedOnlyToEligibleApps) {

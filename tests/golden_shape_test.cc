@@ -7,10 +7,11 @@
 //   * Table 1 — the low/moderate/high imbalance class split;
 //   * Table 4 — the best Linux and best Xen+ policy per application.
 //
-// All runs go through the ParallelRunner at hardware-concurrency jobs, so
+// All runs fan out through ParallelFor at hardware-concurrency jobs, so
 // this test is also an end-to-end determinism check: the fixture was
 // generated from the serial loop, and any scheduling leak would show up as
-// a diff. Regenerate after an intentional model change with
+// a diff. A run that throws fails the test. Regenerate after an
+// intentional model change with
 //   XNUMA_REGEN_GOLDEN=1 ./tests/golden_shape_test
 // and re-read EXPERIMENTS.md — if the shapes moved, its claims must too.
 
@@ -24,7 +25,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/exec/experiment_runner.h"
+#include "src/core/experiment.h"
+#include "src/exec/parallel_for.h"
 
 #ifndef XNUMA_GOLDEN_DIR
 #error "XNUMA_GOLDEN_DIR must be defined (tests/CMakeLists.txt sets it)"
@@ -80,57 +82,31 @@ std::string ComputeShapeClaims() {
   const std::vector<PolicyConfig> xen_candidates = XenPolicyCandidates();
 
   // One flat matrix: per app, the Figure 1 pair, the Table 1 pair, and every
-  // sweep candidate for Table 4. Indices are reconstructed below from the
-  // fixed per-app stride.
+  // sweep candidate for Table 4. Cell i runs app i / stride under stack
+  // i % stride.
   StackConfig stock_linux = LinuxStack();
   stock_linux.mcs_for_eligible = false;
-
-  std::vector<RunSpec> specs;
-  for (const AppProfile& app : apps) {
-    RunSpec base;
-    base.app = app;
-    base.options = GoldenOptions();
-
-    RunSpec spec = base;
-    spec.stack = stock_linux;
-    spec.label = app.name + "/fig1-linux";
-    specs.push_back(spec);
-
-    spec = base;
-    spec.stack = XenStack();
-    spec.label = app.name + "/fig1-xen";
-    specs.push_back(spec);
-
-    spec = base;
-    spec.stack = LinuxStack({StaticPolicy::kFirstTouch, false});
-    spec.label = app.name + "/table1-ft";
-    specs.push_back(spec);
-
-    spec = base;
-    spec.stack = LinuxStack({StaticPolicy::kRound4k, false});
-    spec.label = app.name + "/table1-r4k";
-    specs.push_back(spec);
-
-    for (const PolicyConfig& policy : linux_candidates) {
-      spec = base;
-      spec.stack = LinuxStack();
-      spec.stack.policy = policy;
-      spec.label = app.name + "/linux-sweep/" + ToString(policy);
-      specs.push_back(spec);
-    }
-    for (const PolicyConfig& policy : xen_candidates) {
-      spec = base;
-      spec.stack = XenPlusStack();
-      spec.stack.policy = policy;
-      spec.label = app.name + "/xen-sweep/" + ToString(policy);
-      specs.push_back(spec);
-    }
+  std::vector<StackConfig> stacks = {stock_linux, XenStack(),
+                                     LinuxStack({StaticPolicy::kFirstTouch, false}),
+                                     LinuxStack({StaticPolicy::kRound4k, false})};
+  for (const PolicyConfig& policy : linux_candidates) {
+    stacks.push_back(LinuxStack());
+    stacks.back().policy = policy;
   }
-  const int stride = 4 + static_cast<int>(linux_candidates.size() + xen_candidates.size());
+  for (const PolicyConfig& policy : xen_candidates) {
+    stacks.push_back(XenPlusStack());
+    stacks.back().policy = policy;
+  }
+  const size_t stride = stacks.size();
 
-  ParallelRunner::Options opt;
-  opt.jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const std::vector<RunOutcome> outcomes = ParallelRunner(opt).RunAll(specs);
+  std::vector<JobResult> results(apps.size() * stride);
+  ParallelFor(static_cast<int>(results.size()),
+              [&](int i) {
+                const size_t cell = static_cast<size_t>(i);
+                results[cell] =
+                    RunSingleApp(apps[cell / stride], stacks[cell % stride], GoldenOptions());
+              },
+              static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
 
   // Fixture content.
   std::ostringstream claims;
@@ -143,14 +119,9 @@ std::string ComputeShapeClaims() {
   int high = 0;
   std::ostringstream table4;
   for (size_t a = 0; a < apps.size(); ++a) {
-    const RunOutcome* row = &outcomes[a * static_cast<size_t>(stride)];
-    for (int k = 0; k < stride; ++k) {
-      EXPECT_TRUE(row[k].ok) << row[k].label << ": " << row[k].error;
-    }
-
-    const double overhead = 100.0 * (row[1].result.completion_seconds /
-                                         row[0].result.completion_seconds -
-                                     1.0);
+    const JobResult* row = &results[a * stride];
+    const double overhead =
+        100.0 * (row[1].completion_seconds / row[0].completion_seconds - 1.0);
     if (overhead > 50.0) {
       ++over50;
     }
@@ -162,7 +133,7 @@ std::string ComputeShapeClaims() {
       worst_app = apps[a].name;
     }
 
-    const char* cls = Classify(row[2].result.imbalance_pct);
+    const char* cls = Classify(row[2].imbalance_pct);
     if (cls[0] == 'l') {
       ++low;
     } else if (cls[0] == 'm') {
@@ -173,11 +144,11 @@ std::string ComputeShapeClaims() {
 
     std::vector<const JobResult*> linux_sweep;
     for (size_t i = 0; i < linux_candidates.size(); ++i) {
-      linux_sweep.push_back(&row[4 + i].result);
+      linux_sweep.push_back(&row[4 + i]);
     }
     std::vector<const JobResult*> xen_sweep;
     for (size_t i = 0; i < xen_candidates.size(); ++i) {
-      xen_sweep.push_back(&row[4 + linux_candidates.size() + i].result);
+      xen_sweep.push_back(&row[4 + linux_candidates.size() + i]);
     }
     table4 << "table4." << apps[a].name
            << " linux=" << ToString(linux_candidates[static_cast<size_t>(BestIndex(linux_sweep))])

@@ -10,14 +10,14 @@
 // --seed N, --csv (machine-readable single-line output). A run that hits
 // the simulation cap prints `unfinished` in place of its time and exits 1.
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-
 #include <fstream>
+#include <string>
+#include <type_traits>
 
 #include "src/admission/solver.h"
 #include "src/common/flags.h"
@@ -74,20 +74,47 @@ bool ParsePolicy(const std::string& name, StaticPolicy* out) {
   return true;
 }
 
-// The numeric flags of run, sweep, pair and auto, read and checked in one
-// place. A value that does not parse in full, or lies outside its range, is
-// refused with exit status 2 and its message as the only output.
-struct RunFlags {
-  double seconds = 0.0;  // 0 keeps each app's nominal runtime
-  int threads = 48;
-  int jobs = 1;
-};
-
 [[noreturn]] void Refuse(const char* cmd, const char* flag, const std::string& value,
                          const std::string& why) {
   std::fprintf(stderr, "%s: --%s %s %s\n", cmd, flag, value.c_str(), why.c_str());
   std::exit(2);
 }
+
+// Every command reads its integer flags here: `fallback` when the flag is
+// absent, else a decimal integer that parses in full and lies in
+// [min, max]. Any other value is refused with exit status 2 and its
+// message as the only output, before anything is built.
+template <typename T>
+T ReadInt(const Flags& flags, const char* cmd, const char* flag, T fallback, T min, T max) {
+  if (!flags.Has(flag)) {
+    return fallback;
+  }
+  const std::string text = flags.GetString(flag);
+  // from_chars reads no sign into an unsigned type, so the minus sign is
+  // skipped here: any nonzero value after it lies below the range.
+  const bool negative = std::is_unsigned_v<T> && !text.empty() && text[0] == '-';
+  const char* last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data() + (negative ? 1 : 0), last, value);
+  if (error == std::errc::invalid_argument || end != last) {
+    Refuse(cmd, flag, text, "is not an integer");
+  }
+  if (error == std::errc::result_out_of_range || (negative && value != 0) || value < min ||
+      value > max) {
+    Refuse(cmd, flag, text,
+           "is out of range [" + std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+// The numeric flags of run, sweep, pair and auto, read and checked in one
+// place.
+struct RunFlags {
+  double seconds = 0.0;  // 0 keeps each app's nominal runtime
+  int threads = 48;
+  int jobs = 1;
+  uint64_t seed = 7;
+};
 
 RunFlags ReadRunFlags(const Flags& flags, const char* cmd) {
   RunFlags out;
@@ -104,34 +131,13 @@ RunFlags ReadRunFlags(const Flags& flags, const char* cmd) {
   // VMs, so it leaves --threads unread and passing it warns; only sweep
   // fans out over worker threads.
   const std::string command = cmd;
-  const struct {
-    const char* flag;
-    bool read;
-    int64_t min;
-    int64_t max;
-    int* value;
-  } ranges[] = {
-      {"threads", command != "pair", 1, 48, &out.threads},
-      {"jobs", command == "sweep", 1, kMaxParallelJobs, &out.jobs},
-  };
-  for (const auto& range : ranges) {
-    if (!range.read || !flags.Has(range.flag)) {
-      continue;
-    }
-    const std::string text = flags.GetString(range.flag);
-    char* end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0') {
-      Refuse(cmd, range.flag, text, "is not an integer");
-    }
-    if (errno == ERANGE || value < range.min || value > range.max) {
-      Refuse(cmd, range.flag, text,
-             "is out of range [" + std::to_string(range.min) + ", " +
-                 std::to_string(range.max) + "]");
-    }
-    *range.value = static_cast<int>(value);
+  if (command != "pair") {
+    out.threads = static_cast<int>(ReadInt<int64_t>(flags, cmd, "threads", 48, 1, 48));
   }
+  if (command == "sweep") {
+    out.jobs = static_cast<int>(ReadInt<int64_t>(flags, cmd, "jobs", 1, 1, kMaxParallelJobs));
+  }
+  out.seed = ReadInt<uint64_t>(flags, cmd, "seed", 7, 0, UINT64_MAX);
   return out;
 }
 
@@ -154,7 +160,7 @@ RunOptions LoadOptions(const Flags& flags, const RunFlags& run) {
   RunOptions opts;
   opts.threads = run.threads;
   opts.jobs = run.jobs;
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  opts.seed = run.seed;
   opts.engine.price_walks = flags.GetBool("price_walks", false);
   return opts;
 }
@@ -336,47 +342,27 @@ int CmdPair(const Flags& flags) {
 }
 
 int CmdChurn(const Flags& flags) {
-  // Every flag is read before any is checked, so a refusal warns about no
-  // flag it left unread.
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const int64_t tenants = flags.GetInt("tenants", 24);
-  const int64_t events = flags.GetInt("events", 2000);
-  const int64_t min_pages = flags.GetInt("min_pages", 8);
-  const int64_t max_pages = flags.GetInt("max_pages", 2048);
-  const int64_t vcpus = flags.GetInt("vcpus", 6);
-  const bool synthetic = flags.Has("nodes");
-  const int64_t nodes = flags.GetInt("nodes", 0);
-  // AMD48 leaves --cpus and --node_mb unread, so passing them warns.
-  const int64_t cpus = synthetic ? flags.GetInt("cpus", 4) : 4;
-  const int64_t node_mb = synthetic ? flags.GetInt("node_mb", 256) : 256;
+  // A refused number exits at once. The width check below comes after
+  // every flag is read, so its refusal warns about no flag left unread.
   const bool csv = flags.GetBool("csv", false);
   const std::string metrics_json_path = flags.GetString("metrics-json", "");
   const bool print_metrics = flags.GetBool("metrics", false);
-  // The churn machine's frames are 4 MiB (the Hypervisor default), and a
-  // node needs at least one.
-  const struct {
-    const char* flag;
-    int64_t value;
-    int64_t min;
-    int64_t max;
-  } ranges[] = {
-      {"events", events, 0, INT32_MAX},
-      {"tenants", tenants, INT32_MIN, INT32_MAX},
-      {"vcpus", vcpus, 1, INT32_MAX},
-      {"min_pages", min_pages, 1, INT64_MAX},
-      {"max_pages", max_pages, min_pages, INT64_MAX},
-      {"nodes", nodes, synthetic ? 1 : 0, INT32_MAX},
-      {"cpus", cpus, 1, INT32_MAX},
-      {"node_mb", node_mb, 4, INT64_MAX >> 20},
-  };
-  for (const auto& range : ranges) {
-    if (range.value < range.min || range.value > range.max) {
-      std::fprintf(stderr, "churn: --%s %lld is out of range [%lld, %lld]\n", range.flag,
-                   static_cast<long long>(range.value), static_cast<long long>(range.min),
-                   static_cast<long long>(range.max));
-      return 2;
-    }
-  }
+  const bool synthetic = flags.Has("nodes");
+  const uint64_t seed = ReadInt<uint64_t>(flags, "churn", "seed", 1, 0, UINT64_MAX);
+  const int64_t events = ReadInt<int64_t>(flags, "churn", "events", 2000, 0, INT32_MAX);
+  const int64_t tenants =
+      ReadInt<int64_t>(flags, "churn", "tenants", 24, INT32_MIN, INT32_MAX);
+  const int64_t vcpus = ReadInt<int64_t>(flags, "churn", "vcpus", 6, 1, INT32_MAX);
+  const int64_t min_pages = ReadInt<int64_t>(flags, "churn", "min_pages", 8, 1, INT64_MAX);
+  const int64_t max_pages =
+      ReadInt<int64_t>(flags, "churn", "max_pages", 2048, min_pages, INT64_MAX);
+  const int64_t nodes = synthetic ? ReadInt<int64_t>(flags, "churn", "nodes", 0, 1, INT32_MAX) : 0;
+  // AMD48 leaves --cpus and --node_mb unread, so passing them warns. The
+  // churn machine's frames are 4 MiB (the Hypervisor default), and a node
+  // needs at least one.
+  const int64_t cpus = synthetic ? ReadInt<int64_t>(flags, "churn", "cpus", 4, 1, INT32_MAX) : 4;
+  const int64_t node_mb =
+      synthetic ? ReadInt<int64_t>(flags, "churn", "node_mb", 256, 4, INT64_MAX >> 20) : 256;
   if (nodes > kMaxAdmissionNodes) {
     std::fprintf(stderr, "churn: --nodes %lld exceeds the admission solver's %d-node limit\n",
                  static_cast<long long>(nodes), kMaxAdmissionNodes);
