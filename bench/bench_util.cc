@@ -1,7 +1,8 @@
 #include "bench/bench_util.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "src/common/flags.h"
 #include "src/exec/parallel_for.h"
@@ -18,8 +19,10 @@ int g_bench_jobs = 1;
 
 void InitBench(int argc, char** argv) {
   const Flags flags(argc, argv);
-  g_bench_jobs =
-      std::clamp(static_cast<int>(flags.GetInt("jobs", 1)), 1, kMaxParallelJobs);
+  // Refusals name the binary, as the CLI's name their command.
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* name = slash == nullptr ? argv[0] : slash + 1;
+  g_bench_jobs = static_cast<int>(ReadInt<int64_t>(flags, name, "jobs", 1, 1, kMaxParallelJobs));
   for (const std::string& key : flags.UnusedKeys()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
   }

@@ -34,7 +34,9 @@ RunOptions BenchOptions();
 // Parses the shared bench command line — call first in every bench main().
 // Flags: `--jobs N` fans each binary's independent-run matrix across N
 // worker threads. Output is bit-identical for every value: bodies commit
-// into per-index slots and all printing happens after the fan-out.
+// into per-index slots and all printing happens after the fan-out. N must
+// be an integer in [1, kMaxParallelJobs]; any other value is refused with
+// exit status 2 (ReadInt in src/common/flags.h).
 void InitBench(int argc, char** argv);
 
 // Worker threads selected by InitBench (1 when never called).

@@ -12,7 +12,6 @@
 #include "src/core/experiment.h"
 #include "src/sim/trace.h"
 #include "src/workload/app_profile.h"
-#include "src/workload/synthetic.h"
 
 namespace {
 
@@ -40,12 +39,27 @@ int main(int argc, char** argv) {
     app = *found;
     app.nominal_seconds = 4.0;
   } else {
-    SyntheticSpec spec;
-    spec.shared_affinity = 0.85;  // partitioned: the migration heuristic applies
-    spec.cycles_per_access = 130;
-    spec.mlp = 3;
-    spec.nominal_seconds = 4.0;
-    app = MakeMasterSlaveApp(spec);
+    // Master-slave: one thread initializes a shared region that takes 70%
+    // of the accesses; it is partitioned among the threads, so the
+    // migration heuristic applies.
+    const double shared_share = 0.7;
+    app.name = "synthetic-master-slave";
+    app.cpu_cycles_per_access = 130;
+    app.mlp = 3;
+    app.nominal_seconds = 4.0;
+    RegionSpec shared;
+    shared.name = "shared";
+    shared.footprint_mb = 512;
+    shared.init = AllocPattern::kMasterInit;
+    shared.access_share = shared_share;
+    shared.owner_affinity = 0.85;
+    app.regions.push_back(shared);
+    RegionSpec priv;
+    priv.name = "private";
+    priv.footprint_mb = 256;
+    priv.access_share = 1.0 - shared_share;
+    priv.owner_affinity = 0.95;
+    app.regions.push_back(priv);
   }
 
   TraceRecorder trace;

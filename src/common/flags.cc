@@ -1,6 +1,9 @@
 #include "src/common/flags.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 namespace xnuma {
 
@@ -42,18 +45,6 @@ std::string Flags::GetString(const std::string& key, const std::string& fallback
   return it == values_.end() ? fallback : it->second;
 }
 
-double Flags::GetDouble(const std::string& key, double fallback) const {
-  MarkRead(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
-
-int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
-  MarkRead(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
 bool Flags::GetBool(const std::string& key, bool fallback) const {
   MarkRead(key);
   auto it = values_.find(key);
@@ -74,5 +65,37 @@ std::vector<std::string> Flags::UnusedKeys() const {
   }
   return unused;
 }
+
+void RefuseFlag(const char* cmd, const char* flag, const std::string& value,
+                const std::string& why) {
+  std::fprintf(stderr, "%s: --%s %s %s\n", cmd, flag, value.c_str(), why.c_str());
+  std::exit(2);
+}
+
+template <typename T>
+T ReadInt(const Flags& flags, const char* cmd, const char* flag, T fallback, T min, T max) {
+  if (!flags.Has(flag)) {
+    return fallback;
+  }
+  const std::string text = flags.GetString(flag);
+  // from_chars reads no sign into an unsigned type, so the minus sign is
+  // skipped here: any nonzero value after it lies below the range.
+  const bool negative = std::is_unsigned_v<T> && !text.empty() && text[0] == '-';
+  const char* last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data() + (negative ? 1 : 0), last, value);
+  if (error == std::errc::invalid_argument || end != last) {
+    RefuseFlag(cmd, flag, text, "is not an integer");
+  }
+  if (error == std::errc::result_out_of_range || (negative && value != 0) || value < min ||
+      value > max) {
+    RefuseFlag(cmd, flag, text,
+               "is out of range [" + std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+template int64_t ReadInt(const Flags&, const char*, const char*, int64_t, int64_t, int64_t);
+template uint64_t ReadInt(const Flags&, const char*, const char*, uint64_t, uint64_t, uint64_t);
 
 }  // namespace xnuma

@@ -10,6 +10,7 @@
 #ifndef XENNUMA_SRC_COMMON_FLAGS_H_
 #define XENNUMA_SRC_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
@@ -26,8 +27,6 @@ class Flags {
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key, const std::string& fallback = "") const;
-  double GetDouble(const std::string& key, double fallback) const;
-  int64_t GetInt(const std::string& key, int64_t fallback) const;
   bool GetBool(const std::string& key, bool fallback = false) const;
 
   // Keys that were provided but never read; useful for typo detection.
@@ -41,6 +40,17 @@ class Flags {
   mutable std::mutex read_mutex_;
   mutable std::set<std::string> read_;
 };
+
+// Prints "<cmd>: --<flag> <value> <why>" to stderr and exits with status 2.
+[[noreturn]] void RefuseFlag(const char* cmd, const char* flag, const std::string& value,
+                             const std::string& why);
+
+// The one integer reader of every command: `fallback` when the flag is
+// absent, else a decimal integer that parses in full and lies in
+// [min, max]. Any other value is refused through RefuseFlag, so its message
+// is the only output, before anything is built. T is int64_t or uint64_t.
+template <typename T>
+T ReadInt(const Flags& flags, const char* cmd, const char* flag, T fallback, T min, T max);
 
 }  // namespace xnuma
 

@@ -134,7 +134,6 @@ int GuestOs::CreateProcess(int64_t num_vpages) {
 int64_t GuestOs::DirtyLimit() const { return std::max<int64_t>(1024, total_vpages_ / 4); }
 
 void GuestOs::MarkVpageDirty(int pid, Vpn vpn) {
-  ++placement_generation_;
   if (dirty_overflow_) {
     return;
   }

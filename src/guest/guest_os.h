@@ -127,10 +127,6 @@ class GuestOs {
     Vpn vpn = 0;
   };
 
-  // Monotonically increasing counter, bumped whenever a vpn->pfn mapping
-  // changes (lazy allocation, release, hypervisor fault resolution).
-  uint64_t placement_generation() const { return placement_generation_; }
-
   // Appends every changed vpage since the last drain and clears the set.
   // Returns false when the tracker overflowed (bulk churn): the set is
   // empty in that case and the caller must rescan its address ranges.
@@ -175,7 +171,6 @@ class GuestOs {
   Counter* vnuma_local_counter_ = nullptr;
   Counter* vnuma_remote_counter_ = nullptr;
 
-  uint64_t placement_generation_ = 0;
   std::vector<VpageEvent> dirty_vpages_;
   bool dirty_overflow_ = false;
   int64_t total_vpages_ = 0;

@@ -129,8 +129,6 @@ class FrameAllocator {
   void FragmentEdgeRegions(int holes_per_edge, uint64_t seed = 42);
 
  private:
-  int64_t IndexInNode(Mfn mfn, NodeId node) const { return mfn - node_bases_[node]; }
-
   bool TestBit(int64_t i) const { return (used_[i >> 6] >> (i & 63)) & 1; }
   void SetBit(int64_t i) { used_[i >> 6] |= uint64_t{1} << (i & 63); }
   void ClearBit(int64_t i) { used_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }

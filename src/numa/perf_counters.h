@@ -49,12 +49,6 @@ class PerfCounters {
 
   const TrafficSnapshot& last_epoch() const { return last_; }
   bool has_epoch() const { return committed_epochs_ > 0; }
-  int committed_epochs() const { return committed_epochs_; }
-
-  // Cumulative accesses to each node's memory since Reset().
-  const std::vector<double>& cumulative_accesses_per_node() const {
-    return cumulative_node_accesses_;
-  }
 
   // Table 1 "imbalance": relative standard deviation (in %) around the
   // average number of accesses per node, cumulative since Reset().

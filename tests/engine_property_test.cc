@@ -273,7 +273,6 @@ void CheckInvariantsWhileFullNodesRefuseMigrations(StaticPolicy placement) {
       return;  // a full sweep every epoch would dominate the test's runtime
     }
     check_mappings();
-    engine.DebugRefreshPlacement();
     ASSERT_TRUE(engine.DebugVerifyPlacementCache()) << "epoch " << epoch;
     check_owned_pages_mapped();
   });

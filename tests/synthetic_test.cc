@@ -1,4 +1,5 @@
-#include "src/workload/synthetic.h"
+// The §3.5.2 taxonomy on the two textbook access patterns: round-4K wins
+// master-slave, first-touch wins thread-local.
 
 #include <gtest/gtest.h>
 
@@ -7,54 +8,38 @@
 namespace xnuma {
 namespace {
 
-TEST(SyntheticTest, MasterSlaveShape) {
-  const AppProfile app = MakeMasterSlaveApp();
-  ASSERT_EQ(app.regions.size(), 2u);
-  EXPECT_EQ(app.regions[0].init, AllocPattern::kMasterInit);
-  EXPECT_GE(app.regions[0].access_share, 0.7);
-  EXPECT_EQ(app.regions[1].init, AllocPattern::kOwnerPartitioned);
-  EXPECT_NEAR(app.regions[0].access_share + app.regions[1].access_share, 1.0, 1e-9);
-}
-
-TEST(SyntheticTest, ThreadLocalShape) {
-  const AppProfile app = MakeThreadLocalApp();
-  EXPECT_LE(app.regions[0].access_share, 0.05);
-  EXPECT_GE(app.regions[1].owner_affinity, 0.9);
-}
-
-TEST(SyntheticTest, ReadOnlyTableShape) {
-  const AppProfile app = MakeReadOnlyTableApp();
-  EXPECT_DOUBLE_EQ(app.regions[0].write_fraction, 0.0);
-  EXPECT_GE(app.regions[0].access_share, 0.8);
-}
-
-TEST(SyntheticTest, SpecOverridesApply) {
-  SyntheticSpec spec;
-  spec.name = "custom";
-  spec.cycles_per_access = 99;
-  spec.mlp = 3.5;
-  spec.nominal_seconds = 2.5;
-  spec.shared_mb = 64;
-  const AppProfile app = MakeMasterSlaveApp(spec);
-  EXPECT_EQ(app.name, "custom");
-  EXPECT_DOUBLE_EQ(app.cpu_cycles_per_access, 99);
-  EXPECT_DOUBLE_EQ(app.mlp, 3.5);
-  EXPECT_DOUBLE_EQ(app.nominal_seconds, 2.5);
-  EXPECT_DOUBLE_EQ(app.regions[0].footprint_mb, 64);
+// A master-initialized shared region taking `shared_share` of the accesses
+// beside an owner-partitioned private region.
+AppProfile PatternApp(const char* name, double shared_share) {
+  AppProfile app;
+  app.name = name;
+  app.cpu_cycles_per_access = 200;
+  app.mlp = 2.0;
+  app.nominal_seconds = 0.8;
+  RegionSpec shared;
+  shared.name = "shared";
+  shared.footprint_mb = 512;
+  shared.init = AllocPattern::kMasterInit;
+  shared.access_share = shared_share;
+  app.regions.push_back(shared);
+  RegionSpec priv;
+  priv.name = "private";
+  priv.footprint_mb = 256;
+  priv.init = AllocPattern::kOwnerPartitioned;
+  priv.access_share = 1.0 - shared_share;
+  priv.owner_affinity = 0.95;
+  app.regions.push_back(priv);
+  return app;
 }
 
 TEST(SyntheticTest, PatternsReproduceTextbookPolicyRanking) {
-  // The §3.5.2 taxonomy on synthetic inputs: round-4K wins master-slave,
-  // first-touch wins thread-local.
-  SyntheticSpec spec;
-  spec.nominal_seconds = 0.8;
   {
-    const AppProfile app = MakeMasterSlaveApp(spec);
+    const AppProfile app = PatternApp("synthetic-master-slave", 0.7);
     const auto sweep = SweepPolicies(app, LinuxStack(), LinuxPolicyCandidates());
     EXPECT_EQ(BestEntry(sweep).policy.placement, StaticPolicy::kRound4k) << "master-slave";
   }
   {
-    const AppProfile app = MakeThreadLocalApp(spec);
+    const AppProfile app = PatternApp("synthetic-thread-local", 0.05);
     const auto sweep = SweepPolicies(app, LinuxStack(), LinuxPolicyCandidates());
     EXPECT_EQ(BestEntry(sweep).policy.placement, StaticPolicy::kFirstTouch) << "thread-local";
   }

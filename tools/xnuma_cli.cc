@@ -10,14 +10,12 @@
 // --seed N, --csv (machine-readable single-line output). A run that hits
 // the simulation cap prints `unfinished` in place of its time and exits 1.
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <type_traits>
 
 #include "src/admission/solver.h"
 #include "src/common/flags.h"
@@ -74,39 +72,6 @@ bool ParsePolicy(const std::string& name, StaticPolicy* out) {
   return true;
 }
 
-[[noreturn]] void Refuse(const char* cmd, const char* flag, const std::string& value,
-                         const std::string& why) {
-  std::fprintf(stderr, "%s: --%s %s %s\n", cmd, flag, value.c_str(), why.c_str());
-  std::exit(2);
-}
-
-// Every command reads its integer flags here: `fallback` when the flag is
-// absent, else a decimal integer that parses in full and lies in
-// [min, max]. Any other value is refused with exit status 2 and its
-// message as the only output, before anything is built.
-template <typename T>
-T ReadInt(const Flags& flags, const char* cmd, const char* flag, T fallback, T min, T max) {
-  if (!flags.Has(flag)) {
-    return fallback;
-  }
-  const std::string text = flags.GetString(flag);
-  // from_chars reads no sign into an unsigned type, so the minus sign is
-  // skipped here: any nonzero value after it lies below the range.
-  const bool negative = std::is_unsigned_v<T> && !text.empty() && text[0] == '-';
-  const char* last = text.data() + text.size();
-  T value{};
-  const auto [end, error] = std::from_chars(text.data() + (negative ? 1 : 0), last, value);
-  if (error == std::errc::invalid_argument || end != last) {
-    Refuse(cmd, flag, text, "is not an integer");
-  }
-  if (error == std::errc::result_out_of_range || (negative && value != 0) || value < min ||
-      value > max) {
-    Refuse(cmd, flag, text,
-           "is out of range [" + std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  return value;
-}
-
 // The numeric flags of run, sweep, pair and auto, read and checked in one
 // place.
 struct RunFlags {
@@ -123,7 +88,7 @@ RunFlags ReadRunFlags(const Flags& flags, const char* cmd) {
     char* end = nullptr;
     const double seconds = std::strtod(text.c_str(), &end);
     if (text.empty() || *end != '\0' || !std::isfinite(seconds) || seconds <= 0.0) {
-      Refuse(cmd, "seconds", text, "is not a finite number above 0");
+      RefuseFlag(cmd, "seconds", text, "is not a finite number above 0");
     }
     out.seconds = seconds;
   }
