@@ -63,7 +63,6 @@ void ChurnRunner::OnArrive(const ChurnEvent& ev, const DomainConfig& tmpl,
   if (churn_arrivals_ != nullptr) {
     churn_arrivals_->Increment();
   }
-  Hypervisor::AdmissionVerdict verdict;
   if (ev.pages > hv_->frames().TotalFreeFrames()) {
     // TryCreateDomain short-circuits this case before reaching the solver;
     // ask the solver directly so the verdict (reject vs defer) and the
@@ -72,7 +71,7 @@ void ChurnRunner::OnArrive(const ChurnEvent& ev, const DomainConfig& tmpl,
     request.num_vcpus = ev.num_vcpus;
     request.memory_pages = ev.pages;
     request.preferred_order = ev.preferred_order;
-    verdict = hv_->AdmitDomain(request);
+    hv_->AdmitDomain(request);
   } else {
     DomainConfig cfg = tmpl;
     cfg.name = "churn-" + std::to_string(created_);
@@ -82,12 +81,12 @@ void ChurnRunner::OnArrive(const ChurnEvent& ev, const DomainConfig& tmpl,
     cfg.pinned_cpus.clear();
     cfg.strict_admission = true;
     const DomainId id = hv_->TryCreateDomain(cfg);
-    verdict = hv_->last_admission();
     if (id != kInvalidDomain) {
       live_.push_back(id);
       ++created_;
     }
   }
+  const Hypervisor::AdmissionVerdict& verdict = hv_->last_admission();
   solve_us_.push_back(verdict.solve_seconds * 1e6);
   switch (verdict.result.decision) {
     case AdmissionDecision::kAdmit:

@@ -95,21 +95,23 @@ AdmissionSolver::AdmissionSolver(const Topology& topo, const FrameAllocator& fra
   XNUMA_CHECK(topo.num_nodes() <= kMaxAdmissionNodes);
 }
 
-AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
-                                       const std::vector<int>& free_cpus_per_node) const {
+const AdmissionResult& AdmissionSolver::Solve(const AdmissionRequest& request,
+                                              const std::vector<int>& free_cpus_per_node) const {
   const int n = topo_->num_nodes();
   XNUMA_CHECK(static_cast<int>(free_cpus_per_node.size()) == n);
   XNUMA_CHECK(request.num_vcpus > 0);
   XNUMA_CHECK(request.memory_pages >= 0);
 
-  AdmissionResult result;
+  result_.nodes.clear();
+  result_.score = PlacementScore{};
+  result_.candidates_evaluated = 0;
   // Permanent infeasibility: even an empty machine could not hold the
   // request. Everything else is at worst a defer — frames and pCPUs free up
   // as other domains churn away.
   if (request.memory_pages > frames_->total_frames() ||
       request.num_vcpus > topo_->num_cpus()) {
-    result.decision = AdmissionDecision::kReject;
-    return result;
+    result_.decision = AdmissionDecision::kReject;
+    return result_;
   }
 
   RefreshSpaces();
@@ -120,39 +122,41 @@ AdmissionResult AdmissionSolver::Solve(const AdmissionRequest& request,
   // free-frame counts fall short without building a set; when the whole
   // machine falls short, that is every k: a defer. Otherwise the whole
   // machine fits, so the search admits by k = n.
-  result.decision = AdmissionDecision::kDefer;
-  const Search search{request, free_cpus_per_node, &result};
-  for (int k = 1; k <= n && result.decision != AdmissionDecision::kAdmit; ++k) {
+  result_.decision = AdmissionDecision::kDefer;
+  const Search search{request, free_cpus_per_node};
+  for (int k = 1; k <= n && result_.decision != AdmissionDecision::kAdmit; ++k) {
     Extend(search, 0, k, PartialSet{});
   }
-  return result;
+  return result_;
 }
 
 void AdmissionSolver::BuildSuffixBounds(const AdmissionRequest& request,
                                         const std::vector<int>& free_cpus_per_node) const {
   const int n = topo_->num_nodes();
   suffix_best_.resize(n * (n + 1));
-  sorted_.resize(n);
-  // Walking the nodes from the last, each count joins its column of sorted_
-  // by insertion, and row i sums the first r entries of every column.
+  // Adds `count` to a column holding `size` counts, largest first.
+  const auto insert = [](int64_t* column, int size, int64_t count) {
+    int j = size;
+    for (; j > 0 && column[j - 1] < count; --j) {
+      column[j] = column[j - 1];
+    }
+    column[j] = count;
+  };
+  // Walking the nodes from the last, each count joins its column by
+  // insertion, and row i sums the first r entries of every column.
   for (NodeId i = n - 1; i >= 0; --i) {
     XNUMA_CHECK(free_cpus_per_node[i] >= 0);  // the bounds need totals that grow
-    const Sums counts{free_cpus_per_node[i], spaces_[i].free_frames,
-                      PreferredBlocks(spaces_[i], request.preferred_order)};
     const int size = n - 1 - i;  // entries already in each column
-    for (int64_t Sums::*column : {&Sums::cpus, &Sums::frames, &Sums::blocks}) {
-      int j = size;
-      for (; j > 0 && sorted_[j - 1].*column < counts.*column; --j) {
-        sorted_[j].*column = sorted_[j - 1].*column;
-      }
-      sorted_[j].*column = counts.*column;
-    }
+    insert(sorted_cpus_.data(), size, free_cpus_per_node[i]);
+    insert(sorted_frames_.data(), size, spaces_[i].free_frames);
+    insert(sorted_blocks_.data(), size, PreferredBlocks(spaces_[i], request.preferred_order));
     Sums sum;
+    Sums* row = &suffix_best_[i * (n + 1)];
     for (int r = 1; r <= size + 1; ++r) {
-      sum.cpus += sorted_[r - 1].cpus;
-      sum.frames += sorted_[r - 1].frames;
-      sum.blocks += sorted_[r - 1].blocks;
-      suffix_best_[i * (n + 1) + r] = sum;
+      sum.cpus += sorted_cpus_[r - 1];
+      sum.frames += sorted_frames_[r - 1];
+      sum.blocks += sorted_blocks_[r - 1];
+      row[r] = sum;
     }
   }
 }
@@ -161,7 +165,6 @@ void AdmissionSolver::Extend(const Search& search, NodeId next, int remaining,
                              const PartialSet& set) const {
   const int n = topo_->num_nodes();
   const AdmissionRequest& request = search.request;
-  AdmissionResult* result = search.result;
   for (NodeId node = next; node + remaining <= n; ++node) {
     // Every completion from here adds `remaining` nodes of node..n-1, so its
     // sums are at most the set's plus that suffix's largest counts, and its
@@ -174,14 +177,14 @@ void AdmissionSolver::Extend(const Search& search, NodeId next, int remaining,
         set.sums.frames + top.frames < request.memory_pages) {
       break;
     }
-    if (result->decision == AdmissionDecision::kAdmit) {
-      PlacementScore bound = result->score;
+    if (result_.decision == AdmissionDecision::kAdmit) {
+      PlacementScore bound = result_.score;
       bound.free_cpu_total = static_cast<int32_t>(set.sums.cpus + top.cpus);
       bound.free_frame_total = set.sums.frames + top.frames;
       bound.neg_max_distance = -set.diameter;
       bound.neg_balance_spread = -(set.max_frames - set.min_frames);
       bound.contiguity_blocks = set.sums.blocks + top.blocks;
-      if (!Better(bound, result->score)) {
+      if (!Better(bound, result_.score)) {
         break;
       }
     }
@@ -198,7 +201,7 @@ void AdmissionSolver::Extend(const Search& search, NodeId next, int remaining,
                                          : std::min(set.min_frames, space.free_frames);
     with.max_frames = std::max(set.max_frames, space.free_frames);
     candidate_.push_back(node);
-    ++result->candidates_evaluated;
+    ++result_.candidates_evaluated;
     if (remaining > 1) {
       Extend(search, node + 1, remaining - 1, with);
     } else if (with.sums.cpus >= request.num_vcpus &&
@@ -206,10 +209,10 @@ void AdmissionSolver::Extend(const Search& search, NodeId next, int remaining,
       const PlacementScore score = ScoreCandidate(*topo_, candidate_, spaces_,
                                                   search.free_cpus_per_node,
                                                   request.preferred_order);
-      if (result->decision != AdmissionDecision::kAdmit || Better(score, result->score)) {
-        result->decision = AdmissionDecision::kAdmit;
-        result->score = score;
-        result->nodes = candidate_;
+      if (result_.decision != AdmissionDecision::kAdmit || Better(score, result_.score)) {
+        result_.decision = AdmissionDecision::kAdmit;
+        result_.score = score;
+        result_.nodes = candidate_;
       }
     }
     candidate_.pop_back();

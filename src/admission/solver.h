@@ -21,6 +21,7 @@
 #ifndef XENNUMA_SRC_ADMISSION_SOLVER_H_
 #define XENNUMA_SRC_ADMISSION_SOLVER_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -104,10 +105,12 @@ class AdmissionSolver {
 
   // `free_cpus_per_node[n]` = unreserved pCPUs on node n (the hypervisor's
   // reservation table; tests may synthesize it). Deterministic: same
-  // machine state, same result. Not safe to call concurrently on one
-  // solver: it refreshes the solver's cached per-node summaries.
-  AdmissionResult Solve(const AdmissionRequest& request,
-                        const std::vector<int>& free_cpus_per_node) const;
+  // machine state, same result. The result lives in the solver and holds
+  // until the next call, so a solve allocates nothing once its node list
+  // has grown to the largest set admitted. Not safe to call concurrently
+  // on one solver: it refreshes the solver's cached per-node summaries.
+  const AdmissionResult& Solve(const AdmissionRequest& request,
+                               const std::vector<int>& free_cpus_per_node) const;
 
   // Optional metric admission.space_refreshes (per-node summaries
   // recomputed by solves). nullptr detaches.
@@ -129,11 +132,10 @@ class AdmissionSolver {
     int64_t min_frames = 0;
     int64_t max_frames = 0;
   };
-  // One solve's inputs and answer, shared by every level of the search.
+  // One solve's inputs, shared by every level of the search.
   struct Search {
     const AdmissionRequest& request;
     const std::vector<int>& free_cpus_per_node;
-    AdmissionResult* result;
   };
 
   // Brings spaces_ up to date: recomputes exactly the nodes whose
@@ -144,7 +146,7 @@ class AdmissionSolver {
                          const std::vector<int>& free_cpus_per_node) const;
   // Adds `remaining` more nodes from `next` on to `set`, in ascending id
   // order and each node included before it is skipped, and offers every
-  // completed set that fits to the search's result.
+  // completed set that fits to result_.
   void Extend(const Search& search, NodeId next, int remaining, const PartialSet& set) const;
 
   const Topology* topo_;
@@ -157,13 +159,17 @@ class AdmissionSolver {
   mutable std::vector<NodeSpace> spaces_;
   mutable std::vector<uint64_t> space_generation_;
   Counter* space_refreshes_ = nullptr;
-  // Search scratch, reused across solves. suffix_best_[i * (n + 1) + r]
-  // holds the sums of the r largest free-CPU, free-frame and block counts
-  // among nodes i..n-1, each taken separately; sorted_ keeps those counts
-  // of the suffix being added, largest first, while it is built.
+  // Search scratch and the answer, reused across solves.
+  // suffix_best_[i * (n + 1) + r] holds the sums of the r largest free-CPU,
+  // free-frame and block counts among nodes i..n-1, each taken separately;
+  // the three sorted_ columns keep those counts of the suffix being added,
+  // largest first, while it is built.
   mutable std::vector<Sums> suffix_best_;
-  mutable std::vector<Sums> sorted_;
+  mutable std::array<int64_t, kMaxAdmissionNodes> sorted_cpus_{};
+  mutable std::array<int64_t, kMaxAdmissionNodes> sorted_frames_{};
+  mutable std::array<int64_t, kMaxAdmissionNodes> sorted_blocks_{};
   mutable std::vector<NodeId> candidate_;
+  mutable AdmissionResult result_;
 };
 
 }  // namespace xnuma

@@ -331,17 +331,15 @@ void HvPlacementBackend::Invalidate(Pfn pfn) {
   }
 }
 
-int64_t HvPlacementBackend::ReleaseAll() {
+int64_t HvPlacementBackend::ReleaseAll(std::vector<Mfn>* chunk) {
   XNUMA_CHECK(domain_->replicas().empty());
   P2mTable& p2m = domain_->p2m();
   // One P2M chunk at a time, so no pages-sized buffer is needed.
   const int64_t released = p2m.valid_count();
-  std::vector<Mfn> mfns;
-  mfns.reserve(P2mTable::kChunkPages);
   for (Pfn pfn = 0; p2m.valid_count() > 0; pfn += P2mTable::kChunkPages) {
-    mfns.clear();
-    p2m.UnmapValid(pfn, std::min(P2mTable::kChunkPages, num_pages() - pfn), &mfns);
-    frames_->FreeMany(mfns);
+    chunk->clear();
+    p2m.UnmapValid(pfn, std::min(P2mTable::kChunkPages, num_pages() - pfn), chunk);
+    frames_->FreeMany(*chunk);
   }
   if (released > 0) {
     MarkAllDirty();

@@ -8,6 +8,8 @@
 #ifndef XENNUMA_SRC_HV_HV_BACKEND_H_
 #define XENNUMA_SRC_HV_HV_BACKEND_H_
 
+#include <vector>
+
 #include "src/common/types.h"
 #include "src/hv/domain.h"
 #include "src/mm/frame_allocator.h"
@@ -50,8 +52,11 @@ class HvPlacementBackend : public PlacementBackend {
   // Domain teardown: drops every mapping and returns its frames to the
   // allocator in bulk, with one full-rescan signal. Equivalent to
   // Invalidate() on every mapped page once no page is replicated (the
-  // caller collapses replicas first). Returns the pages released.
-  int64_t ReleaseAll();
+  // caller collapses replicas first). `chunk` carries one P2M chunk's
+  // frames at a time; its contents are replaced, and it allocates nothing
+  // once its capacity reaches P2mTable::kChunkPages. Returns the pages
+  // released.
+  int64_t ReleaseAll(std::vector<Mfn>* chunk);
   bool guest_hints_active() const override { return domain_->vnuma_hints_active(); }
 
   // Runs policy.Initialize on this backend. Its eager placement sends one

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <unordered_set>
 
 #include "src/common/check.h"
 #include "src/policy/vnuma_hybrid.h"
@@ -14,6 +13,7 @@ Hypervisor::Hypervisor(const Topology& topo, int64_t bytes_per_frame)
     : topo_(&topo), frames_(topo, bytes_per_frame), admission_solver_(topo, frames_) {
   // BIOS and I/O holes fragment the edges of every node's memory (§3.3).
   frames_.FragmentEdgeRegions(/*holes_per_edge=*/4);
+  release_chunk_.reserve(P2mTable::kChunkPages);
   cpu_reservations_.assign(topo.num_cpus(), 0);
   free_cpus_per_node_.resize(topo.num_nodes());
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -111,7 +111,7 @@ std::vector<NodeId> Hypervisor::PackHomeNodes(int num_vcpus, int64_t memory_page
   AdmissionRequest request;
   request.num_vcpus = num_vcpus;
   request.memory_pages = memory_pages;
-  const AdmissionResult result = admission_solver_.Solve(request, free_cpus_per_node_);
+  const AdmissionResult& result = admission_solver_.Solve(request, free_cpus_per_node_);
   if (result.decision == AdmissionDecision::kAdmit) {
     return result.nodes;
   }
@@ -161,7 +161,7 @@ void Hypervisor::DestroyDomain(DomainId id) {
   while (!dom.replicas().empty()) {
     be.CollapseReplicas(dom.replicas().begin()->first);
   }
-  be.ReleaseAll();
+  be.ReleaseAll(&release_chunk_);
   // And drop the per-node P2M replicas with their stamp arrays.
   dom.p2m().DisableReplication();
   for (const VcpuDesc& vcpu : dom.vcpus()) {
@@ -204,17 +204,12 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
     return kInvalidDomain;
   }
 
-  const DomainId id = static_cast<DomainId>(domains_.size());
-  auto dom = std::make_unique<Domain>(id, config.name, config.memory_pages);
-  dom->set_is_dom0(config.is_dom0);
-  dom->set_pci_passthrough(config.pci_passthrough);
-  dom->p2m().set_metrics(p2m_metrics_);
-
-  // Pin vCPUs: explicit list, or pack onto the home nodes.
-  std::vector<CpuId> pins = config.pinned_cpus;
+  // Pin vCPUs: explicit list, or pack onto the home nodes. The admission
+  // solve and a strict refusal come before the domain is built, so a
+  // deferred request allocates nothing.
+  std::vector<CpuId>& pins = pin_scratch_;
   std::vector<NodeId> homes;
-  pins.reserve(config.num_vcpus);
-  if (pins.empty()) {
+  if (config.pinned_cpus.empty()) {
     // Route automatic packing through the admission solver so the verdict
     // (and its latency) is recorded even on the legacy path; strict mode
     // turns a non-admit verdict into a creation failure instead of the
@@ -232,6 +227,7 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
       homes.resize(topo_->num_nodes());
       std::iota(homes.begin(), homes.end(), 0);
     }
+    pins.clear();
     for (NodeId n : homes) {
       for (CpuId c : topo_->node(n).cpus) {
         if (cpu_reservations_[c] == 0 && static_cast<int>(pins.size()) < config.num_vcpus) {
@@ -239,28 +235,31 @@ DomainId Hypervisor::TryCreateDomain(const DomainConfig& config) {
         }
       }
     }
-    if (static_cast<int>(pins.size()) < config.num_vcpus) {
-      // Overcommitted: reuse home-node CPUs round-robin.
-      int i = 0;
-      std::vector<CpuId> home_cpus;
+    // Overcommitted: reuse home-node CPUs round-robin.
+    while (static_cast<int>(pins.size()) < config.num_vcpus) {
       for (NodeId n : homes) {
         for (CpuId c : topo_->node(n).cpus) {
-          home_cpus.push_back(c);
+          if (static_cast<int>(pins.size()) < config.num_vcpus) {
+            pins.push_back(c);
+          }
         }
-      }
-      while (static_cast<int>(pins.size()) < config.num_vcpus) {
-        pins.push_back(home_cpus[i++ % home_cpus.size()]);
       }
     }
   } else {
-    std::unordered_set<NodeId> seen;
+    pins = config.pinned_cpus;
     for (CpuId c : pins) {
       XNUMA_CHECK(c >= 0 && c < topo_->num_cpus());
-      seen.insert(topo_->node_of_cpu(c));
+      homes.push_back(topo_->node_of_cpu(c));
     }
-    homes.assign(seen.begin(), seen.end());
     std::sort(homes.begin(), homes.end());
+    homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
   }
+
+  const DomainId id = static_cast<DomainId>(domains_.size());
+  auto dom = std::make_unique<Domain>(id, config.name, config.memory_pages);
+  dom->set_is_dom0(config.is_dom0);
+  dom->set_pci_passthrough(config.pci_passthrough);
+  dom->p2m().set_metrics(p2m_metrics_);
   dom->set_home_nodes(std::move(homes));
   dom->p2m().SetHomeNode(dom->home_nodes().empty() ? 0 : dom->home_nodes().front());
   dom->mutable_vcpus().reserve(config.num_vcpus);

@@ -174,6 +174,11 @@ class Hypervisor {
   HvCosts costs_;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<std::unique_ptr<HvPlacementBackend>> backends_;
+  // Scratch owned once per machine, so creating and destroying a domain
+  // allocates only the domain's own storage: TryCreateDomain's pin list
+  // and DestroyDomain's chunk buffer for HvPlacementBackend::ReleaseAll.
+  std::vector<CpuId> pin_scratch_;
+  std::vector<Mfn> release_chunk_;
   // vCPUs reserved on each pCPU (for packing), and per node the pCPUs with
   // none; ReserveCpu/ReleaseCpu keep the two in step.
   void ReserveCpu(CpuId cpu);

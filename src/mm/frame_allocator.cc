@@ -30,6 +30,7 @@ FrameAllocator::FrameAllocator(const Topology& topo, int64_t bytes_per_frame)
     }
   }
   free_count_ = node_sizes_;
+  freed_per_node_.assign(topo.num_nodes(), 0);
   generation_.assign(topo.num_nodes(), 0);
   used_.assign((total_frames_ + 63) >> 6, 0);
   rover_.assign(topo.num_nodes(), 0);
@@ -152,10 +153,23 @@ int64_t FrameAllocator::FreeAlignedBlocks(NodeId node, int64_t span) const {
     }
     return blocks;
   }
-  // Wider blocks: probe each aligned start inside the node; a free block
+  const int64_t first = (lo + span - 1) / span * span;
+  if (span % 64 == 0) {
+    // Whole words: an aligned start is word-aligned whatever the node's
+    // base, and a block is free when the OR of its words is zero.
+    for (int64_t start = first; start + span <= hi; start += span) {
+      uint64_t used = 0;
+      for (int64_t w = start >> 6; w < (start + span) >> 6; ++w) {
+        used |= used_[w];
+      }
+      blocks += used == 0 ? 1 : 0;
+    }
+    return blocks;
+  }
+  // Other spans: probe each aligned start inside the node; a free block
   // costs one compare per 64 frames, a used one stops at its first used
   // frame.
-  for (int64_t start = (lo + span - 1) / span * span; start + span <= hi; start += span) {
+  for (int64_t start = first; start + span <= hi; start += span) {
     blocks += FindUsedBit(start, start + span) < 0 ? 1 : 0;
   }
   return blocks;
@@ -327,17 +341,17 @@ void FrameAllocator::FreeContiguous(Mfn first, int64_t count) {
 }
 
 void FrameAllocator::FreeMany(std::span<const Mfn> mfns) {
-  std::vector<int64_t> freed(node_sizes_.size(), 0);
   for (const Mfn mfn : mfns) {
     XNUMA_CHECK(mfn >= 0 && mfn < total_frames_);
     XNUMA_CHECK(TestBit(mfn));
     ClearBit(mfn);
-    ++freed[NodeOf(mfn)];
+    ++freed_per_node_[NodeOf(mfn)];
   }
-  for (size_t node = 0; node < freed.size(); ++node) {
-    if (freed[node] > 0) {
-      free_count_[node] += freed[node];
+  for (size_t node = 0; node < freed_per_node_.size(); ++node) {
+    if (freed_per_node_[node] > 0) {
+      free_count_[node] += freed_per_node_[node];
       ++generation_[node];
+      freed_per_node_[node] = 0;
     }
   }
 }

@@ -118,8 +118,9 @@ class FrameAllocator {
   // Naturally aligned blocks of `span` frames (starting at multiples of
   // `span` counted from machine frame 0) that lie inside `node` and are
   // entirely free: what back-to-back AllocContiguous calls at that aligned
-  // span could take. Counted word by word over the node's bitmap; span 1
-  // is FreeFrames(node).
+  // span could take. Counted word by word over the node's bitmap, with no
+  // per-block probe when the span divides 64 or is a multiple of it; span
+  // 1 is FreeFrames(node).
   int64_t FreeAlignedBlocks(NodeId node, int64_t span) const;
 
   // Reserves scattered frames in the first and last GiB-equivalent of every
@@ -158,6 +159,8 @@ class FrameAllocator {
   int bucket_shift_ = 0;
   std::vector<NodeId> bucket_node_;
   std::vector<int64_t> free_count_;
+  // FreeMany's per-node tally, all zero between calls.
+  std::vector<int64_t> freed_per_node_;
   std::vector<uint64_t> generation_;
   // Bitmap, bit mfn set = frame allocated (or reserved as a hole). Packed
   // 64 frames per word so the allocation scans can skip whole words.

@@ -1,13 +1,16 @@
 // The utilization fixed point on hand-built plans over the AMD48 machine,
 // with no hypervisor, guest or engine: a loaded plan that converges and
-// re-converges in one iteration from its own answer, and the overloaded
-// plan whose solves stop at the iteration cap.
+// re-converges in one iteration from its own answer, the plan whose cold
+// solve stops at the iteration cap, and a plan whose demand exceeds a
+// controller's capacity.
 
 #include "src/sim/utilization_solver.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,10 +102,11 @@ TEST(UtilizationSolverTest, LoadedPlanConvergesAndReconvergesInOneIteration) {
 }
 
 TEST(UtilizationSolverTest, OverloadStopsAtTheCapAndCountsUnconverged) {
-  // FixedPointTest's overload plan: all 48 threads at 20 cycles per access,
-  // reading every node evenly as round-4K places their pages. Its
-  // controllers settle near 0.4 utilization, below saturation; from idle
-  // a damped step keeps 85% of the error, so the solve cannot reach the
+  // FixedPointTest's plan: all 48 threads at 20 cycles per access, reading
+  // every node evenly as round-4K places their pages. Its controllers
+  // settle near 0.4 utilization, below saturation, so nothing is
+  // overloaded; the cap is reached because the solve starts from idle: a
+  // damped step keeps 85% of the error, so the solve cannot reach the
   // tolerance within the cap: it stops there and keeps its last iterate.
   const Topology topo = Topology::Amd48();
   const LatencyModel latency;
@@ -125,6 +129,91 @@ TEST(UtilizationSolverTest, OverloadStopsAtTheCapAndCountsUnconverged) {
   EXPECT_EQ(CounterValue(obs, "engine.solver.plan_builds"), 1);
   solver.Solve(plan.threads, /*generation=*/2, dma);
   EXPECT_EQ(CounterValue(obs, "engine.solver.plan_builds"), 2);
+}
+
+// SaturatedControllerStaysFiniteAndPositive's answer under the damped
+// iteration (kUtilizationDamping, kFixedPointMaxIterations): three solves
+// stop at the cap and the fourth converges after 3 iterations, with node
+// 0's controller at 1.0216 utilization.
+constexpr int kPinnedSolves = 4;
+constexpr int64_t kPinnedIterations = 75;
+constexpr int64_t kPinnedUnconverged = 3;
+constexpr uint64_t kPinnedNode0UtilBits = 0x3ff0587efde7eff6ull;
+constexpr uint64_t kPinnedUtilDigest = 0xd061966b7a2198a4ull;
+
+TEST(UtilizationSolverTest, SaturatedControllerStaysFiniteAndPositive) {
+  // All 48 threads at 20 cycles per access read node 0 alone. At idle
+  // latency their demand is about four times the controller's capacity, so
+  // the iteration climbs the steep overload slope (utilization above
+  // saturation) that kUtilizationDamping keeps contracting. Warm solves
+  // run until one converges; the counts and bits below are today's damped
+  // iteration's, pinned so a new iteration re-records them knowingly.
+  const Topology topo = Topology::Amd48();
+  const LatencyModel latency;
+  const LatencyParams& lp = latency.params();
+  Observability obs;
+  UtilizationSolver solver(topo, latency, &obs);
+  Plan plan(topo, 48, /*cycles_per_access=*/20.0, /*mlp=*/2.0, /*local=*/0.0);
+  for (std::vector<double>& row : plan.rows) {
+    std::fill(row.begin(), row.end(), 0.0);
+    row[0] = 1.0;
+  }
+  const std::vector<double> dma(topo.num_nodes(), 0.0);
+  const double capacity = topo.node(0).mc_bandwidth_bytes_per_s * lp.mc_efficiency;
+
+  // Demand at idle latency: every access pays the uncontended cycles of
+  // its hop count.
+  double idle_demand = 0.0;
+  for (const UtilizationSolver::Thread& th : plan.threads) {
+    const double cycles =
+        lp.base_cycles[topo.Distance(th.key.node, 0)] / th.mlp + th.cycles_per_access;
+    idle_demand += topo.cpu_hz() / cycles * kCacheLineBytes;
+  }
+  EXPECT_GT(idle_demand, 4.0 * capacity);
+
+  constexpr int kMaxSolves = 100;
+  int solves = 0;
+  do {
+    solver.Solve(plan.threads, /*generation=*/1, dma);
+    ++solves;
+    for (const double u : solver.mc_util()) {
+      ASSERT_TRUE(std::isfinite(u) && u >= 0.0) << "solve " << solves;
+    }
+    for (const double u : solver.link_util()) {
+      ASSERT_TRUE(std::isfinite(u) && u >= 0.0) << "solve " << solves;
+    }
+    ASSERT_GT(solver.mc_util()[0], 0.0) << "solve " << solves;
+    for (size_t i = 0; i < plan.threads.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(solver.rate(i)) && solver.rate(i) > 0.0) << "solve " << solves;
+      ASSERT_TRUE(std::isfinite(solver.latency_cycles(i)) && solver.latency_cycles(i) > 0.0)
+          << "solve " << solves;
+    }
+  } while (solver.last_residual() > kFixedPointTolerance && solves < kMaxSolves);
+
+  // The controller sits past saturation, and its utilization reproduces
+  // the demand of the rates the solve returns.
+  double bytes = 0.0;
+  for (size_t i = 0; i < plan.threads.size(); ++i) {
+    bytes += solver.rate(i) * kCacheLineBytes;
+  }
+  EXPECT_GT(solver.mc_util()[0], lp.saturation_util);
+  EXPECT_NEAR(solver.mc_util()[0], bytes / capacity, 1e-6);
+
+  uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over every utilization's bits
+  for (const std::vector<double>* utils : {&solver.mc_util(), &solver.link_util()}) {
+    for (const double u : *utils) {
+      const uint64_t bits = std::bit_cast<uint64_t>(u);
+      for (int b = 0; b < 8; ++b) {
+        digest = (digest ^ ((bits >> (8 * b)) & 0xFF)) * 0x100000001b3ull;
+      }
+    }
+  }
+  EXPECT_EQ(solves, kPinnedSolves);
+  EXPECT_EQ(solver.total_iterations(), kPinnedIterations);
+  EXPECT_EQ(CounterValue(obs, "engine.solver.unconverged"), kPinnedUnconverged);
+  EXPECT_EQ(std::bit_cast<uint64_t>(solver.mc_util()[0]), kPinnedNode0UtilBits)
+      << solver.mc_util()[0];
+  EXPECT_EQ(digest, kPinnedUtilDigest) << std::hex << digest;
 }
 
 }  // namespace
